@@ -126,9 +126,6 @@ def _cmd_certify(args) -> int:
     return EXIT_OK
 
 
-_EMBEDDING_FAMILIES = ("cycle", "tree4", "tree5", "l3n")
-
-
 def _cmd_gen(args) -> int:
     params = _int_params(args.params) if args.params else []
     family = args.family

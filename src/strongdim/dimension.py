@@ -53,10 +53,17 @@ def is_mmd(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
     return all(d[v][y] <= duv for y in g.adj[u])
 
 
-def strong_resolving_graph(g: Graph) -> StrongResolvingGraph:
+def _distances(g: Graph, dm: DistanceMatrix | None) -> DistanceMatrix:
+    """dm when the caller already has it (it vouches that g is connected)."""
+    if dm is None:
+        require_connected(g)
+        dm = all_pairs_distances(g)
+    return dm
+
+
+def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongResolvingGraph:
     """Graph on the same labels whose edges are exactly the MMD pairs."""
-    require_connected(g)
-    dm = all_pairs_distances(g)
+    dm = _distances(g, dm)
     edges = [
         (u, v)
         for u in range(g.n)
@@ -89,15 +96,13 @@ def _is_set(dm: DistanceMatrix, witness_idx: Sequence[int], n: int, strong: bool
 
 def is_strong_resolving_set(g: Graph, witness: Iterable[str],
                             dm: DistanceMatrix | None = None) -> bool:
-    require_connected(g)
-    dm = dm or all_pairs_distances(g)
+    dm = _distances(g, dm)
     return _is_set(dm, [g.index(lb) for lb in witness], g.n, strong=True)
 
 
 def is_resolving_set(g: Graph, witness: Iterable[str],
                      dm: DistanceMatrix | None = None) -> bool:
-    require_connected(g)
-    dm = dm or all_pairs_distances(g)
+    dm = _distances(g, dm)
     return _is_set(dm, [g.index(lb) for lb in witness], g.n, strong=False)
 
 
@@ -106,9 +111,10 @@ def strong_dimension(g: Graph) -> DimensionResult:
     require_connected(g)
     if g.n == 1:
         return DimensionResult(0, (), "reduction")
-    sr = strong_resolving_graph(g).sr
+    dm = all_pairs_distances(g)
+    sr = strong_resolving_graph(g, dm).sr
     cov = min_vertex_cover(sr)
-    if not is_strong_resolving_set(g, cov.cover):
+    if not is_strong_resolving_set(g, cov.cover, dm):
         raise AssertionError("cover of the MMD graph failed the strong-resolving check")
     return DimensionResult(cov.size, cov.cover, "reduction")
 

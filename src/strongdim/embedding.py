@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .graph import (
+    DistanceMatrix,
     Graph,
     GraphError,
     all_pairs_distances,
@@ -47,11 +48,23 @@ class Embedding:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Embedding":
-        placement = {lb: tuple(int(x) for x in c) for lb, c in obj["placement"].items()}
-        return Embedding(
-            int(obj["k"]), int(obj["side"]), tuple(obj["anchors"]), placement
-        )
+    def from_json(obj) -> "Embedding":
+        """Inverse of to_json; raises GraphError when obj does not have its shape."""
+        if not isinstance(obj, dict):
+            raise GraphError("embedding JSON must be an object")
+        missing = [key for key in ("k", "side", "anchors", "placement") if key not in obj]
+        if missing:
+            raise GraphError(f"embedding JSON lacks {missing[0]!r}")
+        k, side, anchors, placement = obj["k"], obj["side"], obj["anchors"], obj["placement"]
+        if type(k) is not int or type(side) is not int:
+            raise GraphError("embedding 'k' and 'side' must be integers")
+        if not isinstance(anchors, list) or not all(isinstance(w, str) for w in anchors):
+            raise GraphError("embedding 'anchors' must be a list of labels")
+        if not isinstance(placement, dict) or not all(
+            isinstance(c, list) and all(type(x) is int for x in c) for c in placement.values()
+        ):
+            raise GraphError("embedding 'placement' must map labels to lists of integers")
+        return Embedding(k, side, tuple(anchors), {lb: tuple(c) for lb, c in placement.items()})
 
 
 @dataclass(frozen=True)
@@ -98,17 +111,20 @@ def induced_supergraph(e: Embedding, host: Graph | None = None) -> InducedSuperg
 
 
 def distance_vector_embedding(h: Graph, anchors: Sequence[str],
-                              side: int | None = None) -> Embedding:
+                              side: int | None = None,
+                              dm: DistanceMatrix | None = None) -> Embedding:
     """Map each vertex to its vector of graph distances to the anchors.
 
     Raises UnresolvedPairError when two vertices get the same vector, i.e.
-    the anchors do not resolve h.
+    the anchors do not resolve h. A caller that already holds h's distance
+    matrix passes it as dm, which also vouches that h is connected.
     """
-    require_connected(h)
+    if dm is None:
+        require_connected(h)
+        dm = all_pairs_distances(h)
     if not anchors:
         raise GraphError("at least one anchor is required")
     a_idx = [h.index(lb) for lb in anchors]
-    dm = all_pairs_distances(h)
     placement = {
         h.labels[v]: tuple(dm.dist[w][v] for w in a_idx) for v in range(h.n)
     }

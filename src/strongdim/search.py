@@ -18,7 +18,6 @@ counters do not depend on the worker count.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -32,7 +31,14 @@ from .embedding import (
     is_isometric_in_product,
     is_w_resolved,
 )
-from .graph import Graph, GraphError, all_pairs_distances, bfs_from, require_connected
+from .graph import (
+    DistanceMatrix,
+    Graph,
+    GraphError,
+    all_pairs_distances,
+    bfs_from,
+    require_connected,
+)
 
 MODE_RESOLVED = "resolved"
 MODE_STRONG = "strongly_resolved"
@@ -45,12 +51,13 @@ class PlacementSearchConfig:
     max_side: int | None = None  # default diam(g)+1 at call time
     node_budget: int = 10_000_000
     symmetry_pruning: bool = True
-    upper_bound_fallback: bool = True
     jobs: int = 1
 
     def __post_init__(self):
         if self.node_budget <= 0:
             raise GraphError("node_budget must be positive")
+        if self.jobs < 1:
+            raise GraphError(f"jobs must be at least 1, got {self.jobs}")
         if self.mode not in (MODE_RESOLVED, MODE_STRONG):
             raise GraphError(f"unknown mode {self.mode!r}")
 
@@ -64,21 +71,18 @@ class SearchOutcome:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    status: str  # "exact" | "bounds" | "lower_bound_only"
+    status: str  # "exact" | "bounds"
     value: int | None
-    bounds: tuple[int, int | None] | None
+    bounds: tuple[int, int] | None
     witness_W: tuple[str, ...] | None
     embedding: Embedding | None
     stats: dict
-    wall_time_s: float = 0.0
 
     def to_json(self) -> dict:
         if self.status == "exact":
             value: object = self.value
-        elif self.status == "bounds":
-            value = {"lo": self.bounds[0], "hi": self.bounds[1]}
         else:
-            value = {"lo": self.bounds[0]}
+            value = {"lo": self.bounds[0], "hi": self.bounds[1]}
         return {
             "status": self.status,
             "value": value,
@@ -109,6 +113,8 @@ def _refine_colors(g: Graph) -> list[int]:
 
 def graph_automorphisms(g: Graph, cap: int = _AUTOMORPHISM_CAP) -> list[tuple[int, ...]] | None:
     """All automorphisms as index permutations, or None when more than cap."""
+    if g.n == 0:
+        return [()]
     colors = _refine_colors(g)
     order = sorted(range(g.n), key=lambda v: (colors[v], v))
     found: list[tuple[int, ...]] = []
@@ -116,25 +122,38 @@ def graph_automorphisms(g: Graph, cap: int = _AUTOMORPHISM_CAP) -> list[tuple[in
     used = [False] * g.n
     adj = [set(a) for a in g.adj]
 
-    def extend(p: int) -> bool:
-        if p == g.n:
-            found.append(tuple(image))
-            return len(found) <= cap
+    def images(p: int):
+        """Lazily, each w that order[p] may map to given the images of order[:p]."""
         v = order[p]
         for w in range(g.n):
             if used[w] or colors[w] != colors[v]:
                 continue
             if all((order[q] in adj[v]) == (image[order[q]] in adj[w]) for q in range(p)):
-                image[v] = w
-                used[w] = True
-                if not extend(p + 1):
-                    return False
-                used[w] = False
-                image[v] = -1
-        return True
+                yield w
 
-    completed = extend(0)
-    return found if completed else None
+    # One pending image iterator per depth, an explicit stack so that long
+    # paths do not hit the recursion limit; depth p is assigned when
+    # image[order[p]] != -1.
+    stack = [images(0)]
+    while stack:
+        p = len(stack) - 1
+        v = order[p]
+        if image[v] != -1:
+            used[image[v]] = False
+            image[v] = -1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        if p + 1 < g.n:
+            stack.append(images(p + 1))
+            continue
+        found.append(tuple(image))
+        if len(found) > cap:
+            return None
+    return found
 
 
 def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -145,21 +164,40 @@ def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int
 # the placement DFS
 
 
-def _bfs_vertex_order(g: Graph, root: int) -> list[int]:
-    dist = bfs_from(g.adj, root)
-    return [v for v, _ in sorted(enumerate(dist), key=lambda t: (t[1], t[0]))]
+@dataclass(frozen=True)
+class _SearchContext:
+    """Per-graph data shared by every anchor-set search on one connected graph.
+
+    auts is None when symmetry pruning is off, the group is trivial, or it
+    has more than _AUTOMORPHISM_CAP elements.
+    """
+
+    g: Graph
+    dm: DistanceMatrix
+    adjset: tuple[frozenset[int], ...]
+    auts: list[tuple[int, ...]] | None
 
 
-def _try_fast_path(g: Graph, anchors: list[str], mode: str) -> Embedding | None:
+def _prepare(g: Graph, symmetry: bool) -> _SearchContext:
+    require_connected(g)
+    dm = all_pairs_distances(g)
+    auts = graph_automorphisms(g) if symmetry else None
+    if auts is not None and len(auts) <= 1:
+        auts = None
+    return _SearchContext(g, dm, tuple(frozenset(a) for a in g.adj), auts)
+
+
+def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedding | None:
     """If W already (strongly) resolves g itself, its distance vectors work."""
+    g, dm = ctx.g, ctx.dm
     try:
         if mode == MODE_RESOLVED:
-            if not is_resolving_set(g, anchors):
+            if not is_resolving_set(g, anchors, dm):
                 return None
         else:
-            if not is_strong_resolving_set(g, anchors):
+            if not is_strong_resolving_set(g, anchors, dm):
                 return None
-        emb = distance_vector_embedding(g, anchors)
+        emb = distance_vector_embedding(g, anchors, dm=dm)
     except GraphError:
         return None
     if not is_w_resolved(emb, g):
@@ -211,10 +249,10 @@ class _Dim2Context:
 
 
 def _run_search(
-    g: Graph, anchor_labels: list[str], cfg: PlacementSearchConfig, dim2_prunes: bool
+    ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSearchConfig, dim2_prunes: bool
 ) -> SearchOutcome:
+    g, dm = ctx.g, ctx.dm
     mode = cfg.mode
-    require_connected(g)
     if len(set(anchor_labels)) != len(anchor_labels):
         raise GraphError("anchor labels must be distinct")
     k = len(anchor_labels)
@@ -224,12 +262,11 @@ def _run_search(
             return SearchOutcome("yes", Embedding(0, 1, (), {g.labels[0]: ()}), 0)
         return SearchOutcome("no", None, 0)
 
-    dm = all_pairs_distances(g)
     D = dm.diameter
     side = cfg.max_side if cfg.max_side is not None else D + 1
 
     if side >= D + 1:
-        fast = _try_fast_path(g, anchor_labels, mode)
+        fast = _try_fast_path(ctx, anchor_labels, mode)
         if fast is not None:
             return SearchOutcome("yes", fast, 0)
     if side**k < n:
@@ -240,9 +277,10 @@ def _run_search(
         return SearchOutcome("no", None, 0)
 
     dG = dm.dist
-    adjset = [frozenset(a) for a in g.adj]
+    adjset = ctx.adjset
     in_anchor = {v: i for i, v in enumerate(anchors)}
-    rest = [v for v in _bfs_vertex_order(g, anchors[0]) if v not in in_anchor]
+    root = dG[anchors[0]]
+    rest = sorted((v for v in range(n) if v not in in_anchor), key=lambda v: (root[v], v))
     order = anchors + rest
     targets = [tuple(min(dG[v][w], side - 1) for w in anchors) for v in range(n)]
     krange = range(k)
@@ -506,7 +544,7 @@ def exists_supergraph_resolved_by(
 ) -> SearchOutcome:
     """Search all placements for the given anchor set; exhaustive unless budgeted out."""
     cfg = cfg or PlacementSearchConfig()
-    return _run_search(g, list(anchors), cfg, dim2_prunes=False)
+    return _run_search(_prepare(g, symmetry=False), list(anchors), cfg, dim2_prunes=False)
 
 
 def dim2_pruned_search(
@@ -519,7 +557,7 @@ def dim2_pruned_search(
     if len(anchors) != 2:
         raise GraphError("dim2 pruned search needs exactly two anchors")
     cfg = replace(cfg or PlacementSearchConfig(), mode=mode)
-    return _run_search(g, list(anchors), cfg, dim2_prunes=True)
+    return _run_search(_prepare(g, symmetry=False), list(anchors), cfg, dim2_prunes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +565,8 @@ def dim2_pruned_search(
 
 
 def _search_task(args):
-    g, labels, cfg, dim2 = args
-    return _run_search(g, list(labels), cfg, dim2)
+    ctx, labels, cfg, dim2 = args
+    return _run_search(ctx, list(labels), cfg, dim2)
 
 
 def threshold_dimension(
@@ -544,27 +582,19 @@ def threshold_dimension(
     exhaustively; feasibility is monotone in the anchor set, so a refuted
     level also refutes every smaller one.
     """
-    t0 = time.monotonic()
     if mode not in ("metric", "strong"):
         raise GraphError(f"mode must be 'metric' or 'strong', got {mode!r}")
     cfg = replace(
         cfg or PlacementSearchConfig(),
         mode=MODE_RESOLVED if mode == "metric" else MODE_STRONG,
     )
-    require_connected(g)
+    ctx = _prepare(g, cfg.symmetry_pruning)
     n = g.n
     if n == 1:
-        return ThresholdResult(
-            "exact", 0, None, (), None, {"nodes": 0, "levels": []}, time.monotonic() - t0
-        )
+        return ThresholdResult("exact", 0, None, (), None, {"nodes": 0, "levels": []})
 
-    ecc = all_pairs_distances(g).eccentricities
-    auts = None
-    if cfg.symmetry_pruning:
-        auts = graph_automorphisms(g)
-        if auts is not None and len(auts) <= 1:
-            auts = None
-
+    ecc = ctx.dm.eccentricities
+    auts = ctx.auts
     pool = ProcessPoolExecutor(cfg.jobs) if cfg.jobs > 1 else None
     total_nodes = 0
     levels: list[dict] = []
@@ -600,7 +630,7 @@ def threshold_dimension(
             level_all_refuted = True
 
             def run_one(W: tuple[int, ...]) -> SearchOutcome:
-                return _run_search(g, [g.labels[v] for v in W], cfg, dim2)
+                return _run_search(ctx, [g.labels[v] for v in W], cfg, dim2)
 
             def run_orbit(members: list[tuple[int, ...]], first_result: SearchOutcome):
                 """Fold one orbit; returns (yes_W or None, refuted_whole_orbit).
@@ -627,9 +657,10 @@ def threshold_dimension(
             if pool is None:
                 rep_results = map(run_one, reps)
             else:
+                task_ctx = replace(ctx, auts=None)  # orbits are grouped here, not in workers
                 rep_results = pool.map(
                     _search_task,
-                    [(g, tuple(g.labels[v] for v in W), cfg, dim2) for W in reps],
+                    [(task_ctx, tuple(g.labels[v] for v in W), cfg, dim2) for W in reps],
                     chunksize=1,
                 )
             for canon, first_res in zip(orbit_order, rep_results):
@@ -645,10 +676,9 @@ def threshold_dimension(
             if level_yes is not None:
                 stats = {"nodes": total_nodes, "levels": levels}
                 witness, emb = level_yes
-                elapsed = time.monotonic() - t0
                 if prev_exhaustive:
-                    return ThresholdResult("exact", k, None, witness, emb, stats, elapsed)
-                return ThresholdResult("bounds", None, (lo, k), witness, emb, stats, elapsed)
+                    return ThresholdResult("exact", k, None, witness, emb, stats)
+                return ThresholdResult("bounds", None, (lo, k), witness, emb, stats)
             if level_all_refuted:
                 lo = k + 1
             else:
@@ -658,11 +688,7 @@ def threshold_dimension(
             pool.shutdown(cancel_futures=True)
 
     stats = {"nodes": total_nodes, "levels": levels}
-    elapsed = time.monotonic() - t0
-    if cfg.upper_bound_fallback:
-        hi = strong_dimension(g).value
-        return ThresholdResult("bounds", None, (lo, hi), None, None, stats, elapsed)
-    return ThresholdResult("lower_bound_only", None, (lo, None), None, None, stats, elapsed)
+    return ThresholdResult("bounds", None, (lo, strong_dimension(g).value), None, None, stats)
 
 
 @dataclass(frozen=True)
@@ -682,11 +708,7 @@ class GapReport:
 
     def row(self) -> str:
         ts = self.tau_s
-        if ts.status == "exact":
-            span = str(ts.value)
-        else:
-            hi = ts.bounds[1] if ts.bounds[1] is not None else "?"
-            span = f"[{ts.bounds[0]}, {hi}]"
+        span = str(ts.value) if ts.status == "exact" else f"[{ts.bounds[0]}, {ts.bounds[1]}]"
         tau = self.tau.value if self.tau.status == "exact" else f">={self.tau.bounds[0]}"
         return (
             f"G_{self.n}  vertices={self.vertices}  tau={tau}  tau_s={span}  "

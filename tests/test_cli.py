@@ -72,7 +72,7 @@ def test_threshold_budget_exit_code(capsys, tmp_path):
     code, out, _ = run(capsys, "threshold", "--input", str(p), "--budget", "3", "--max-k", "2")
     assert code == 3
     payload = json.loads(out)
-    assert payload["status"] in ("bounds", "lower_bound_only")
+    assert payload["status"] == "bounds"
 
 
 def test_threshold_byte_identical(capsys, c7_file):
@@ -96,6 +96,23 @@ def test_certify_good_and_corrupted(capsys, tmp_path, c7_file):
     assert code == 0  # a false verdict is still a successful run
     payload = json.loads(out)
     assert payload["verdict"] is False and payload["clause"].startswith("W-resolved")
+
+
+def test_certify_malformed_embedding_is_input_error(capsys, tmp_path, c7_file):
+    good = cycle_embedding(7).to_json()
+    bad_coordinate = json.loads(json.dumps(good))
+    bad_coordinate["placement"]["3"] = 5
+    for broken in ({**good, "k": "x"}, [good], bad_coordinate):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(broken))
+        code, out, err = run(capsys, "certify", "--input", c7_file, "--embedding", str(p))
+        assert code == 2 and out == "" and err.startswith("input error: embedding")
+
+
+def test_threshold_rejects_nonpositive_jobs(capsys, c7_file):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "threshold", "--input", c7_file, "--jobs", jobs)
+        assert code == 2 and out == "" and "jobs" in err
 
 
 def test_gen_families(capsys, tmp_path):

@@ -131,7 +131,7 @@ def test_budget_exhaustion_surfaces():
     out = exists_supergraph_resolved_by(g1, ["a1_1", "b2_1", "c3_1"], cfg)
     assert out.status == "budget_exhausted"
     r = threshold_dimension(g1, "strong", PlacementSearchConfig(node_budget=3), max_k=2)
-    assert r.status in ("bounds", "lower_bound_only")
+    assert r.status == "bounds"
 
 
 def test_fast_path_uses_distance_vectors():
@@ -172,10 +172,56 @@ def test_automorphisms_against_networkx(rng):
 
 
 def test_jobs_do_not_change_results():
-    g = cycle_graph(8)
-    seq = threshold_dimension(g, "strong", PlacementSearchConfig(jobs=1))
-    par = threshold_dimension(g, "strong", PlacementSearchConfig(jobs=2))
-    assert seq.to_json() == par.to_json()
+    # gn_family(1) at budget 20 has refuted and budget-exhausted sets at k=2 and k=3
+    for g, budget, max_k in ((cycle_graph(8), 10_000_000, None), (gn_family(1), 20, 3)):
+        seq = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=budget), max_k)
+        par = threshold_dimension(
+            g, "strong", PlacementSearchConfig(node_budget=budget, jobs=2), max_k
+        )
+        assert seq.to_json() == par.to_json()
+
+
+def test_jobs_must_be_positive():
+    for jobs in (0, -3):
+        with pytest.raises(GraphError):
+            PlacementSearchConfig(jobs=jobs)
+
+
+def test_distances_computed_once_per_graph(monkeypatch):
+    """APSP and the connectivity check run a fixed number of times per call,
+    however many anchor sets are searched (946 at k=2 for gn_family(2))."""
+    import strongdim.dimension
+    import strongdim.search
+
+    calls = {"apsp": 0, "connected": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (strongdim.search, strongdim.dimension):
+        monkeypatch.setattr(
+            module, "all_pairs_distances", counting("apsp", module.all_pairs_distances)
+        )
+        monkeypatch.setattr(
+            module, "require_connected", counting("connected", module.require_connected)
+        )
+    seen = []
+    for n in (1, 2):
+        calls.update(apsp=0, connected=0)
+        r = threshold_dimension(gn_family(n), "strong", max_k=2)
+        assert r.status == "bounds" and r.bounds[0] == 3
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[1]["apsp"] <= 2 and seen[1]["connected"] <= 2
+
+
+def test_automorphisms_of_a_long_path():
+    r = threshold_dimension(path_graph(1200), "strong")
+    assert (r.status, r.value) == ("exact", 1)
 
 
 def test_symmetry_pruning_preserves_results():
@@ -239,4 +285,4 @@ def test_gap_experiment_row_and_budget():
     assert rep.tau_s.status == "exact" and rep.tau_s.value == 3
     assert "tau" in rep.row()
     tiny = tau_gap_experiment(1, PlacementSearchConfig(node_budget=2), max_k=2)
-    assert tiny.tau_s.status in ("bounds", "lower_bound_only")
+    assert tiny.tau_s.status == "bounds"
