@@ -83,7 +83,7 @@ def _cmd_dim(args) -> int:
 
 def _cmd_srgraph(args) -> int:
     g = _load_graph(args.input)
-    sr = strong_resolving_graph(g).sr
+    sr = strong_resolving_graph(g)
     sys.stdout.write(to_edge_list(sr))
     isolated = [sr.labels[v] for v in range(sr.n) if sr.degree(v) == 0]
     for lb in sorted(isolated):

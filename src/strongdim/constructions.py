@@ -18,7 +18,7 @@ from .dimension import strong_resolving_graph
 from .embedding import (
     CheckResult,
     Embedding,
-    chebyshev,
+    chebyshev_adjacency,
     is_isometric_in_product,
     is_w_resolved,
 )
@@ -77,16 +77,11 @@ def _region_cells(m: int, n: int) -> set[tuple[int, int]]:
 
 
 def _grid_graph(cells: set[tuple[int, int]], leaves_at: list[tuple[int, int]]) -> Graph:
-    labels = [_cell(x, y) for x, y in sorted(cells)]
-    leaf_labels = [f"leaf@{_cell(x, y)}" for x, y in leaves_at]
-    order = labels + leaf_labels
-    index = {lb: i for i, lb in enumerate(order)}
-    edges = []
     cl = sorted(cells)
-    for i, a in enumerate(cl):
-        for b in cl[i + 1 :]:
-            if chebyshev(a, b) == 1:
-                edges.append((index[_cell(*a)], index[_cell(*b)]))
+    leaf_labels = [f"leaf@{_cell(x, y)}" for x, y in leaves_at]
+    order = [_cell(x, y) for x, y in cl] + leaf_labels
+    index = {lb: i for i, lb in enumerate(order)}
+    edges = [(i, j) for i, nbrs in enumerate(chebyshev_adjacency(cl)) for j in nbrs if i < j]
     for host, leaf in zip(leaves_at, leaf_labels):
         edges.append((index[_cell(*host)], index[leaf]))
     return Graph.from_edges(order, edges)
@@ -128,7 +123,7 @@ def _star_shape(adj: dict[str, set[str]], comp: set[str]) -> int | None:
 
 
 def _sr_core(g: Graph) -> tuple[dict[str, set[str]], list[set[str]]]:
-    sr = strong_resolving_graph(g).sr
+    sr = strong_resolving_graph(g)
     adj = {
         sr.labels[v]: {sr.labels[u] for u in sr.adj[v]}
         for v in range(sr.n)
@@ -713,12 +708,8 @@ def g1_placement(copy: int = 1) -> dict[str, tuple[int, int]]:
 
 def _g1_edges() -> list[tuple[str, str]]:
     names = sorted(_G1_CELLS)
-    out = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if chebyshev(_G1_CELLS[a], _G1_CELLS[b]) == 1:
-                out.append((a, b))
-    return out
+    adj = chebyshev_adjacency([_G1_CELLS[a] for a in names])
+    return [(names[i], names[j]) for i, nbrs in enumerate(adj) for j in nbrs if i < j]
 
 
 def gn_family(n: int) -> Graph:

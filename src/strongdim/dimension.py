@@ -17,12 +17,6 @@ from .graph import DistanceMatrix, Graph, GraphError, all_pairs_distances, requi
 
 
 @dataclass(frozen=True)
-class StrongResolvingGraph:
-    base: Graph
-    sr: Graph
-
-
-@dataclass(frozen=True)
 class DimensionResult:
     value: int
     witness: tuple[str, ...]
@@ -61,7 +55,7 @@ def _distances(g: Graph, dm: DistanceMatrix | None) -> DistanceMatrix:
     return dm
 
 
-def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> StrongResolvingGraph:
+def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
     """Graph on the same labels whose edges are exactly the MMD pairs."""
     dm = _distances(g, dm)
     edges = [
@@ -70,7 +64,7 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Strong
         for v in range(u + 1, g.n)
         if is_mmd(g, dm, u, v)
     ]
-    return StrongResolvingGraph(g, Graph.from_edges(g.labels, edges))
+    return Graph.from_edges(g.labels, edges)
 
 
 def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
@@ -112,7 +106,7 @@ def strong_dimension(g: Graph) -> DimensionResult:
     if g.n == 1:
         return DimensionResult(0, (), "reduction")
     dm = all_pairs_distances(g)
-    sr = strong_resolving_graph(g, dm).sr
+    sr = strong_resolving_graph(g, dm)
     cov = min_vertex_cover(sr)
     if not is_strong_resolving_set(g, cov.cover, dm):
         raise AssertionError("cover of the MMD graph failed the strong-resolving check")

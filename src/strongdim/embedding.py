@@ -68,12 +68,6 @@ class Embedding:
 
 
 @dataclass(frozen=True)
-class InducedSupergraph:
-    host: Graph
-    h: Graph
-
-
-@dataclass(frozen=True)
 class CheckResult:
     ok: bool
     clause: str | None = None
@@ -90,24 +84,71 @@ def chebyshev(x: Sequence[int], y: Sequence[int]) -> int:
     return max((abs(a - b) for a, b in zip(x, y)), default=0)
 
 
-def _chebyshev_adjacency(labels: Sequence[str], placement: dict[str, Coord]):
-    coords = [placement[lb] for lb in labels]
-    n = len(labels)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if chebyshev(coords[i], coords[j]) == 1:
-                adj[i].append(j)
-                adj[j].append(i)
-    return [sorted(a) for a in adj]
+class CellIndex:
+    """Cells of Z^k in a trie of their coordinates, for strong-product adjacency.
+
+    Two cells are adjacent in the strong product of paths when they are at
+    Chebyshev distance 1. near() walks the trie one coordinate at a time and
+    extends a prefix by -1, 0 or +1 only where an indexed cell has that
+    prefix, so a query costs O(k * indexed cells) at worst, never 3^k.
+    Each cell may carry several indices (duplicate cells).
+    """
+
+    def __init__(self) -> None:
+        self.root: dict = {}  # depth < k: coordinate -> subtrie; depth k: index -> None
+
+    def add(self, c: Coord, i: int) -> None:
+        node = self.root
+        for x in c:
+            node = node.setdefault(x, {})
+        node[i] = None
+
+    def remove(self, c: Coord, i: int) -> None:
+        path = [self.root]
+        for x in c:
+            path.append(path[-1][x])
+        del path[-1][i]
+        for node, x in zip(reversed(path[:-1]), reversed(c)):  # drop emptied subtries
+            if node[x]:
+                break
+            del node[x]
+
+    def near(self, c: Coord) -> list[int]:
+        """Indices of the cells at Chebyshev distance 1 from c (unordered)."""
+        level, centre = [self.root], self.root  # centre: the subtrie of c's own prefix
+        for x in c:
+            nxt, ys = [], (x - 1, x, x + 1)
+            for node in level:
+                for y in ys:
+                    child = node.get(y)
+                    if child is not None:
+                        nxt.append(child)
+            level = nxt
+            if centre is not None:
+                centre = centre.get(x)
+        return [i for node in level if node is not centre for i in node]
 
 
-def induced_supergraph(e: Embedding, host: Graph | None = None) -> InducedSupergraph:
-    """Graph induced by the placement: edges are Chebyshev-1 tuple pairs."""
+def chebyshev_adjacency(cells: Sequence[Coord]) -> list[list[int]]:
+    """For each cell, the sorted indices of the cells at Chebyshev distance 1.
+
+    Duplicate cells are kept (not adjacent to each other); cells of
+    different lengths raise GraphError, as chebyshev does.
+    """
+    k = len(cells[0]) if cells else 0
+    index = CellIndex()
+    for i, c in enumerate(cells):
+        if len(c) != k:
+            raise GraphError(f"tuple length mismatch: {k} vs {len(c)}")
+        index.add(c, i)
+    return [sorted(index.near(c)) for c in cells]
+
+
+def induced_supergraph(e: Embedding, host: Graph | None = None) -> Graph:
+    """Graph induced by the placement on host's labels (default: all placed, sorted)."""
     labels = host.labels if host is not None else tuple(sorted(e.placement))
-    adj = _chebyshev_adjacency(labels, e.placement)
-    h = Graph.from_edges(labels, [(u, v) for u in range(len(labels)) for v in adj[u] if u < v])
-    return InducedSupergraph(host if host is not None else h, h)
+    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
+    return Graph.from_edges(labels, [(u, v) for u in range(len(labels)) for v in adj[u] if u < v])
 
 
 def distance_vector_embedding(h: Graph, anchors: Sequence[str],
@@ -144,7 +185,7 @@ def distance_vector_embedding(h: Graph, anchors: Sequence[str],
 
 def _anchor_distance_rows(e: Embedding, labels: Sequence[str]):
     """BFS distances in the induced graph from each anchor, by label."""
-    adj = _chebyshev_adjacency(labels, e.placement)
+    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
     index = {lb: i for i, lb in enumerate(labels)}
     return [bfs_from(adj, index[w]) for w in e.anchors], index
 
@@ -196,7 +237,7 @@ def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
 def is_isometric_in_product(e: Embedding) -> CheckResult:
     """True iff induced-graph distances equal Chebyshev distances for all pairs."""
     labels = tuple(sorted(e.placement))
-    adj = _chebyshev_adjacency(labels, e.placement)
+    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
     for i, lb in enumerate(labels):
         dist = bfs_from(adj, i)
         for j in range(i + 1, len(labels)):
@@ -413,12 +454,13 @@ def _induces_disjoint_paths(g: Graph, members: list[int]) -> bool:
 
 
 def render_grid(e: Embedding) -> str:
-    """ASCII grid for 2-coordinate embeddings: rows are y descending."""
+    """ASCII grid for 2-coordinate embeddings: rows are y descending.
+
+    Coordinates of another length are left out; certification reports them.
+    """
     if e.k != 2:
         raise GraphError("grid rendering requires k=2")
-    cells: dict[tuple[int, int], str] = {}
-    for lb, (x, y) in e.placement.items():
-        cells[(x, y)] = lb
+    cells = {c: lb for lb, c in e.placement.items() if len(c) == 2}
     width = max((len(lb) for lb in e.placement), default=1)
     rows = []
     for y in range(e.side - 1, -1, -1):

@@ -21,13 +21,17 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, product
+from operator import sub
 
 from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimension
 from .embedding import (
+    CellIndex,
     Embedding,
-    chebyshev,
+    chebyshev_adjacency,
     distance_vector_embedding,
+    feasible_region,
     is_isometric_in_product,
     is_w_resolved,
 )
@@ -164,6 +168,24 @@ def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int
 # the placement DFS
 
 
+class _Dim2Region:
+    """Two-anchor prunes for anchor distance a.
+
+    Region membership and the per-cell neighbour capacity bound any resolved
+    placement; the interior cells of the anchor-to-anchor diagonal must all
+    end up occupied (the induced graph needs a geodesic between the anchors).
+    """
+
+    def __init__(self, side: int, a: int):
+        cells = list(feasible_region(side - 1, a).cells())
+        self.region = set(cells)
+        self.cap = {c: len(nbrs) for c, nbrs in zip(cells, chebyshev_adjacency(cells))}
+        self.diag = [(t, a - t) for t in range(1, a)]
+
+
+_dim2_region = lru_cache(maxsize=64)(_Dim2Region)  # per process, so --jobs workers reuse it too
+
+
 @dataclass(frozen=True)
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
@@ -207,47 +229,6 @@ def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedd
     return emb
 
 
-class _Dim2Context:
-    """Per-anchor-distance structures for the two-anchor pruned search.
-
-    Region membership and the per-cell neighbour capacity bound any resolved
-    placement; the interior cells of the anchor-to-anchor diagonal must all
-    end up occupied (the induced graph needs a geodesic between the anchors),
-    so each keeps a pool of vertices that could still fill it.
-    """
-
-    def __init__(self, g: Graph, dG, anchors: list[int], side: int, a: int):
-        self.a = a
-        hi = side - 1
-        self.region = {
-            (x, y)
-            for x in range(hi + 1)
-            for y in range(hi + 1)
-            if x + y >= a and abs(x - y) <= a
-        }
-        self.cap = {
-            c: sum(
-                1
-                for dx in (-1, 0, 1)
-                for dy in (-1, 0, 1)
-                if (dx or dy) and (c[0] + dx, c[1] + dy) in self.region
-            )
-            for c in self.region
-        }
-        self.diag = [(t, a - t) for t in range(1, a)]
-        self.admissible = {
-            v: frozenset(
-                r
-                for r in self.diag
-                if r[0] <= dG[v][anchors[0]]
-                and r[1] <= dG[v][anchors[1]]
-                and self.cap[r] >= g.degree(v)
-            )
-            for v in range(g.n)
-            if v not in anchors
-        }
-
-
 def _run_search(
     ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSearchConfig, dim2_prunes: bool
 ) -> SearchOutcome:
@@ -288,6 +269,7 @@ def _run_search(
     INF = n + 2
     coords: list[tuple[int, ...] | None] = [None] * n
     used: set[tuple[int, ...]] = set()
+    occupied = CellIndex()  # placed vertices by cell
     placed: list[int] = []
     hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
     pdist = [[INF] * n for _ in krange]  # partial-subgraph distance to each anchor
@@ -296,10 +278,10 @@ def _run_search(
     solution: list[Embedding] = []
 
     use_dim2 = dim2_prunes and k == 2
-    dim2_cache: dict[int, _Dim2Context] = {}
     # each frame: (pools: cell -> remaining fillers, unfilled: frozenset of cells)
     pool_stack: list[tuple[dict, frozenset]] = []
-    ctx_holder: list[_Dim2Context] = []
+    # once both anchors are placed: the region, and per vertex the diagonal cells it could fill
+    dim2_holder: list[tuple[_Dim2Region, dict[int, frozenset]]] = []
 
     def candidates(v: int) -> list[tuple[int, ...]]:
         lows, highs = [], []
@@ -326,7 +308,7 @@ def _run_search(
             (j, coords[w]) for j, w in enumerate(anchors) if coords[w] is not None
         ]
         anchor_slot = in_anchor.get(v)
-        ctx = ctx_holder[0] if ctx_holder else None
+        reg = dim2_holder[0][0] if dim2_holder else None
         deg_v = g.degree(v)
         out = []
         for c in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
@@ -336,12 +318,7 @@ def _run_search(
             for j, cw in placed_anchor:
                 # induced distance to anchor j is coordinate j, and it must
                 # coincide with the Chebyshev gap to that anchor's cell
-                gap = 0
-                for a, b in zip(c, cw):
-                    d = a - b if a >= b else b - a
-                    if d > gap:
-                        gap = d
-                if gap != c[j]:
+                if max(map(abs, map(sub, c, cw))) != c[j]:
                     ok = False
                     break
                 if anchor_slot is not None and cw[anchor_slot] != c[j]:
@@ -349,7 +326,7 @@ def _run_search(
                     break
             if not ok:
                 continue
-            if ctx is not None and (c not in ctx.region or ctx.cap[c] < deg_v):
+            if reg is not None and (c not in reg.region or reg.cap[c] < deg_v):
                 continue
             out.append(c)
         tgt = targets[v]
@@ -364,18 +341,7 @@ def _run_search(
         its claimed coordinate kills the whole subtree (the final induced
         graph only gains more edges).
         """
-        nbrs = []
-        for u in placed:
-            if u == v:
-                continue
-            cu = coords[u]
-            gap = 0
-            for a, b in zip(c, cu):
-                d = a - b if a >= b else b - a
-                if d > gap:
-                    gap = d
-            if gap == 1:
-                nbrs.append(u)
+        nbrs = occupied.near(c)
         hadj[v] = nbrs
         for u in nbrs:
             hadj[u].append(v)
@@ -434,23 +400,17 @@ def _run_search(
                 dist = bfs_from(hadj, u)
                 cu = coords[u]
                 for v in range(u + 1, n):
-                    cv = coords[v]
-                    gap = 0
-                    for a, b in zip(cu, cv):
-                        d = a - b if a >= b else b - a
-                        if d > gap:
-                            gap = d
-                    if dist[v] != gap:
+                    if dist[v] != max(map(abs, map(sub, cu, coords[v]))):
                         return False
         return True
 
     def push_pools(v: int, c: tuple[int, ...]) -> bool:
         """Update diagonal fill pools after placing v at c; False prunes."""
-        ctx = ctx_holder[0]
+        admissible = dim2_holder[0][1]
         pools, unfilled = pool_stack[-1]
         new_pools = dict(pools)
         new_unfilled = unfilled - {c} if c in unfilled else unfilled
-        for r in ctx.admissible.get(v, ()):
+        for r in admissible.get(v, ()):
             if r != c:
                 new_pools[r] -= 1
         if any(new_pools[r] <= 0 for r in new_unfilled):
@@ -461,25 +421,32 @@ def _run_search(
         return True
 
     def open_dim2() -> bool:
-        """Build the context once both anchor cells are fixed."""
+        """Open the region and fill pools once both anchor cells are fixed."""
         a = coords[anchors[0]][1]
-        ctx = dim2_cache.get(a)
-        if ctx is None:
-            ctx = _Dim2Context(g, dG, anchors, side, a)
-            dim2_cache[a] = ctx
+        reg = _dim2_region(side, a)
         c1, c2 = coords[anchors[0]], coords[anchors[1]]
-        if ctx.cap.get(c1, 0) < g.degree(anchors[0]):
+        if reg.cap.get(c1, 0) < g.degree(anchors[0]):
             return False
-        if ctx.cap.get(c2, 0) < g.degree(anchors[1]):
+        if reg.cap.get(c2, 0) < g.degree(anchors[1]):
             return False
-        pools = {r: 0 for r in ctx.diag}
+        admissible = {
+            v: frozenset(
+                r
+                for r in reg.diag
+                if r[0] <= dG[v][anchors[0]]
+                and r[1] <= dG[v][anchors[1]]
+                and reg.cap[r] >= g.degree(v)
+            )
+            for v in rest
+        }
+        pools = {r: 0 for r in reg.diag}
         for v in rest:
-            for r in ctx.admissible[v]:
+            for r in admissible[v]:
                 pools[r] += 1
-        if any(pools[r] <= 0 for r in ctx.diag):
+        if any(pools[r] <= 0 for r in reg.diag):
             return False
-        ctx_holder.append(ctx)
-        pool_stack.append((pools, frozenset(ctx.diag)))
+        dim2_holder.append((reg, admissible))
+        pool_stack.append((pools, frozenset(reg.diag)))
         return True
 
     def place(p: int) -> bool:
@@ -502,6 +469,7 @@ def _run_search(
                     raise _BudgetExceeded
                 coords[v] = c
                 used.add(c)
+                occupied.add(c, v)
                 placed.append(v)
                 ok, undo = attach(v, c)
                 pushed = False
@@ -514,13 +482,14 @@ def _run_search(
                     pool_stack.pop()
                 detach(undo)
                 placed.pop()
+                occupied.remove(c, v)
                 used.discard(c)
                 coords[v] = None
             return False
         finally:
             if opened and not solution:
                 pool_stack.pop()
-                ctx_holder.pop()
+                dim2_holder.pop()
 
     try:
         found = place(0)

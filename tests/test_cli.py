@@ -98,6 +98,20 @@ def test_certify_good_and_corrupted(capsys, tmp_path, c7_file):
     assert payload["verdict"] is False and payload["clause"].startswith("W-resolved")
 
 
+def test_certify_render_skips_a_coordinate_of_the_wrong_length(capsys, tmp_path, c7_file):
+    broken = cycle_embedding(7).to_json()
+    broken["placement"]["3"] = [1, 2, 3]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(broken))
+    code, out, _ = run(capsys, "certify", "--input", c7_file, "--embedding", str(bad), "--render")
+    assert code == 0
+    lines = out.splitlines()
+    payload = json.loads("\n".join(ln for ln in lines if not ln.startswith("#")))
+    assert payload["verdict"] is False and payload["clause"] == "range"
+    grid = [ln for ln in lines if ln.startswith("#")]
+    assert "3" not in "".join(grid) and "6" in "".join(grid)  # only the bad cell is left out
+
+
 def test_certify_malformed_embedding_is_input_error(capsys, tmp_path, c7_file):
     good = cycle_embedding(7).to_json()
     bad_coordinate = json.loads(json.dumps(good))

@@ -79,7 +79,7 @@ def test_type_sr_matches_target_up_to_isomorphism():
         for m in range(1, 6):
             for n in range(m, 6):
                 spec = StarPairSpec(m, n, tp)
-                sr = strong_resolving_graph(type_graph(spec)).sr
+                sr = strong_resolving_graph(type_graph(spec))
                 H = nx.Graph()
                 H.add_edges_from(sr.label_edges())
                 assert nx.is_isomorphic(H, target(spec)), (tp, m, n)
@@ -207,7 +207,7 @@ def test_random_tree4_embeddings_certify(rng):
         assert is_w_resolved(emb, t) and is_isometric_in_product(emb)
         assert anchor_distances_collapse(emb)
         sup = induced_supergraph(emb, t)
-        assert is_strong_resolving_set(sup.h, list(emb.anchors))
+        assert is_strong_resolving_set(sup, list(emb.anchors))
 
 
 def test_random_tree5_embeddings_certify(rng):

@@ -57,19 +57,19 @@ def test_mmd_symmetric_random(rng):
 
 
 def test_sr_of_complete_is_complete():
-    sr = strong_resolving_graph(complete_graph(5)).sr
+    sr = strong_resolving_graph(complete_graph(5))
     assert sr.m == 10
 
 
 def test_sr_of_path_is_endpoint_edge():
-    sr = strong_resolving_graph(path_graph(6)).sr
+    sr = strong_resolving_graph(path_graph(6))
     assert sr.label_edges() == [("0", "5")]
 
 
 def test_tree_sr_is_leaf_clique():
     for seed in range(200):
         t = random_tree(random.Random(seed).randrange(2, 30), seed=seed)
-        sr = strong_resolving_graph(t).sr
+        sr = strong_resolving_graph(t)
         leaves = {t.labels[v] for v in leaves_of(t)}
         expected = sorted(
             tuple(sorted(e)) for e in itertools.combinations(sorted(leaves), 2)

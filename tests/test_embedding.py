@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from strongdim import (
+    CellIndex,
     Embedding,
     GraphError,
     UnresolvedPairError,
@@ -8,6 +11,8 @@ from strongdim import (
     anchor_distances_collapse,
     brute_force_dimension,
     chebyshev,
+    chebyshev_adjacency,
+    complete_graph,
     cycle_graph,
     dim2_diagnostics,
     distance_vector_embedding,
@@ -40,6 +45,49 @@ def test_chebyshev_is_a_metric(rng):
         assert chebyshev(x, y) == chebyshev(y, x)
         assert (chebyshev(x, y) == 0) == (x == y)
         assert chebyshev(x, z) <= chebyshev(x, y) + chebyshev(y, z)
+
+
+def _pairwise_adjacency(cells):
+    return [[j for j, y in enumerate(cells) if chebyshev(x, y) == 1] for x in cells]
+
+
+def test_cell_index_add_remove_near(rng):
+    for k in (1, 2, 3, 5):
+        cells = [tuple(rng.randrange(3) for _ in range(k)) for _ in range(40)]
+        index = CellIndex()
+        for i, c in enumerate(cells):
+            index.add(c, i)
+        gone = set(rng.sample(range(len(cells)), 25))
+        for i in gone:
+            index.remove(cells[i], i)
+        kept = [j for j in range(len(cells)) if j not in gone]
+        for c in cells:
+            assert sorted(index.near(c)) == [j for j in kept if chebyshev(c, cells[j]) == 1]
+        for j in kept:
+            index.remove(cells[j], j)
+        assert index.root == {}  # emptied subtries are dropped
+
+
+def test_chebyshev_adjacency_matches_pairwise(rng):
+    for k in (1, 2, 3):
+        for _ in range(30):
+            cells = [tuple(rng.randrange(4) for _ in range(k)) for _ in range(rng.randrange(1, 25))]
+            cells += rng.sample(cells, rng.randrange(len(cells) + 1))  # duplicate cells
+            rng.shuffle(cells)
+            assert chebyshev_adjacency(cells) == _pairwise_adjacency(cells)
+    assert chebyshev_adjacency([]) == []
+    assert chebyshev_adjacency([(2, 2), (2, 2), (3, 1)]) == [[2], [2], [0, 1]]
+    with pytest.raises(GraphError):
+        chebyshev_adjacency([(0, 0), (0, 1, 0)])
+
+
+def test_certify_many_anchors_is_not_exponential_in_k():
+    # 16 coordinates: a 3^k offset walk would need tens of millions of steps per cell
+    g = complete_graph(17)
+    e = distance_vector_embedding(g, list(g.labels[:16]))
+    start = time.perf_counter()
+    assert is_w_resolved(e, g).ok and is_isometric_in_product(e).ok
+    assert time.perf_counter() - start < 2.0
 
 
 def test_distance_vector_embedding_path():
@@ -113,7 +161,7 @@ def test_induced_supergraph_contains_host():
     e = cycle_embedding(7)
     sup = induced_supergraph(e, g)
     host_edges = set(g.label_edges())
-    sup_edges = set(sup.h.label_edges())
+    sup_edges = set(sup.label_edges())
     assert host_edges <= sup_edges
     assert len(sup_edges) > len(host_edges)
 

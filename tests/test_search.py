@@ -60,8 +60,8 @@ def test_yes_embeddings_strongly_resolve_their_supergraph(rng):
         if out.status != "yes":
             continue
         sup = induced_supergraph(out.embedding, g)
-        assert is_strong_resolving_set(sup.h, W)
-        assert set(g.label_edges()) <= set(sup.h.label_edges())
+        assert is_strong_resolving_set(sup, W)
+        assert set(g.label_edges()) <= set(sup.label_edges())
         seen += 1
 
 
@@ -219,6 +219,22 @@ def test_distances_computed_once_per_graph(monkeypatch):
     assert seen[1]["apsp"] <= 2 and seen[1]["connected"] <= 2
 
 
+def test_search_counters_golden():
+    """Node-for-node counters of the placement DFS, recorded before its cell lookup."""
+    g = gn_family(1)
+    res = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=20), max_k=3)
+    assert res.status == "bounds" and res.bounds == (2, 4)
+    assert res.stats["nodes"] == 36531
+    levels = [(lv["k"], lv["sets_searched"], lv["refuted"], lv["budget_exhausted"])
+              for lv in res.stats["levels"]]
+    assert levels == [(1, 12, 23, 0), (2, 132, 252, 1), (3, 1747, 55, 1716)]
+    metric = threshold_dimension(g, "metric", PlacementSearchConfig(node_budget=20), max_k=3)
+    assert (metric.status, metric.value, metric.stats["nodes"]) == ("exact", 2, 34)
+    W = ["w1_1", "w2_1"]
+    assert dim2_pruned_search(g, W, "strongly_resolved").nodes == 87
+    assert exists_supergraph_resolved_by(g, W).nodes == 96
+
+
 def test_automorphisms_of_a_long_path():
     r = threshold_dimension(path_graph(1200), "strong")
     assert (r.status, r.value) == ("exact", 1)
@@ -275,8 +291,8 @@ def test_three_block_corridor_strong_threshold_three():
     )
     assert out.status == "yes"
     sup = induced_supergraph(out.embedding, g3)
-    assert is_strong_resolving_set(sup.h, ["w1_1", "b4_1", "d3_1"])
-    assert set(g3.label_edges()) <= set(sup.h.label_edges())
+    assert is_strong_resolving_set(sup, ["w1_1", "b4_1", "d3_1"])
+    assert set(g3.label_edges()) <= set(sup.label_edges())
 
 
 def test_gap_experiment_row_and_budget():
