@@ -18,8 +18,7 @@ from .cover import min_vertex_cover
 from .dimension import brute_force_dimension, strong_dimension, strong_resolving_graph
 from .embedding import (
     Embedding,
-    is_isometric_in_product,
-    is_w_resolved,
+    certify,
     render_grid,
 )
 from .graph import (
@@ -116,9 +115,7 @@ def _cmd_threshold(args) -> int:
 def _cmd_certify(args) -> int:
     g = _load_graph(args.input)
     emb = Embedding.from_json(json.loads(Path(args.embedding).read_text()))
-    res = is_w_resolved(emb, g)
-    if res.ok and args.mode == "strong":
-        res = is_isometric_in_product(emb)
+    res = certify(emb, g, strong=args.mode == "strong")
     _emit({"verdict": res.ok, "clause": res.clause, "detail": res.detail})
     if args.render and emb.k == 2:
         for line in render_grid(emb).splitlines():

@@ -18,9 +18,8 @@ from .dimension import strong_resolving_graph
 from .embedding import (
     CheckResult,
     Embedding,
+    certify,
     chebyshev_adjacency,
-    is_isometric_in_product,
-    is_w_resolved,
 )
 from .graph import Graph, GraphError, bfs_from, cycle_graph, is_tree, leaves_of
 
@@ -464,12 +463,9 @@ def _four_leaf_placement(p: FourLeafTreeParams) -> tuple[dict[str, tuple[int, in
 
 
 def _certified(emb: Embedding, host: Graph) -> Embedding:
-    res = is_w_resolved(emb, host)
+    res = certify(emb, host, strong=True)
     if not res:
         raise AssertionError(f"embedding failed certification: {res.clause}: {res.detail}")
-    iso = is_isometric_in_product(emb)
-    if not iso:
-        raise AssertionError(f"embedding failed certification: {iso.clause}: {iso.detail}")
     return emb
 
 

@@ -196,13 +196,17 @@ def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
     (a) every edge of g maps to Chebyshev-adjacent tuples,
     (b) the placement is injective,
     (c) each coordinate equals the induced-supergraph distance to its anchor.
+    The anchors must be k vertices of g.
     """
+    if len(e.anchors) != e.k:
+        return CheckResult(False, "domain", f"{len(e.anchors)} anchors for k = {e.k}")
     missing = [lb for lb in g.labels if lb not in e.placement]
     if missing:
         return CheckResult(False, "domain", f"placement missing {missing[0]!r}")
+    vertices = set(g.labels)
     for w in e.anchors:
-        if w not in e.placement:
-            return CheckResult(False, "domain", f"anchor {w!r} not placed")
+        if w not in vertices:
+            return CheckResult(False, "domain", f"anchor {w!r} is not a vertex of the graph")
     for lb in g.labels:
         c = e.placement[lb]
         if len(c) != e.k or any(x < 0 or x >= e.side for x in c):
@@ -253,6 +257,14 @@ def is_isometric_in_product(e: Embedding) -> CheckResult:
                     f"d({lb!r},{labels[j]!r}) = {dist[j]} in the image but {want} in the product",
                 )
     return CheckResult(True)
+
+
+def certify(e: Embedding, g: Graph, strong: bool) -> CheckResult:
+    """First failed clause of e as an embedding of g: W-resolved, and isometric when strong."""
+    res = is_w_resolved(e, g)
+    if res and strong:
+        return is_isometric_in_product(e)
+    return res
 
 
 def anchor_distances_collapse(e: Embedding) -> CheckResult:

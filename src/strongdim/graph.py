@@ -135,9 +135,6 @@ class DistanceMatrix:
     diameter: int
     eccentricities: tuple[int, ...]
 
-    def d(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
 
 def bfs_from(adj: Sequence[Sequence[int]], source: int) -> list[int]:
     dist = [UNREACHABLE] * len(adj)

@@ -29,11 +29,10 @@ from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimensi
 from .embedding import (
     CellIndex,
     Embedding,
+    certify,
     chebyshev_adjacency,
     distance_vector_embedding,
     feasible_region,
-    is_isometric_in_product,
-    is_w_resolved,
 )
 from .graph import (
     DistanceMatrix,
@@ -94,10 +93,6 @@ class ThresholdResult:
             "embedding": self.embedding.to_json() if self.embedding else None,
             "stats": self.stats,
         }
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +181,64 @@ class _Dim2Region:
 _dim2_region = lru_cache(maxsize=64)(_Dim2Region)  # per process, so --jobs workers reuse it too
 
 
+class _Dim2Prune:
+    """The two-anchor prunes of one DFS, from both anchor cells onward.
+
+    Candidate cells must lie in the region and have room for the vertex's
+    degree. Each interior diagonal cell keeps a pool: the unplaced vertices
+    that could still fill it, which must not run dry while the cell is
+    unfilled. The DFS calls push(v, c) after placing each further vertex and
+    pop() when undoing it; push always records a frame.
+    """
+
+    def __init__(self, reg: _Dim2Region, admissible: dict[int, frozenset], pools: dict):
+        self.region, self.cap = reg.region, reg.cap
+        self.admissible = admissible  # vertex -> the diagonal cells it could fill
+        self.frames = [(pools, frozenset(reg.diag))]  # (cell -> fillers left, unfilled cells)
+
+    @classmethod
+    def open(cls, ctx: _SearchContext, anchors: list[int], rest: list[int], side: int,
+             cells: tuple[tuple[int, ...], ...]) -> _Dim2Prune | None:
+        """The prunes for anchors placed at cells, or None when these already fail."""
+        g, dG = ctx.g, ctx.dm.dist
+        reg = _dim2_region(side, cells[0][1])
+        if any(reg.cap.get(c, 0) < g.degree(w) for c, w in zip(cells, anchors)):
+            return None
+        w0, w1 = anchors
+        admissible = {
+            v: frozenset(
+                r
+                for r in reg.diag
+                if r[0] <= dG[v][w0] and r[1] <= dG[v][w1] and reg.cap[r] >= g.degree(v)
+            )
+            for v in rest
+        }
+        pools = {r: 0 for r in reg.diag}
+        for rs in admissible.values():
+            for r in rs:
+                pools[r] += 1
+        if any(pools[r] <= 0 for r in reg.diag):
+            return None
+        return cls(reg, admissible, pools)
+
+    def push(self, v: int, c: tuple[int, ...]) -> bool:
+        """Record v placed at c; False when some unfilled diagonal cell can no longer be filled."""
+        pools, unfilled = self.frames[-1]
+        pools = dict(pools)
+        if c in unfilled:
+            unfilled = unfilled - {c}
+        for r in self.admissible[v]:
+            if r != c:
+                pools[r] -= 1
+        # admissible holds every non-anchor vertex; frames, one more than were placed before v
+        unplaced = len(self.admissible) - len(self.frames)
+        self.frames.append((pools, unfilled))
+        return len(unfilled) <= unplaced and all(pools[r] > 0 for r in unfilled)
+
+    def pop(self) -> None:
+        self.frames.pop()
+
+
 @dataclass(frozen=True)
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
@@ -222,11 +275,7 @@ def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedd
         emb = distance_vector_embedding(g, anchors, dm=dm)
     except GraphError:
         return None
-    if not is_w_resolved(emb, g):
-        return None
-    if mode == MODE_STRONG and not is_isometric_in_product(emb):
-        return None
-    return emb
+    return emb if certify(emb, g, mode == MODE_STRONG) else None
 
 
 def _run_search(
@@ -254,7 +303,8 @@ def _run_search(
         return SearchOutcome("no", None, 0)
 
     anchors = [g.index(lb) for lb in anchor_labels]
-    if dim2_prunes and k == 2 and any(g.degree(w) > 3 for w in anchors):
+    dim2_prunes = dim2_prunes and k == 2  # the prunes hold for two anchors only
+    if dim2_prunes and any(g.degree(w) > 3 for w in anchors):
         return SearchOutcome("no", None, 0)
 
     dG = dm.dist
@@ -273,17 +323,8 @@ def _run_search(
     placed: list[int] = []
     hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
     pdist = [[INF] * n for _ in krange]  # partial-subgraph distance to each anchor
-    state = {"nodes": 0}
-    budget = cfg.node_budget
-    solution: list[Embedding] = []
 
-    use_dim2 = dim2_prunes and k == 2
-    # each frame: (pools: cell -> remaining fillers, unfilled: frozenset of cells)
-    pool_stack: list[tuple[dict, frozenset]] = []
-    # once both anchors are placed: the region, and per vertex the diagonal cells it could fill
-    dim2_holder: list[tuple[_Dim2Region, dict[int, frozenset]]] = []
-
-    def candidates(v: int) -> list[tuple[int, ...]]:
+    def candidates(v: int, dim2: _Dim2Prune | None) -> list[tuple[int, ...]]:
         lows, highs = [], []
         row_v = dG[v]
         adj_v = adjset[v]
@@ -308,7 +349,6 @@ def _run_search(
             (j, coords[w]) for j, w in enumerate(anchors) if coords[w] is not None
         ]
         anchor_slot = in_anchor.get(v)
-        reg = dim2_holder[0][0] if dim2_holder else None
         deg_v = g.degree(v)
         out = []
         for c in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
@@ -326,7 +366,7 @@ def _run_search(
                     break
             if not ok:
                 continue
-            if reg is not None and (c not in reg.region or reg.cap[c] < deg_v):
+            if dim2 is not None and (c not in dim2.region or dim2.cap[c] < deg_v):
                 continue
             out.append(c)
         tgt = targets[v]
@@ -404,108 +444,62 @@ def _run_search(
                         return False
         return True
 
-    def push_pools(v: int, c: tuple[int, ...]) -> bool:
-        """Update diagonal fill pools after placing v at c; False prunes."""
-        admissible = dim2_holder[0][1]
-        pools, unfilled = pool_stack[-1]
-        new_pools = dict(pools)
-        new_unfilled = unfilled - {c} if c in unfilled else unfilled
-        for r in admissible.get(v, ()):
-            if r != c:
-                new_pools[r] -= 1
-        if any(new_pools[r] <= 0 for r in new_unfilled):
-            return False
-        if len(new_unfilled) > n - len(placed):
-            return False
-        pool_stack.append((new_pools, new_unfilled))
-        return True
-
-    def open_dim2() -> bool:
-        """Open the region and fill pools once both anchor cells are fixed."""
-        a = coords[anchors[0]][1]
-        reg = _dim2_region(side, a)
-        c1, c2 = coords[anchors[0]], coords[anchors[1]]
-        if reg.cap.get(c1, 0) < g.degree(anchors[0]):
-            return False
-        if reg.cap.get(c2, 0) < g.degree(anchors[1]):
-            return False
-        admissible = {
-            v: frozenset(
-                r
-                for r in reg.diag
-                if r[0] <= dG[v][anchors[0]]
-                and r[1] <= dG[v][anchors[1]]
-                and reg.cap[r] >= g.degree(v)
-            )
-            for v in rest
-        }
-        pools = {r: 0 for r in reg.diag}
-        for v in rest:
-            for r in admissible[v]:
-                pools[r] += 1
-        if any(pools[r] <= 0 for r in reg.diag):
-            return False
-        dim2_holder.append((reg, admissible))
-        pool_stack.append((pools, frozenset(reg.diag)))
-        return True
-
-    def place(p: int) -> bool:
-        if p == n:
-            if leaf_ok():
-                placement = {g.labels[v]: coords[v] for v in range(n)}
-                solution.append(Embedding(k, side, tuple(anchor_labels), placement))
-                return True
-            return False
-        opened = False
-        if use_dim2 and p == 2:
-            if not open_dim2():
-                return False
-            opened = True
+    # One pending candidate iterator per depth, as in graph_automorphisms;
+    # depth p holds a placement while coords[order[p]] is set. The dim2
+    # prunes are open while depth 2 is on the stack.
+    stack = [iter(candidates(order[0], None))]
+    undos: list = []  # attach() undo records, one per placed vertex
+    dim2: _Dim2Prune | None = None
+    nodes = 0
+    while stack:
+        p = len(stack) - 1
         v = order[p]
-        try:
-            for c in candidates(v):
-                state["nodes"] += 1
-                if state["nodes"] > budget:
-                    raise _BudgetExceeded
-                coords[v] = c
-                used.add(c)
-                occupied.add(c, v)
-                placed.append(v)
-                ok, undo = attach(v, c)
-                pushed = False
-                if ok and use_dim2 and p >= 2:
-                    ok = push_pools(v, c)
-                    pushed = ok
-                if ok and place(p + 1):
-                    return True
-                if pushed:
-                    pool_stack.pop()
-                detach(undo)
-                placed.pop()
-                occupied.remove(c, v)
-                used.discard(c)
-                coords[v] = None
-            return False
-        finally:
-            if opened and not solution:
-                pool_stack.pop()
-                dim2_holder.pop()
+        c = coords[v]
+        if c is not None:
+            if dim2 is not None:
+                dim2.pop()
+            detach(undos.pop())
+            placed.pop()
+            occupied.remove(c, v)
+            used.discard(c)
+            coords[v] = None
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            if p == 2:
+                dim2 = None
+            continue
+        nodes += 1
+        if nodes > cfg.node_budget:
+            return SearchOutcome("budget_exhausted", None, nodes)
+        coords[v] = c
+        used.add(c)
+        occupied.add(c, v)
+        placed.append(v)
+        ok, undo = attach(v, c)
+        undos.append(undo)
+        if dim2 is not None:
+            ok = dim2.push(v, c) and ok
+        if not ok:
+            continue
+        if p + 1 == n:
+            if leaf_ok():
+                break
+            continue
+        if p == 1 and dim2_prunes:
+            dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(coords[w] for w in anchors))
+            if dim2 is None:
+                continue
+        stack.append(iter(candidates(order[p + 1], dim2)))
+    if not stack:
+        return SearchOutcome("no", None, nodes)
 
-    try:
-        found = place(0)
-    except _BudgetExceeded:
-        return SearchOutcome("budget_exhausted", None, state["nodes"])
-    if found:
-        emb = solution[0]
-        check = is_w_resolved(emb, g)
-        if not check:
-            raise AssertionError(f"search produced an invalid embedding: {check.detail}")
-        if mode == MODE_STRONG:
-            iso = is_isometric_in_product(emb)
-            if not iso:
-                raise AssertionError(f"search produced a non-isometric embedding: {iso.detail}")
-        return SearchOutcome("yes", emb, state["nodes"])
-    return SearchOutcome("no", None, state["nodes"])
+    emb = Embedding(k, side, tuple(anchor_labels), {g.labels[v]: coords[v] for v in range(n)})
+    check = certify(emb, g, mode == MODE_STRONG)  # independent of the DFS's own checks
+    if not check:
+        raise AssertionError(f"search produced an invalid embedding: {check.clause}: "
+                             f"{check.detail}")
+    return SearchOutcome("yes", emb, nodes)
 
 
 def exists_supergraph_resolved_by(
@@ -534,8 +528,8 @@ def dim2_pruned_search(
 
 
 def _search_task(args):
-    ctx, labels, cfg, dim2 = args
-    return _run_search(ctx, list(labels), cfg, dim2)
+    ctx, labels, cfg = args
+    return _run_search(ctx, list(labels), cfg, dim2_prunes=True)
 
 
 def threshold_dimension(
@@ -564,6 +558,10 @@ def threshold_dimension(
 
     ecc = ctx.dm.eccentricities
     auts = ctx.auts
+
+    def run_one(W: tuple[int, ...]) -> SearchOutcome:
+        return _run_search(ctx, [g.labels[v] for v in W], cfg, dim2_prunes=True)
+
     pool = ProcessPoolExecutor(cfg.jobs) if cfg.jobs > 1 else None
     total_nodes = 0
     levels: list[dict] = []
@@ -577,68 +575,46 @@ def threshold_dimension(
                 key=lambda W: (-sum(ecc[v] for v in W), tuple(g.labels[v] for v in W)),
             )
             # orbit grouping: search one representative, first in enumeration order
-            orbit_of: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            orbit_order: list[tuple[int, ...]] = []
+            orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
             for W in sets:
-                canon = _canonical_set(W, auts) if auts is not None else W
-                if canon not in orbit_of:
-                    orbit_of[canon] = []
-                    orbit_order.append(canon)
-                orbit_of[canon].append(W)
-
-            dim2 = k == 2
+                orbits.setdefault(_canonical_set(W, auts) if auts is not None else W, []).append(W)
             level = {
                 "k": k,
                 "sets_total": len(sets),
-                "orbits": len(orbit_order),
+                "orbits": len(orbits),
                 "sets_searched": 0,
                 "refuted": 0,
                 "budget_exhausted": 0,
             }
             level_yes: tuple[tuple[str, ...], Embedding] | None = None
             level_all_refuted = True
-
-            def run_one(W: tuple[int, ...]) -> SearchOutcome:
-                return _run_search(ctx, [g.labels[v] for v in W], cfg, dim2)
-
-            def run_orbit(members: list[tuple[int, ...]], first_result: SearchOutcome):
-                """Fold one orbit; returns (yes_W or None, refuted_whole_orbit).
-
-                A budget-exhausted member falls through to the next one; a
-                single exhaustive "no" refutes every isomorphic copy.
-                """
-                nonlocal total_nodes
-                res = first_result
-                for i, W in enumerate(members):
-                    level["sets_searched"] += 1
-                    total_nodes += res.nodes
-                    if res.status == "yes":
-                        return (W, res.embedding), False
-                    if res.status == "no":
-                        level["refuted"] += len(members) - i
-                        return None, True
-                    level["budget_exhausted"] += 1
-                    if i + 1 < len(members):
-                        res = run_one(members[i + 1])
-                return None, False
-
-            reps = [orbit_of[c][0] for c in orbit_order]
+            reps = [members[0] for members in orbits.values()]
             if pool is None:
                 rep_results = map(run_one, reps)
             else:
                 task_ctx = replace(ctx, auts=None)  # orbits are grouped here, not in workers
                 rep_results = pool.map(
                     _search_task,
-                    [(task_ctx, tuple(g.labels[v] for v in W), cfg, dim2) for W in reps],
+                    [(task_ctx, tuple(g.labels[v] for v in W), cfg) for W in reps],
                     chunksize=1,
                 )
-            for canon, first_res in zip(orbit_order, rep_results):
-                yes, _refuted = run_orbit(orbit_of[canon], first_res)
-                if yes is not None:
-                    W, emb = yes
-                    level_yes = (tuple(g.labels[v] for v in W), emb)
+            # Fold each orbit: a budget-exhausted member falls through to the
+            # next one; a single exhaustive "no" refutes every isomorphic copy.
+            for members, res in zip(orbits.values(), rep_results):
+                for i, W in enumerate(members):
+                    if i:
+                        res = run_one(W)
+                    level["sets_searched"] += 1
+                    total_nodes += res.nodes
+                    if res.status != "budget_exhausted":
+                        break
+                    level["budget_exhausted"] += 1
+                if res.status == "yes":
+                    level_yes = (tuple(g.labels[v] for v in W), res.embedding)
                     break
-                if not _refuted:
+                if res.status == "no":
+                    level["refuted"] += len(members) - i
+                else:
                     level_all_refuted = False
             levels.append(level)
 

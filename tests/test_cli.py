@@ -112,6 +112,24 @@ def test_certify_render_skips_a_coordinate_of_the_wrong_length(capsys, tmp_path,
     assert "3" not in "".join(grid) and "6" in "".join(grid)  # only the bad cell is left out
 
 
+@pytest.mark.parametrize("case", ["extra_anchor", "missing_anchor", "anchor_outside_graph"])
+def test_certify_anchors_must_be_k_vertices(capsys, tmp_path, c7_file, case):
+    emb = cycle_embedding(7).to_json()
+    if case == "extra_anchor":
+        emb["anchors"].append(next(lb for lb in emb["placement"] if lb not in emb["anchors"]))
+    elif case == "missing_anchor":
+        emb["anchors"].pop()  # coordinate 1 would go unchecked
+    else:
+        emb["placement"]["zz"] = [emb["side"] - 1, emb["side"] - 1]
+        emb["anchors"][0] = "zz"
+    p = tmp_path / "emb.json"
+    p.write_text(json.dumps(emb))
+    code, out, _ = run(capsys, "certify", "--input", c7_file, "--embedding", str(p))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] is False and payload["clause"] == "domain"
+
+
 def test_certify_malformed_embedding_is_input_error(capsys, tmp_path, c7_file):
     good = cycle_embedding(7).to_json()
     bad_coordinate = json.loads(json.dumps(good))

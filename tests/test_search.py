@@ -220,7 +220,11 @@ def test_distances_computed_once_per_graph(monkeypatch):
 
 
 def test_search_counters_golden():
-    """Node-for-node counters of the placement DFS, recorded before its cell lookup."""
+    """Node-for-node counters of the placement DFS and the orbit fold.
+
+    The node counts were recorded before the DFS's cell lookup, the whole stats
+    dicts before its explicit stack.
+    """
     g = gn_family(1)
     res = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=20), max_k=3)
     assert res.status == "bounds" and res.bounds == (2, 4)
@@ -228,11 +232,32 @@ def test_search_counters_golden():
     levels = [(lv["k"], lv["sets_searched"], lv["refuted"], lv["budget_exhausted"])
               for lv in res.stats["levels"]]
     assert levels == [(1, 12, 23, 0), (2, 132, 252, 1), (3, 1747, 55, 1716)]
+    assert res.stats == {"nodes": 36531, "levels": [
+        {"k": 1, "sets_total": 23, "orbits": 12, "sets_searched": 12, "refuted": 23,
+         "budget_exhausted": 0},
+        {"k": 2, "sets_total": 253, "orbits": 132, "sets_searched": 132, "refuted": 252,
+         "budget_exhausted": 1},
+        {"k": 3, "sets_total": 1771, "orbits": 891, "sets_searched": 1747, "refuted": 55,
+         "budget_exhausted": 1716},
+    ]}
     metric = threshold_dimension(g, "metric", PlacementSearchConfig(node_budget=20), max_k=3)
     assert (metric.status, metric.value, metric.stats["nodes"]) == ("exact", 2, 34)
+    assert metric.stats == {"nodes": 34, "levels": [
+        {"k": 1, "sets_total": 23, "orbits": 12, "sets_searched": 12, "refuted": 23,
+         "budget_exhausted": 0},
+        {"k": 2, "sets_total": 253, "orbits": 132, "sets_searched": 16, "refuted": 27,
+         "budget_exhausted": 0},
+    ]}
     W = ["w1_1", "w2_1"]
     assert dim2_pruned_search(g, W, "strongly_resolved").nodes == 87
     assert exists_supergraph_resolved_by(g, W).nodes == 96
+
+
+def test_placement_dfs_deeper_than_the_recursion_limit():
+    g = cycle_graph(1200)
+    W = ["0", "599"]  # they do not strongly resolve C_1200, so the DFS places every vertex
+    for out in (exists_supergraph_resolved_by(g, W), dim2_pruned_search(g, W)):
+        assert (out.status, out.nodes) == ("yes", 1200)
 
 
 def test_automorphisms_of_a_long_path():
