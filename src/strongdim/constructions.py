@@ -268,18 +268,14 @@ def chromatic_bound_supergraph(g: Graph, coloring: ProperColoring) -> tuple[Grap
     _check_proper(g, coloring)
     classes = sorted(coloring.classes, key=lambda cl: (len(cl), cl))
     ell = sum(1 for cl in classes if len(cl) == 1)
-    index = {lb: i for i, lb in enumerate(g.labels)}
-    edges: set[tuple[int, int]] = set(g.edges())
-
-    def add(a: str, b: str) -> None:
-        i, j = index[a], index[b]
-        edges.add((min(i, j), max(i, j)))
-
-    for ci, cl in enumerate(classes):
-        for other in classes[ci + 1 :]:
-            for a in cl:
-                for b in other:
-                    add(a, b)
+    ix = g.index
+    extra = [
+        (ix(a), ix(b))
+        for ci, cl in enumerate(classes)
+        for other in classes[ci + 1 :]
+        for a in cl
+        for b in other
+    ]
 
     bound = max(ell - 1, 0)
     for cl in classes:
@@ -294,11 +290,9 @@ def chromatic_bound_supergraph(g: Graph, coloring: ProperColoring) -> tuple[Grap
             s = next(assignments)
             if s == full:
                 s = next(assignments)
-            for w in s:
-                add(v, w)
-        for a, b in combinations(others, 2):
-            add(a, b)
-    return Graph.from_edges(g.labels, sorted(edges)), bound
+            extra += [(ix(v), ix(w)) for w in s]
+        extra += [(ix(a), ix(b)) for a, b in combinations(others, 2)]
+    return g.with_edges(extra), bound
 
 
 def tree_bound_supergraph(t: Graph) -> tuple[Graph, int]:
@@ -319,15 +313,15 @@ def tree_bound_supergraph(t: Graph) -> tuple[Graph, int]:
     if n == 3:
         # the literal construction returns the 3-path itself, whose strong
         # dimension is 1; the triangle is the matching witness for bound 2
-        return Graph.from_edges(t.labels, [(0, 1), (0, 2), (1, 2)]), 2
+        return t.with_edges(combinations(range(3), 2)), 2
 
     ws = leaf_labels[:b]
     wset = frozenset(ws)
-    index = {lb: i for i, lb in enumerate(t.labels)}
+    ix = t.index
     others = sorted(lb for lb in t.labels if lb not in wset)
     reserved: dict[str, frozenset[str]] = {}
     for v in others:
-        s = frozenset(t.labels[u] for u in t.adj[index[v]] if t.labels[u] in wset)
+        s = frozenset(t.labels[u] for u in t.adj[ix(v)] if t.labels[u] in wset)
         if s:
             reserved[v] = s
 
@@ -354,15 +348,9 @@ def tree_bound_supergraph(t: Graph) -> tuple[Graph, int]:
         assigned[v] = s
         used.add(s)
 
-    edges: set[tuple[int, int]] = set(t.edges())
-    for v, s in assigned.items():
-        for w in s:
-            i, j = index[v], index[w]
-            edges.add((min(i, j), max(i, j)))
-    for a, b2 in combinations(others, 2):
-        i, j = index[a], index[b2]
-        edges.add((min(i, j), max(i, j)))
-    return Graph.from_edges(t.labels, sorted(edges)), b
+    extra = [(ix(v), ix(w)) for v, s in assigned.items() for w in s]
+    extra += [(ix(a), ix(b2)) for a, b2 in combinations(others, 2)]
+    return t.with_edges(extra), b
 
 
 # ---------------------------------------------------------------------------
@@ -491,37 +479,6 @@ def tree_dim4_embedding(p: FiveLeafTreeParams) -> Embedding:
     return _certified(emb, five_leaf_tree(p))
 
 
-def canonical_tree_params(
-    t: Graph,
-) -> FourLeafTreeParams | FiveLeafTreeParams | None:
-    """Segment lengths of a 4- or 5-leaf tree, normalized; None otherwise."""
-    if not is_tree(t):
-        raise GraphError("input is not a tree")
-    leaf_count = len(leaves_of(t))
-    if leaf_count == 4:
-        return _params4(t)
-    if leaf_count == 5:
-        return _params5(t)
-    return None
-
-
-def _pendant_legs(t: Graph, b: int, skip: set[int]) -> list[tuple[int, list[int]]]:
-    """Maximal degree-2 paths hanging off b, as (length, vertexpath) pairs."""
-    legs = []
-    for start in t.adj[b]:
-        if start in skip:
-            continue
-        path = [start]
-        prev, cur = b, start
-        while t.degree(cur) == 2:
-            nxt = next(x for x in t.adj[cur] if x != prev)
-            prev, cur = cur, nxt
-            path.append(cur)
-        if t.degree(cur) == 1:
-            legs.append((len(path), path))
-    return legs
-
-
 def _tree_path(t: Graph, a: int, b: int) -> list[int]:
     dist = bfs_from(t.adj, a)
     path = [b]
@@ -532,112 +489,45 @@ def _tree_path(t: Graph, a: int, b: int) -> list[int]:
     return list(reversed(path))
 
 
-def _params4(t: Graph) -> FourLeafTreeParams | None:
-    branch = [v for v in range(t.n) if t.degree(v) >= 3]
-    if len(branch) == 1:
-        b = branch[0]
-        if t.degree(b) != 4:
-            return None
-        lens = sorted((ln for ln, _ in _pendant_legs(t, b, set())), reverse=True)
-        if len(lens) != 4:
-            return None
-        return FourLeafTreeParams(1, lens[0], lens[2], lens[1], lens[3])
-    if len(branch) != 2:
+def canonical_tree_params(
+    t: Graph,
+) -> FourLeafTreeParams | FiveLeafTreeParams | None:
+    """Segment lengths of a 4- or 5-leaf tree, normalized; None otherwise.
+
+    Each leaf's leg is walked inward to its branch vertex. With five leaves
+    exactly one branch vertex carries an odd number of legs (5, 3 or 1), and
+    its smallest leg by (length, leaf label) is the extra path. The branch
+    vertices still carrying legs are the ends of the central path: a single
+    end carries all four base legs; of two ends, v_k1 (legs u and x) is the
+    one with the larger pair, then the one carrying the extra path, then the
+    smaller index.
+    """
+    if not is_tree(t):
+        raise GraphError("input is not a tree")
+    leaves = leaves_of(t)
+    if len(leaves) not in (4, 5):
         return None
-    b1, b2 = branch
-    if t.degree(b1) != 3 or t.degree(b2) != 3:
-        return None
-    path = _tree_path(t, b1, b2)
-    on_path = set(path)
-    legs1 = _pendant_legs(t, b1, on_path)
-    legs2 = _pendant_legs(t, b2, on_path)
-    if len(legs1) != 2 or len(legs2) != 2:
-        return None
-    pair1 = tuple(sorted((legs1[0][0], legs1[1][0]), reverse=True))
-    pair2 = tuple(sorted((legs2[0][0], legs2[1][0]), reverse=True))
-    k1 = len(path)
-    if pair1 >= pair2:
-        (k2, k3), (k4, k5) = pair1, pair2
+    legs: dict[int, list[tuple[int, str]]] = {}
+    for leaf in leaves:
+        prev, cur, length = leaf, t.adj[leaf][0], 1
+        while t.degree(cur) == 2:
+            prev, cur, length = cur, next(x for x in t.adj[cur] if x != prev), length + 1
+        legs.setdefault(cur, []).append((length, t.labels[leaf]))
+    host = extra = None
+    if len(leaves) == 5:
+        host = next(b for b, ls in legs.items() if len(ls) % 2)
+        extra = min(legs[host])
+        legs[host].remove(extra)
+    pairs = {b: sorted((ln for ln, _ in ls), reverse=True) for b, ls in legs.items() if ls}
+    if len(pairs) == 1:
+        (b, lens), = pairs.items()
+        path, ux, yz = [b], lens[0::2], lens[1::2]
     else:
-        (k2, k3), (k4, k5) = pair2, pair1
-    return FourLeafTreeParams(k1, k2, k3, k4, k5)
-
-
-def _params5(t: Graph) -> FiveLeafTreeParams | None:
-    branch = [v for v in range(t.n) if t.degree(v) >= 3]
-
-    def leg_key(leg: tuple[int, list[int]]) -> tuple[int, str]:
-        return (leg[0], t.labels[leg[1][-1]])
-
-    if len(branch) == 1:
-        b = branch[0]
-        if t.degree(b) != 5:
-            return None
-        legs = _pendant_legs(t, b, set())
-        if len(legs) != 5:
-            return None
-        legs.sort(key=leg_key)
-        t_leg = legs[0]
-        lens = sorted((ln for ln, _ in legs[1:]), reverse=True)
-        return FiveLeafTreeParams(1, lens[0], lens[2], lens[1], lens[3], t_leg[0], 1)
-
-    if len(branch) == 2:
-        b1, b2 = branch
-        degs = sorted((t.degree(b1), t.degree(b2)))
-        if degs != [3, 4]:
-            return None
-        if t.degree(b1) == 4:
-            b1, b2 = b2, b1  # b2 carries three legs
-        path = _tree_path(t, b1, b2)
-        on_path = set(path)
-        legs1 = _pendant_legs(t, b1, on_path)
-        legs2 = _pendant_legs(t, b2, on_path)
-        if len(legs1) != 2 or len(legs2) != 3:
-            return None
-        legs2.sort(key=leg_key)
-        t_leg = legs2[0]
-        rest2 = legs2[1:]
-        pair1 = tuple(sorted((legs1[0][0], legs1[1][0]), reverse=True))
-        pair2 = tuple(sorted((rest2[0][0], rest2[1][0]), reverse=True))
-        k1 = len(path)
-        # the extra path sits at b2; b2 is the v_{k1} end iff its pair is larger
-        if pair2 >= pair1:
-            (k2, k3), (k4, k5) = pair2, pair1
-            k7 = k1
-        else:
-            (k2, k3), (k4, k5) = pair1, pair2
-            k7 = 1
-        return FiveLeafTreeParams(k1, k2, k3, k4, k5, t_leg[0], k7)
-
-    if len(branch) == 3:
-        ends = [b for b in branch if t.degree(b) == 3]
-        if len(ends) != 3:
-            return None
-        # the attachment vertex lies on the path between the other two
-        for mid in branch:
-            others = [b for b in branch if b != mid]
-            path = _tree_path(t, others[0], others[1])
-            if mid not in path:
-                continue
-            on_path = set(path)
-            legs_mid = _pendant_legs(t, mid, on_path)
-            legs_a = _pendant_legs(t, others[0], on_path)
-            legs_b = _pendant_legs(t, others[1], on_path)
-            if len(legs_mid) != 1 or len(legs_a) != 2 or len(legs_b) != 2:
-                continue
-            pair_a = tuple(sorted((legs_a[0][0], legs_a[1][0]), reverse=True))
-            pair_b = tuple(sorted((legs_b[0][0], legs_b[1][0]), reverse=True))
-            k1 = len(path)
-            pos = path.index(mid) + 1  # 1-based from others[0]
-            if pair_a >= pair_b:
-                (k2, k3), (k4, k5) = pair_a, pair_b
-                k7 = k1 + 1 - pos  # v_1 is the others[1] end
-            else:
-                (k2, k3), (k4, k5) = pair_b, pair_a
-                k7 = pos
-            return FiveLeafTreeParams(k1, k2, k3, k4, k5, legs_mid[0][0], k7)
-        return None
-    return None
+        v1, vk = sorted(pairs, key=lambda b: (pairs[b], b == host, -b))
+        path, ux, yz = _tree_path(t, v1, vk), pairs[vk], pairs[v1]
+    if extra is None:
+        return FourLeafTreeParams(len(path), *ux, *yz)
+    return FiveLeafTreeParams(len(path), *ux, *yz, extra[0], path.index(host) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -144,15 +144,13 @@ def chebyshev_adjacency(cells: Sequence[Coord]) -> list[list[int]]:
     return [sorted(index.near(c)) for c in cells]
 
 
-def induced_supergraph(e: Embedding, host: Graph | None = None) -> Graph:
-    """Graph induced by the placement on host's labels (default: all placed, sorted)."""
-    labels = host.labels if host is not None else tuple(sorted(e.placement))
-    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
-    return Graph.from_edges(labels, [(u, v) for u in range(len(labels)) for v in adj[u] if u < v])
+def induced_supergraph(e: Embedding, host: Graph) -> Graph:
+    """Graph induced by the placement on host's labels."""
+    adj = chebyshev_adjacency([e.placement[lb] for lb in host.labels])
+    return Graph.from_edges(host.labels, [(u, v) for u in range(host.n) for v in adj[u] if u < v])
 
 
 def distance_vector_embedding(h: Graph, anchors: Sequence[str],
-                              side: int | None = None,
                               dm: DistanceMatrix | None = None) -> Embedding:
     """Map each vertex to its vector of graph distances to the anchors.
 
@@ -175,12 +173,7 @@ def distance_vector_embedding(h: Graph, anchors: Sequence[str],
         if c in seen:
             raise UnresolvedPairError(seen[c], lb)
         seen[c] = lb
-    min_side = max(max(c) for c in placement.values()) + 1
-    if side is None:
-        side = dm.diameter + 1
-    if side < min_side:
-        raise GraphError(f"side {side} too small, need at least {min_side}")
-    return Embedding(len(anchors), side, tuple(anchors), placement)
+    return Embedding(len(anchors), dm.diameter + 1, tuple(anchors), placement)
 
 
 def _anchor_distance_rows(e: Embedding, labels: Sequence[str]):
@@ -196,7 +189,7 @@ def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
     (a) every edge of g maps to Chebyshev-adjacent tuples,
     (b) the placement is injective,
     (c) each coordinate equals the induced-supergraph distance to its anchor.
-    The anchors must be k vertices of g.
+    The anchors must be k vertices of g, and the placed labels g's vertices.
     """
     if len(e.anchors) != e.k:
         return CheckResult(False, "domain", f"{len(e.anchors)} anchors for k = {e.k}")
@@ -207,6 +200,9 @@ def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
     for w in e.anchors:
         if w not in vertices:
             return CheckResult(False, "domain", f"anchor {w!r} is not a vertex of the graph")
+    extra = [lb for lb in e.placement if lb not in vertices]
+    if extra:
+        return CheckResult(False, "domain", f"placed label {extra[0]!r} is not a vertex of the graph")
     for lb in g.labels:
         c = e.placement[lb]
         if len(c) != e.k or any(x < 0 or x >= e.side for x in c):
@@ -364,11 +360,8 @@ def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
         raise GraphError("dim2 diagnostics needs exactly two anchors")
     require_connected(h)
     dm = all_pairs_distances(h)
+    distance_vector_embedding(h, anchors, dm=dm)  # raises UnresolvedPairError
     w = [h.index(lb) for lb in anchors]
-    from .dimension import is_resolving_set  # local import avoids a cycle
-
-    if not is_resolving_set(h, anchors, dm):
-        raise UnresolvedPairError(*_find_collision(h, dm, w))
 
     failures: list[str] = []
     degs = {anchors[j]: h.degree(w[j]) for j in range(2)}
@@ -425,16 +418,6 @@ def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
     )
 
 
-def _find_collision(h: Graph, dm, w: list[int]) -> tuple[str, str]:
-    seen: dict[tuple[int, ...], int] = {}
-    for v in range(h.n):
-        key = tuple(dm.dist[x][v] for x in w)
-        if key in seen:
-            return h.labels[seen[key]], h.labels[v]
-        seen[key] = v
-    raise AssertionError("no collision found although the set does not resolve")
-
-
 def _induces_disjoint_paths(g: Graph, members: list[int]) -> bool:
     """The induced subgraph is a disjoint union of paths (max degree 2, acyclic)."""
     inside = set(members)
@@ -474,8 +457,9 @@ def render_grid(e: Embedding) -> str:
         raise GraphError("grid rendering requires k=2")
     cells = {c: lb for lb, c in e.placement.items() if len(c) == 2}
     width = max((len(lb) for lb in e.placement), default=1)
+    side = min(e.side, len(e.placement))  # certified coordinates are distances below n
     rows = []
-    for y in range(e.side - 1, -1, -1):
-        row = [cells.get((x, y), ".").rjust(width) for x in range(e.side)]
+    for y in range(side - 1, -1, -1):
+        row = [cells.get((x, y), ".").rjust(width) for x in range(side)]
         rows.append(" ".join(row).rstrip())
     return "\n".join(rows)

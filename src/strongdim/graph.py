@@ -95,9 +95,7 @@ class Graph:
         return Graph(labels, tuple(tuple(sorted(s)) for s in nbrs))
 
     @staticmethod
-    def from_label_edges(
-        edges: Iterable[tuple[str, str]], isolated: Iterable[str] = ()
-    ) -> "Graph":
+    def from_label_edges(edges: Iterable[tuple[str, str]]) -> "Graph":
         """Build from label pairs; vertices appear in first-mention order."""
         order: list[str] = []
         seen: dict[str, int] = {}
@@ -109,8 +107,6 @@ class Graph:
             return seen[lb]
 
         idx_edges = [(idx(a), idx(b)) for a, b in edges]
-        for lb in isolated:
-            idx(lb)
         return Graph.from_edges(order, idx_edges)
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":

@@ -18,6 +18,7 @@ counters do not depend on the worker count.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,6 +26,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import sub
 
+from .constructions import gn_family
 from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimension
 from .embedding import (
     CellIndex,
@@ -562,7 +564,9 @@ def threshold_dimension(
     def run_one(W: tuple[int, ...]) -> SearchOutcome:
         return _run_search(ctx, [g.labels[v] for v in W], cfg, dim2_prunes=True)
 
-    pool = ProcessPoolExecutor(cfg.jobs) if cfg.jobs > 1 else None
+    # at most one worker per CPU: a fork-started pool starts all of them at the first submit
+    workers = min(cfg.jobs, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(workers) if workers > 1 else None
     total_nodes = 0
     levels: list[dict] = []
     lo = 1
@@ -667,8 +671,6 @@ def tau_gap_experiment(
     """Threshold vs. threshold-strong dimension on the chained corridor family."""
     if n < 1:
         raise GraphError("need n >= 1")
-    from .constructions import gn_family
-
     g = gn_family(n)
     cfg = cfg or PlacementSearchConfig()
     tau = threshold_dimension(g, "metric", cfg, max_k=max_k)

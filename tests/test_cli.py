@@ -130,6 +130,31 @@ def test_certify_anchors_must_be_k_vertices(capsys, tmp_path, c7_file, case):
     assert payload["verdict"] is False and payload["clause"] == "domain"
 
 
+@pytest.mark.parametrize("mode", ["resolved", "strong"])
+@pytest.mark.parametrize("cell", [[0, 0, 0], [0, 0]])
+def test_certify_placed_label_outside_graph_is_domain(capsys, tmp_path, c7_file, mode, cell):
+    emb = cycle_embedding(7).to_json()
+    emb["placement"]["zz"] = cell
+    p = tmp_path / "emb.json"
+    p.write_text(json.dumps(emb))
+    code, out, _ = run(capsys, "certify", "--input", c7_file, "--embedding", str(p), "--mode", mode)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] is False and payload["clause"] == "domain"
+    assert "'zz'" in payload["detail"]
+
+
+def test_certify_render_is_bounded_by_the_placement(capsys, tmp_path, c7_file):
+    emb = cycle_embedding(7).to_json()
+    emb["side"] = 2000
+    p = tmp_path / "emb.json"
+    p.write_text(json.dumps(emb))
+    code, out, _ = run(capsys, "certify", "--input", c7_file, "--embedding", str(p), "--render")
+    assert code == 0
+    grid = [ln for ln in out.splitlines() if ln.startswith("#")]
+    assert len(grid) == 7 and max(map(len, grid)) < 20
+
+
 def test_certify_malformed_embedding_is_input_error(capsys, tmp_path, c7_file):
     good = cycle_embedding(7).to_json()
     bad_coordinate = json.loads(json.dumps(good))
@@ -168,6 +193,17 @@ def test_gen_families(capsys, tmp_path):
     assert any(line.startswith("# ") for line in out.splitlines())
 
 
+def test_gen_tree5_embedding_certifies(capsys, tmp_path):
+    g, ej = tmp_path / "t5.txt", tmp_path / "t5.json"
+    code, out, _ = run(
+        capsys, "gen", "--family", "tree5", "--params", "3,2,1,2,1,2,2", "--embedding-out", str(ej)
+    )
+    assert code == 0
+    g.write_text(out)
+    code, out, _ = run(capsys, "certify", "--input", str(g), "--embedding", str(ej))
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
 def test_gen_is_parse_compatible(capsys):
     from strongdim import parse_edge_list
 
@@ -193,6 +229,18 @@ def test_gap_experiment_row(capsys):
     code, out, _ = run(capsys, "gap-experiment", "--n", "1", "--budget", "3000000", "--max-k", "3")
     assert code == 0
     assert "G_1" in out and "tau=2" in out
+
+
+def test_gap_experiment_json(capsys):
+    code, out, _ = run(
+        capsys, "gap-experiment", "--n", "1", "--max-k", "2", "--budget", "20", "--json"
+    )
+    assert code == 0
+    row, _, text = out.partition("\n")
+    assert row.startswith("G_1")
+    (report,) = json.loads(text)
+    assert report["n"] == 1 and report["vertices"] == 23
+    assert {"tau", "tau_s"} <= set(report)
 
 
 def test_exit_codes(capsys, tmp_path):

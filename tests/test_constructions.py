@@ -238,6 +238,41 @@ def test_canonical_params_path_not_applicable():
     assert canonical_tree_params(path_graph(10)) is None
 
 
+_TIE_CASES = {
+    # ends with equal pairs, 4 leaves: either end may be v_k1, the values agree
+    "four_equal_ends": (
+        four_leaf_tree(FourLeafTreeParams(3, 2, 1, 2, 1)),
+        (FourLeafTreeParams(3, 2, 1, 2, 1),) * 2,
+    ),
+    # branch degrees {3,4}, equal pairs: the end carrying the extra path is v_k1
+    "five_34_equal_pairs": (
+        five_leaf_tree(FiveLeafTreeParams(3, 2, 1, 2, 1, 1, 1)),
+        (FiveLeafTreeParams(3, 2, 1, 2, 1, 1, 3),) * 2,
+    ),
+    # branch degrees {3,3,3}, equal pairs: the end of smaller index is v_k1
+    "five_333_equal_pairs": (
+        five_leaf_tree(FiveLeafTreeParams(4, 2, 1, 2, 1, 1, 2)),
+        (FiveLeafTreeParams(4, 2, 1, 2, 1, 1, 3), FiveLeafTreeParams(4, 2, 1, 2, 1, 1, 2)),
+    ),
+    # one branch vertex, five legs of length 2: the extra path is the smallest leaf label
+    "spider_equal_legs": (
+        five_leaf_tree(FiveLeafTreeParams(1, 2, 2, 2, 2, 2, 1)),
+        (FiveLeafTreeParams(1, 2, 2, 2, 2, 2, 1),) * 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_CASES))
+def test_canonical_params_ties(case):
+    """Tie cases under the label order and its reverse, which swaps the
+    indices of the two ends (values recorded before the leg-walk rewrite)."""
+    t, want = _TIE_CASES[case]
+    for reverse, expected in zip((False, True), want):
+        order = sorted(t.labels, reverse=reverse)
+        g = Graph.from_edges(order, [(order.index(a), order.index(b)) for a, b in t.label_edges()])
+        assert canonical_tree_params(g) == expected, reverse
+
+
 def test_canonical_params_random_roundtrip(rng):
     for _ in range(40):
         p = _random_params4(rng, hi=4)

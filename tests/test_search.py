@@ -181,6 +181,34 @@ def test_jobs_do_not_change_results():
         assert seq.to_json() == par.to_json()
 
 
+def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
+    """A pool never gets more workers than CPUs, and one CPU runs serially."""
+    import os
+
+    import strongdim.search
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(strongdim.search, "ProcessPoolExecutor", SerialPool)
+    g = cycle_graph(7)
+    want = threshold_dimension(g, "strong").to_json()
+    for cpus, pools in ((3, [3]), (1, []), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        got = threshold_dimension(g, "strong", PlacementSearchConfig(jobs=5000))
+        assert sizes == pools and got.to_json() == want
+
+
 def test_jobs_must_be_positive():
     for jobs in (0, -3):
         with pytest.raises(GraphError):
