@@ -195,6 +195,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    if args.n < 1:
+        raise GraphError(f"--n must be at least 1, got {args.n}")
     cfg = _search_config(args)
     reports = []
     for i in range(1, args.n + 1):

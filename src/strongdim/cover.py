@@ -1,10 +1,15 @@
-"""Exact minimum vertex cover by branch and bound.
+"""Exact minimum vertex cover as the complement of a maximum independent set.
 
-Branching is on a highest-degree vertex (in-cover vs. all-neighbours-in-cover)
-with degree-0/1 reduction rules and a greedy-matching lower bound. The
-returned cover is the lexicographically smallest minimum cover under string
-label order, found by a second committed-greedy pass that reuses the size
-solver as a feasibility oracle.
+Vertex sets are Python-int bitsets. One search, `_Search.independent_set`,
+decides whether a vertex set holds an independent set of a given size: a
+maximum clique search on the complement (Tomita & Seki's MCQ in the bitset
+form of San Segundo et al.'s BBMC), bounded at each node by a greedy
+colouring of the complement, that is a cover of the candidates by cliques of
+the graph. Every node first folds its vertices of degree <= 1 into the set.
+The size pass raises the target from a greedy set until the search fails;
+the returned cover is the lexicographically smallest minimum cover under
+string label order, found by a committed-greedy pass that asks the same
+search whether the uncommitted vertices minus one still hold a maximum set.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .graph import Graph
 class CoverResult:
     size: int
     cover: tuple[str, ...]
-    nodes_explored: int
+    nodes_explored: int  # search nodes opened by the size and lex-min passes
 
 
 def is_vertex_cover(g: Graph, cover: set[str] | list[str] | tuple[str, ...]) -> bool:
@@ -27,120 +32,156 @@ def is_vertex_cover(g: Graph, cover: set[str] | list[str] | tuple[str, ...]) -> 
     return all(u in idx or v in idx for u, v in g.edges())
 
 
-class _Counter:
-    __slots__ = ("nodes",)
-
-    def __init__(self):
-        self.nodes = 0
-
-
-def _copy_adj(adj: dict[int, set[int]]) -> dict[int, set[int]]:
-    return {u: set(vs) for u, vs in adj.items()}
+def _bits(mask: int):
+    """The vertices of a bitset, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _delete(adj: dict[int, set[int]], u: int) -> None:
-    for v in adj[u]:
-        adj[v].discard(u)
-    del adj[u]
+def _fold(nb: list[int], P: int) -> tuple[int, int, int]:
+    """Take each vertex of degree <= 1 in G[P], dropping it and its neighbour
+    from P, until G[P] has none left.
 
-
-def _reduce(adj: dict[int, set[int]], picked: list[int]) -> None:
-    """Apply degree-0/1 rules: drop isolated vertices, take leaf neighbours."""
+    Some maximum independent set of G[P] contains such a vertex, so the taken
+    vertices plus a maximum set of the rest are a maximum set of G[P].
+    Returns (rest of P, taken bitset, number taken).
+    """
+    taken = count = 0
     changed = True
     while changed:
         changed = False
-        for u in list(adj):
-            if u not in adj:
-                continue
-            if not adj[u]:
-                del adj[u]
+        Q = P
+        while Q:
+            bit = Q & -Q
+            Q ^= bit
+            nu = nb[bit.bit_length() - 1] & P
+            if not nu & (nu - 1):
+                P &= ~(bit | nu)
+                Q &= ~nu
+                taken |= bit
+                count += 1
                 changed = True
-            elif len(adj[u]) == 1:
-                v = next(iter(adj[u]))
-                picked.append(v)
-                _delete(adj, v)
-                if u in adj and not adj[u]:
-                    del adj[u]
-                changed = True
+    return P, taken, count
 
 
-def _matching_lower_bound(adj: dict[int, set[int]]) -> int:
-    """Greedy maximal matching size: any cover needs one vertex per edge."""
-    used: set[int] = set()
-    size = 0
-    for u in sorted(adj):
-        if u in used:
-            continue
-        for v in adj[u]:
-            if v not in used and v != u:
-                used.add(u)
-                used.add(v)
+def _branch_vertices(nb: list[int], P: int, least: int) -> list[int]:
+    """The vertices of P worth branching on when least more are needed.
+
+    Greedy colouring of the complement, that is a cover of G[P] by cliques of
+    G, taken in bit order. No independent set holds two vertices of one
+    class, so the vertices up to one of class c hold at most c of them and
+    only vertices of class >= least can start a large enough set. Returned
+    in cover order; the search branches from the last.
+    """
+    out: list[int] = []
+    c = 0
+    U = P
+    while U:
+        c += 1
+        Q = U
+        while Q:
+            low = Q & -Q
+            v = low.bit_length() - 1
+            Q &= nb[v]
+            U ^= low
+            if c >= least:
+                out.append(v)
+    return out
+
+
+class _Search:
+    """The independent-set search over one graph, counting the nodes it opens.
+
+    Bit p stands for vertex self.vertex[p]: vertices in increasing degree, so
+    the colouring, which takes the lowest bit first, meets the vertices in
+    MCQ's initial order (decreasing degree in the complement).
+    """
+
+    def __init__(self, g: Graph):
+        self.vertex = sorted(range(g.n), key=g.degree)
+        bit = [0] * g.n
+        for p, v in enumerate(self.vertex):
+            bit[v] = 1 << p
+        self.nb = [sum(bit[w] for w in g.adj[v]) for v in self.vertex]
+        self.nodes = 0
+
+    def independent_set(self, P: int, target: int) -> int | None:
+        """An independent set of at least target vertices inside P, or None.
+
+        Depth-first over frames [P, branch vertices, chosen, size] on an
+        explicit stack, so deep searches do not hit the recursion limit. A
+        frame branches on its vertices from the last one down and drops each
+        from P once tried, so its later siblings exclude it.
+        """
+        nb = self.nb
+        stack: list[list] = []
+        chosen = size = 0
+        while True:
+            self.nodes += 1
+            P, taken, count = _fold(nb, P)
+            chosen |= taken
+            size += count
+            if size >= target:
+                return chosen
+            if P:
+                stack.append([P, _branch_vertices(nb, P, target - size), chosen, size])
+            while stack:
+                frame = stack[-1]
+                P, branch, chosen, size = frame
+                if not branch:
+                    stack.pop()
+                    continue
+                v = branch.pop()
+                bit = 1 << v
+                frame[0] = P & ~bit
+                P = P & ~bit & ~nb[v]
+                chosen |= bit
                 size += 1
                 break
-    return size
+            else:
+                return None
 
-
-def _min_cover_size(adj: dict[int, set[int]], best: int, counter: _Counter) -> int:
-    """Smallest cover size of the residual graph, or best if >= best (prune)."""
-    counter.nodes += 1
-    adj = _copy_adj(adj)
-    picked: list[int] = []
-    _reduce(adj, picked)
-    base = len(picked)
-    if base >= best:
-        return best
-    if not adj:
-        return base
-    if base + _matching_lower_bound(adj) >= best:
-        return best
-    # deterministic branch vertex: highest degree, then smallest index
-    u = min(adj, key=lambda x: (-len(adj[x]), x))
-
-    # branch 1: u in the cover
-    a1 = _copy_adj(adj)
-    _delete(a1, u)
-    best = min(best, base + 1 + _min_cover_size(a1, best - base - 1, counter))
-
-    # branch 2: u excluded, so all its neighbours are in the cover
-    nbrs = sorted(adj[u])
-    if base + len(nbrs) < best:
-        a2 = _copy_adj(adj)
-        for v in nbrs:
-            _delete(a2, v)
-        del a2[u]
-        best = min(best, base + len(nbrs) + _min_cover_size(a2, best - base - len(nbrs), counter))
-    return best
-
-
-def _size_of(adj: dict[int, set[int]], counter: _Counter) -> int:
-    upper = sum(1 for u in adj if adj[u])  # all non-isolated vertices always cover
-    return _min_cover_size(adj, upper + 1, counter)
+    def greedy(self, P: int) -> int:
+        """A maximal independent set inside P: fold, then a minimum-degree vertex."""
+        nb = self.nb
+        chosen = 0
+        while True:
+            P, taken, _ = _fold(nb, P)
+            chosen |= taken
+            if not P:
+                return chosen
+            v = min(_bits(P), key=lambda u: (nb[u] & P).bit_count())
+            chosen |= 1 << v
+            P &= ~(1 << v) & ~nb[v]
 
 
 def min_vertex_cover(g: Graph) -> CoverResult:
     """Exact minimum cover; ties broken to the lexicographically smallest set."""
-    adj = {u: set(g.adj[u]) for u in range(g.n)}
-    counter = _Counter()
-    k = _size_of(adj, counter)
+    search = _Search(g)
+    everything = (1 << g.n) - 1
+    witness = search.greedy(everything)
+    while (found := search.independent_set(everything, witness.bit_count() + 1)) is not None:
+        witness = found
+    alpha = witness.bit_count()
 
     # committed greedy for the lex-min minimum cover, in string label order:
-    # a vertex goes in iff some minimum cover extends the commitments with it.
-    order = sorted(range(g.n), key=lambda u: g.labels[u])
-    residual = _copy_adj(adj)
-    chosen: list[int] = []
-    budget = k
-    for u in order:
-        if budget == 0:
+    # a vertex goes in iff the uncommitted vertices other than it still hold a
+    # maximum independent set. The last set found answers yes for every vertex
+    # outside it, with no search.
+    label = [g.labels[v] for v in search.vertex]
+    P = everything
+    for p in sorted(range(g.n), key=label.__getitem__):
+        if P.bit_count() == alpha:
             break
-        if u not in residual or not residual[u]:
-            continue  # a minimum cover never contains isolated vertices
-        trial = _copy_adj(residual)
-        _delete(trial, u)
-        if _size_of(trial, counter) <= budget - 1:
-            chosen.append(u)
-            residual = trial
-            budget -= 1
-        # else every minimum cover extending the commitments avoids u
-    assert len(chosen) == k and all(not residual[v] for v in residual)
-    labels = tuple(sorted(g.labels[u] for u in chosen))
-    return CoverResult(k, labels, counter.nodes)
+        bit = 1 << p
+        if witness & bit:
+            found = search.independent_set(P & ~bit, alpha)
+            if found is None:
+                continue  # every maximum set inside P contains this vertex
+            witness = found
+        P &= ~bit
+    assert P == witness
+    labels = tuple(sorted(label[p] for p in _bits(everything & ~P)))
+    return CoverResult(g.n - alpha, labels, search.nodes)

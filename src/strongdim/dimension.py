@@ -75,16 +75,30 @@ def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
     return d[u][w] == d[u][v] + d[v][w] or d[v][w] == d[v][u] + d[u][w]
 
 
-def _resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
-    return dm.dist[u][w] != dm.dist[v][w]
-
-
 def _is_set(dm: DistanceMatrix, witness_idx: Sequence[int], n: int, strong: bool) -> bool:
-    pred = strongly_resolves if strong else _resolves
+    """True iff some anchor (strongly) resolves every pair of vertices.
+
+    The strong test is that of strongly_resolves, read from the anchors'
+    distance rows: the matrix is symmetric, so row w holds d[u][w].
+    """
+    d = dm.dist
+    rows = [d[w] for w in witness_idx]
     for u in range(n):
+        du = d[u]
         for v in range(u + 1, n):
-            if not any(pred(dm, w, u, v) for w in witness_idx):
-                return False
+            duv = du[v]
+            if strong:
+                for r in rows:
+                    if r[u] == duv + r[v] or r[v] == duv + r[u]:
+                        break
+                else:
+                    return False
+            else:
+                for r in rows:
+                    if r[u] != r[v]:
+                        break
+                else:
+                    return False
     return True
 
 

@@ -549,6 +549,8 @@ def threshold_dimension(
     """
     if mode not in ("metric", "strong"):
         raise GraphError(f"mode must be 'metric' or 'strong', got {mode!r}")
+    if max_k is not None and max_k < 1:
+        raise GraphError(f"max_k must be at least 1, got {max_k}")
     cfg = replace(
         cfg or PlacementSearchConfig(),
         mode=MODE_RESOLVED if mode == "metric" else MODE_STRONG,

@@ -261,3 +261,36 @@ def test_exit_codes(capsys, tmp_path):
 def test_unknown_family(capsys):
     code, _, err = run(capsys, "gen", "--family", "moebius")
     assert code == 1  # argparse choice violation is a usage error
+
+
+def test_gap_experiment_rejects_nonpositive_n(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "gap-experiment", "--n", n)
+        assert code == 2 and out == "" and "--n" in err
+
+
+@pytest.mark.parametrize("max_k", ["-1", "0"])
+def test_max_k_below_one_is_input_error(capsys, tmp_path, max_k):
+    p = tmp_path / "p3.txt"
+    p.write_text(to_edge_list(path_graph(3)))
+    code, out, err = run(capsys, "threshold", "--input", str(p), "--max-k", max_k)
+    assert code == 2 and out == "" and "max_k" in err
+    code, out, err = run(capsys, "gap-experiment", "--n", "1", "--max-k", max_k)
+    assert code == 2 and out == "" and "max_k" in err
+
+
+def test_python_m_strongdim_runs_the_cli(k5_file):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import strongdim
+
+    src = str(Path(strongdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "strongdim", "cover", "--input", k5_file],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["size"] == 4

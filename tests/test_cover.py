@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from strongdim import (
+    CoverResult,
     Graph,
     complete_graph,
     cycle_graph,
@@ -9,6 +12,7 @@ from strongdim import (
     min_vertex_cover,
     path_graph,
     star_graph,
+    strong_resolving_graph,
 )
 
 from .conftest import random_connected_graph
@@ -88,3 +92,152 @@ def test_disconnected_allowed():
 def test_nodes_explored_reproducible():
     g = random_connected_graph(9, random.Random(5))
     assert min_vertex_cover(g).nodes_explored == min_vertex_cover(g).nodes_explored
+
+
+# --- the earlier branch-and-bound solver, kept verbatim as the reference ----
+# Branching is on a highest-degree vertex (in-cover vs. all-neighbours-in-cover)
+# with degree-0/1 reduction rules and a greedy-matching lower bound.
+
+
+class _Counter:
+    __slots__ = ("nodes",)
+
+    def __init__(self):
+        self.nodes = 0
+
+
+def _copy_adj(adj: dict[int, set[int]]) -> dict[int, set[int]]:
+    return {u: set(vs) for u, vs in adj.items()}
+
+
+def _delete(adj: dict[int, set[int]], u: int) -> None:
+    for v in adj[u]:
+        adj[v].discard(u)
+    del adj[u]
+
+
+def _reduce(adj: dict[int, set[int]], picked: list[int]) -> None:
+    """Apply degree-0/1 rules: drop isolated vertices, take leaf neighbours."""
+    changed = True
+    while changed:
+        changed = False
+        for u in list(adj):
+            if u not in adj:
+                continue
+            if not adj[u]:
+                del adj[u]
+                changed = True
+            elif len(adj[u]) == 1:
+                v = next(iter(adj[u]))
+                picked.append(v)
+                _delete(adj, v)
+                if u in adj and not adj[u]:
+                    del adj[u]
+                changed = True
+
+
+def _matching_lower_bound(adj: dict[int, set[int]]) -> int:
+    """Greedy maximal matching size: any cover needs one vertex per edge."""
+    used: set[int] = set()
+    size = 0
+    for u in sorted(adj):
+        if u in used:
+            continue
+        for v in adj[u]:
+            if v not in used and v != u:
+                used.add(u)
+                used.add(v)
+                size += 1
+                break
+    return size
+
+
+def _min_cover_size(adj: dict[int, set[int]], best: int, counter: _Counter) -> int:
+    """Smallest cover size of the residual graph, or best if >= best (prune)."""
+    counter.nodes += 1
+    adj = _copy_adj(adj)
+    picked: list[int] = []
+    _reduce(adj, picked)
+    base = len(picked)
+    if base >= best:
+        return best
+    if not adj:
+        return base
+    if base + _matching_lower_bound(adj) >= best:
+        return best
+    # deterministic branch vertex: highest degree, then smallest index
+    u = min(adj, key=lambda x: (-len(adj[x]), x))
+
+    # branch 1: u in the cover
+    a1 = _copy_adj(adj)
+    _delete(a1, u)
+    best = min(best, base + 1 + _min_cover_size(a1, best - base - 1, counter))
+
+    # branch 2: u excluded, so all its neighbours are in the cover
+    nbrs = sorted(adj[u])
+    if base + len(nbrs) < best:
+        a2 = _copy_adj(adj)
+        for v in nbrs:
+            _delete(a2, v)
+        del a2[u]
+        best = min(best, base + len(nbrs) + _min_cover_size(a2, best - base - len(nbrs), counter))
+    return best
+
+
+def _size_of(adj: dict[int, set[int]], counter: _Counter) -> int:
+    upper = sum(1 for u in adj if adj[u])  # all non-isolated vertices always cover
+    return _min_cover_size(adj, upper + 1, counter)
+
+
+def reference_min_vertex_cover(g: Graph) -> CoverResult:
+    """Exact minimum cover; ties broken to the lexicographically smallest set."""
+    adj = {u: set(g.adj[u]) for u in range(g.n)}
+    counter = _Counter()
+    k = _size_of(adj, counter)
+
+    # committed greedy for the lex-min minimum cover, in string label order:
+    # a vertex goes in iff some minimum cover extends the commitments with it.
+    order = sorted(range(g.n), key=lambda u: g.labels[u])
+    residual = _copy_adj(adj)
+    chosen: list[int] = []
+    budget = k
+    for u in order:
+        if budget == 0:
+            break
+        if u not in residual or not residual[u]:
+            continue  # a minimum cover never contains isolated vertices
+        trial = _copy_adj(residual)
+        _delete(trial, u)
+        if _size_of(trial, counter) <= budget - 1:
+            chosen.append(u)
+            residual = trial
+            budget -= 1
+        # else every minimum cover extending the commitments avoids u
+    assert len(chosen) == k and all(not residual[v] for v in residual)
+    labels = tuple(sorted(g.labels[u] for u in chosen))
+    return CoverResult(k, labels, counter.nodes)
+
+
+def _same_cover(g: Graph) -> CoverResult:
+    res, ref = min_vertex_cover(g), reference_min_vertex_cover(g)
+    assert (res.size, res.cover) == (ref.size, ref.cover)
+    return res
+
+
+def test_agrees_with_reference_on_mmd_graphs():
+    rng = random.Random(58)
+    for _ in range(12):
+        g = random_connected_graph(rng.randrange(40, 59), rng, p=rng.choice([0.05, 0.08, 0.12]))
+        _same_cover(strong_resolving_graph(g))
+
+
+@pytest.mark.parametrize("build, size", [
+    (lambda: path_graph(2000), 1000),
+    (lambda: cycle_graph(1001), 501),
+    (lambda: strong_resolving_graph(cycle_graph(401)), 201),
+], ids=["path2000", "cycle1001", "mmd_cycle401"])
+def test_large_inputs_agree_with_reference(build, size):
+    """Deeper than the recursion limit, were the search to recurse per vertex."""
+    g = build()
+    res = _same_cover(g)
+    assert res.size == size and is_vertex_cover(g, res.cover)

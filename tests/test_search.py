@@ -209,6 +209,12 @@ def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
         assert sizes == pools and got.to_json() == want
 
 
+def test_max_k_must_be_positive():
+    for max_k in (0, -1):
+        with pytest.raises(GraphError, match="max_k"):
+            threshold_dimension(path_graph(3), "strong", max_k=max_k)
+
+
 def test_jobs_must_be_positive():
     for jobs in (0, -3):
         with pytest.raises(GraphError):
