@@ -10,6 +10,8 @@ Certification operations return the first violated clause for testability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Iterator, Sequence
 
 from .graph import (
@@ -144,6 +146,38 @@ def chebyshev_adjacency(cells: Sequence[Coord]) -> list[list[int]]:
     return [sorted(index.near(c)) for c in cells]
 
 
+def _chebyshev_row(cols: Sequence[Sequence[int]], c: Coord, start: int, n: int) -> list[int]:
+    """Chebyshev distances from cell c to cells start..n-1, read off their coordinate columns."""
+    gaps = [map(abs, map(sub, col[start:], repeat(x))) for col, x in zip(cols, c)]
+    if len(gaps) > 1:
+        return list(map(max, *gaps))
+    if gaps:
+        return list(gaps[0])
+    return [0] * (n - start)  # k = 0: every cell is the empty tuple
+
+
+def isometry_mismatch(
+    cells: Sequence[Coord], adj: Sequence[Sequence[int]]
+) -> tuple[int, int, int, int] | None:
+    """First pair whose graph distance in adj differs from its cells' Chebyshev distance.
+
+    Pairs are taken i < j, by i and then j. Returns (i, j, graph distance,
+    Chebyshev distance), the graph distance UNREACHABLE for split pairs, or
+    None when the graph is isometric in the product. Each source costs one
+    BFS and one whole-row comparison. The cells share one length, as
+    chebyshev_adjacency requires.
+    """
+    n = len(cells)
+    cols = [list(col) for col in zip(*cells)]
+    for i in range(n - 1):
+        dist = bfs_from(adj, i)[i + 1:]
+        cheb = _chebyshev_row(cols, cells[i], i + 1, n)
+        if dist != cheb:
+            j = next(j for j, (d, x) in enumerate(zip(dist, cheb)) if d != x)
+            return i, i + 1 + j, dist[j], cheb[j]
+    return None
+
+
 def induced_supergraph(e: Embedding, host: Graph) -> Graph:
     """Graph induced by the placement on host's labels."""
     adj = chebyshev_adjacency([e.placement[lb] for lb in host.labels])
@@ -237,22 +271,20 @@ def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
 def is_isometric_in_product(e: Embedding) -> CheckResult:
     """True iff induced-graph distances equal Chebyshev distances for all pairs."""
     labels = tuple(sorted(e.placement))
-    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
-    for i, lb in enumerate(labels):
-        dist = bfs_from(adj, i)
-        for j in range(i + 1, len(labels)):
-            want = chebyshev(e.placement[lb], e.placement[labels[j]])
-            if dist[j] != want:
-                if dist[j] < 0:
-                    return CheckResult(
-                        False, "isometric", f"{lb!r} and {labels[j]!r} are in different components"
-                    )
-                return CheckResult(
-                    False,
-                    "isometric",
-                    f"d({lb!r},{labels[j]!r}) = {dist[j]} in the image but {want} in the product",
-                )
-    return CheckResult(True)
+    cells = [e.placement[lb] for lb in labels]
+    bad = isometry_mismatch(cells, chebyshev_adjacency(cells))
+    if bad is None:
+        return CheckResult(True)
+    i, j, got, want = bad
+    if got < 0:
+        return CheckResult(
+            False, "isometric", f"{labels[i]!r} and {labels[j]!r} are in different components"
+        )
+    return CheckResult(
+        False,
+        "isometric",
+        f"d({labels[i]!r},{labels[j]!r}) = {got} in the image but {want} in the product",
+    )
 
 
 def certify(e: Embedding, g: Graph, strong: bool) -> CheckResult:
@@ -266,17 +298,17 @@ def certify(e: Embedding, g: Graph, strong: bool) -> CheckResult:
 def anchor_distances_collapse(e: Embedding) -> CheckResult:
     """Induced distance to each anchor must equal the Chebyshev distance to it."""
     labels = tuple(sorted(e.placement))
-    rows, index = _anchor_distance_rows(e, labels)
-    for i, w in enumerate(e.anchors):
-        cw = e.placement[w]
-        for lb in labels:
-            want = chebyshev(e.placement[lb], cw)
-            if rows[i][index[lb]] != want:
-                return CheckResult(
-                    False,
-                    "anchor-collapse",
-                    f"d({lb!r},{w!r}) = {rows[i][index[lb]]} but Chebyshev gap is {want}",
-                )
+    rows, _ = _anchor_distance_rows(e, labels)
+    cols = [list(col) for col in zip(*(e.placement[lb] for lb in labels))]
+    for w, row in zip(e.anchors, rows):
+        want = _chebyshev_row(cols, e.placement[w], 0, len(labels))
+        if row != want:
+            j = next(j for j, (d, x) in enumerate(zip(row, want)) if d != x)
+            return CheckResult(
+                False,
+                "anchor-collapse",
+                f"d({labels[j]!r},{w!r}) = {row[j]} but Chebyshev gap is {want[j]}",
+            )
     return CheckResult(True)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -135,14 +134,13 @@ class DistanceMatrix:
 def bfs_from(adj: Sequence[Sequence[int]], source: int) -> list[int]:
     dist = [UNREACHABLE] * len(adj)
     dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        du = dist[u]
+    queue = [source]
+    for u in queue:  # the list grows behind the loop: a FIFO queue without pops
+        du = dist[u] + 1
         for v in adj[u]:
             if dist[v] == UNREACHABLE:
-                dist[v] = du + 1
-                q.append(v)
+                dist[v] = du
+                queue.append(v)
     return dist
 
 

@@ -35,13 +35,13 @@ from .embedding import (
     chebyshev_adjacency,
     distance_vector_embedding,
     feasible_region,
+    isometry_mismatch,
 )
 from .graph import (
     DistanceMatrix,
     Graph,
     GraphError,
     all_pairs_distances,
-    bfs_from,
     require_connected,
 )
 
@@ -437,14 +437,7 @@ def _run_search(
             row = pdist[i]
             if any(row[v] != coords[v][i] for v in range(n)):
                 return False
-        if mode == MODE_STRONG:
-            for u in range(n):
-                dist = bfs_from(hadj, u)
-                cu = coords[u]
-                for v in range(u + 1, n):
-                    if dist[v] != max(map(abs, map(sub, cu, coords[v]))):
-                        return False
-        return True
+        return mode != MODE_STRONG or isometry_mismatch(coords, hadj) is None
 
     # One pending candidate iterator per depth, as in graph_automorphisms;
     # depth p holds a placement while coords[order[p]] is set. The dim2
@@ -545,7 +538,9 @@ def threshold_dimension(
     mode "metric" searches resolved placements, "strong" adds the isometry
     requirement. Size k is reported exact only when size k-1 was refuted
     exhaustively; feasibility is monotone in the anchor set, so a refuted
-    level also refutes every smaller one.
+    level also refutes every smaller one. When max_k ends the sweep, the
+    upper bound is the strong dimension, whose basis always works; a lower
+    bound that meets it is exact, with that basis as the witness.
     """
     if mode not in ("metric", "strong"):
         raise GraphError(f"mode must be 'metric' or 'strong', got {mode!r}")
@@ -639,7 +634,12 @@ def threshold_dimension(
             pool.shutdown(cancel_futures=True)
 
     stats = {"nodes": total_nodes, "levels": levels}
-    return ThresholdResult("bounds", None, (lo, strong_dimension(g).value), None, None, stats)
+    basis = strong_dimension(g)
+    if lo == basis.value:  # every smaller size refuted, and a strong basis always works
+        emb = _try_fast_path(ctx, list(basis.witness), cfg.mode)
+        if emb is not None:
+            return ThresholdResult("exact", lo, None, basis.witness, emb, stats)
+    return ThresholdResult("bounds", None, (lo, basis.value), None, None, stats)
 
 
 @dataclass(frozen=True)

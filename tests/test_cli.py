@@ -75,6 +75,21 @@ def test_threshold_budget_exit_code(capsys, tmp_path):
     assert payload["status"] == "bounds"
 
 
+def test_threshold_lo_equal_to_strong_dimension_is_exact(capsys, tmp_path):
+    # --max-k 1 refutes k = 1 on C4, and the strong basis of size 2 closes the gap
+    p = tmp_path / "c4.txt"
+    p.write_text(to_edge_list(cycle_graph(4)))
+    code, out, _ = run(capsys, "threshold", "--input", str(p), "--mode", "strong", "--max-k", "1")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["status"] == "exact" and payload["value"] == 2
+    assert payload["embedding"]["anchors"] == payload["witness_W"]
+    emb = tmp_path / "emb.json"
+    emb.write_text(json.dumps(payload["embedding"]))
+    code, out, _ = run(capsys, "certify", "--input", str(p), "--embedding", str(emb), "--mode", "strong")
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
 def test_threshold_byte_identical(capsys, c7_file):
     _, out1, _ = run(capsys, "threshold", "--input", c7_file)
     _, out2, _ = run(capsys, "threshold", "--input", c7_file)

@@ -1,9 +1,11 @@
+import random
 import time
 
 import pytest
 
 from strongdim import (
     CellIndex,
+    CheckResult,
     Embedding,
     GraphError,
     UnresolvedPairError,
@@ -26,6 +28,8 @@ from strongdim import (
     render_grid,
 )
 from strongdim.constructions import cycle_embedding, gn_family, g1_placement
+from strongdim.embedding import _anchor_distance_rows, isometry_mismatch
+from strongdim.graph import bfs_from
 
 from .conftest import random_connected_graph
 
@@ -147,6 +151,97 @@ def test_distance_vector_roundtrip_random(rng):
         assert is_w_resolved(e, g)
         assert anchor_distances_collapse(e)
         done += 1
+
+
+def _pairwise_is_isometric_in_product(e: Embedding) -> CheckResult:
+    """The per-pair check that isometry_mismatch replaced, kept as its reference."""
+    labels = tuple(sorted(e.placement))
+    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
+    for i, lb in enumerate(labels):
+        dist = bfs_from(adj, i)
+        for j in range(i + 1, len(labels)):
+            want = chebyshev(e.placement[lb], e.placement[labels[j]])
+            if dist[j] != want:
+                if dist[j] < 0:
+                    return CheckResult(
+                        False, "isometric", f"{lb!r} and {labels[j]!r} are in different components"
+                    )
+                return CheckResult(
+                    False,
+                    "isometric",
+                    f"d({lb!r},{labels[j]!r}) = {dist[j]} in the image but {want} in the product",
+                )
+    return CheckResult(True)
+
+
+def _pairwise_anchor_distances_collapse(e: Embedding) -> CheckResult:
+    """The per-pair anchor check that the Chebyshev rows replaced, kept as its reference."""
+    labels = tuple(sorted(e.placement))
+    rows, index = _anchor_distance_rows(e, labels)
+    for i, w in enumerate(e.anchors):
+        cw = e.placement[w]
+        for lb in labels:
+            want = chebyshev(e.placement[lb], cw)
+            if rows[i][index[lb]] != want:
+                return CheckResult(
+                    False,
+                    "anchor-collapse",
+                    f"d({lb!r},{w!r}) = {rows[i][index[lb]]} but Chebyshev gap is {want}",
+                )
+    return CheckResult(True)
+
+
+def _seeded_placement(rng, k: int, side: int) -> Embedding:
+    """Random or lazy-walk cells, sometimes with duplicates, under shuffled labels."""
+    n = 1 if rng.random() < 0.1 else rng.choice((rng.randrange(2, 8), rng.randrange(8, 30)))
+    if rng.random() < 0.5:
+        cells = [tuple(rng.randrange(side) for _ in range(k)) for _ in range(n)]
+    else:  # a lazy walk: each coordinate steps by -1, 0 or +1 and stays on the grid
+        c = [rng.randrange(side) for _ in range(k)]
+        cells = []
+        for _ in range(n):
+            cells.append(tuple(c))
+            c = [min(side - 1, max(0, x + rng.choice((-1, 0, 0, 1)))) for x in c]
+        if rng.random() < 0.5:
+            cells = list(dict.fromkeys(cells))  # the walk's first visits only
+    if rng.random() < 0.2:
+        cells += rng.sample(cells, rng.randrange(1, len(cells) + 1))
+    labels = [f"v{i}" for i in rng.sample(range(100), len(cells))]
+    anchors = tuple(rng.sample(labels, min(k, len(labels))))
+    return Embedding(k, side, anchors, dict(zip(labels, cells)))
+
+
+def test_isometry_rows_match_the_pairwise_checks():
+    rng = random.Random(11)
+    passing = split = wrong_gap = collapse_fails = 0
+    for t in range(3000):
+        e = _seeded_placement(rng, t % 5, 2 + (t // 5) % 5)
+        want = _pairwise_is_isometric_in_product(e)
+        got = is_isometric_in_product(e)
+        assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail), e
+        passing += got.ok and len(e.placement) > 1
+        split += "components" in (got.detail or "")
+        wrong_gap += "in the product" in (got.detail or "")
+        want = _pairwise_anchor_distances_collapse(e)
+        got = anchor_distances_collapse(e)
+        assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail), e
+        collapse_fails += not got.ok
+    assert min(passing, split, wrong_gap, collapse_fails) > 300, (passing, split, wrong_gap)
+
+
+def test_isometry_mismatch_reports_the_first_pair():
+    # a path bent into an L: (0,0)-(1,0)-(2,1) ... the ends are 2 apart in both
+    cells = [(0, 0), (1, 0), (2, 1)]
+    assert isometry_mismatch(cells, chebyshev_adjacency(cells)) is None
+    cells = [(0, 0), (1, 1), (2, 0), (3, 1), (0, 2)]
+    adj = chebyshev_adjacency(cells)  # (0, 2) touches (1, 1) only
+    assert isometry_mismatch(cells, adj) is None
+    cells = [(0, 0), (2, 0), (1, 1), (1, 1)]
+    assert isometry_mismatch(cells, chebyshev_adjacency(cells)) == (2, 3, 2, 0)
+    assert isometry_mismatch([(0,), (2,)], [[], []]) == (0, 1, -1, 2)
+    assert isometry_mismatch([(), ()], [[], []]) == (0, 1, -1, 0)
+    assert isometry_mismatch([(5, 5)], [[]]) is None
+    assert isometry_mismatch([], []) is None
 
 
 def test_isometric_examples():

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -19,7 +20,7 @@ from strongdim import (
     star_graph,
     to_edge_list,
 )
-from strongdim.graph import UNREACHABLE, is_connected, require_connected
+from strongdim.graph import UNREACHABLE, bfs_from, is_connected, require_connected
 
 from .conftest import random_connected_graph, to_nx
 
@@ -141,3 +142,39 @@ def test_disconnected_marker_and_error():
     with pytest.raises(DisconnectedError) as exc:
         require_connected(g)
     assert set(exc.value.pair) == {"a", "c"}
+
+
+def _deque_bfs(adj, source):
+    """The deque BFS that bfs_from replaced, kept as its reference."""
+    dist = [UNREACHABLE] * len(adj)
+    dist[source] = 0
+    q = deque([source])
+    while q:
+        u = q.popleft()
+        du = dist[u]
+        for v in adj[u]:
+            if dist[v] == UNREACHABLE:
+                dist[v] = du + 1
+                q.append(v)
+    return dist
+
+
+def test_bfs_from_matches_deque_bfs():
+    rng = random.Random(7)
+    split = 0
+    for _ in range(300):
+        n = rng.randrange(1, 30)
+        p = rng.choice((0.02, 0.08, 0.3))  # sparse draws leave several components
+        nbrs = [[] for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
+        for a in nbrs:
+            rng.shuffle(a)  # visiting order must not matter either
+        for s in range(n):
+            row = bfs_from(nbrs, s)
+            assert row == _deque_bfs(nbrs, s)
+            split += UNREACHABLE in row
+    assert split > 100  # disconnected graphs were exercised
