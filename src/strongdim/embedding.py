@@ -210,21 +210,29 @@ def distance_vector_embedding(h: Graph, anchors: Sequence[str],
     return Embedding(len(anchors), dm.diameter + 1, tuple(anchors), placement)
 
 
-def _anchor_distance_rows(e: Embedding, labels: Sequence[str]):
-    """BFS distances in the induced graph from each anchor, by label."""
-    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
+def _induced_adjacency(e: Embedding) -> tuple[tuple[str, ...], list[Coord], list[list[int]]]:
+    """The placed labels in sorted order, their cells, and the induced graph's adjacency."""
+    labels = tuple(sorted(e.placement))
+    cells = [e.placement[lb] for lb in labels]
+    return labels, cells, chebyshev_adjacency(cells)
+
+
+def _anchor_distance_rows(
+    e: Embedding, labels: Sequence[str], adj: Sequence[Sequence[int]] | None = None
+):
+    """BFS distances in the induced graph from each anchor, by label.
+
+    adj is the induced adjacency of the cells of labels, in that order; it is
+    built when not given. Every anchor must be one of the labels.
+    """
+    if adj is None:
+        adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
     index = {lb: i for i, lb in enumerate(labels)}
     return [bfs_from(adj, index[w]) for w in e.anchors], index
 
 
-def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
-    """Check the three clauses of an anchor-resolved embedding of g.
-
-    (a) every edge of g maps to Chebyshev-adjacent tuples,
-    (b) the placement is injective,
-    (c) each coordinate equals the induced-supergraph distance to its anchor.
-    The anchors must be k vertices of g, and the placed labels g's vertices.
-    """
+def _placement_clauses(e: Embedding, g: Graph) -> CheckResult:
+    """The clauses of is_w_resolved before the induced distances: domain, range, (a), (b)."""
     if len(e.anchors) != e.k:
         return CheckResult(False, "domain", f"{len(e.anchors)} anchors for k = {e.k}")
     missing = [lb for lb in g.labels if lb not in e.placement]
@@ -253,8 +261,12 @@ def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
         if c in seen:
             return CheckResult(False, "W-resolved(b)", f"{seen[c]!r} and {lb!r} share cell {c}")
         seen[c] = lb
+    return CheckResult(True)
 
-    rows, index = _anchor_distance_rows(e, g.labels)
+
+def _distance_clause(e: Embedding, g: Graph, labels: Sequence[str], adj) -> CheckResult:
+    """Clause (c) of is_w_resolved, on the induced adjacency of the cells of labels."""
+    rows, index = _anchor_distance_rows(e, labels, adj)
     for i, w in enumerate(e.anchors):
         for lb in g.labels:
             want = e.placement[lb][i]
@@ -268,11 +280,9 @@ def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
     return CheckResult(True)
 
 
-def is_isometric_in_product(e: Embedding) -> CheckResult:
-    """True iff induced-graph distances equal Chebyshev distances for all pairs."""
-    labels = tuple(sorted(e.placement))
-    cells = [e.placement[lb] for lb in labels]
-    bad = isometry_mismatch(cells, chebyshev_adjacency(cells))
+def _isometric_clause(labels: Sequence[str], cells: Sequence[Coord], adj) -> CheckResult:
+    """is_isometric_in_product on the induced adjacency of cells, the cells of labels."""
+    bad = isometry_mismatch(cells, adj)
     if bad is None:
         return CheckResult(True)
     i, j, got, want = bad
@@ -287,19 +297,46 @@ def is_isometric_in_product(e: Embedding) -> CheckResult:
     )
 
 
+def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
+    """Check the three clauses of an anchor-resolved embedding of g.
+
+    (a) every edge of g maps to Chebyshev-adjacent tuples,
+    (b) the placement is injective,
+    (c) each coordinate equals the induced-supergraph distance to its anchor.
+    The anchors must be k vertices of g, and the placed labels g's vertices.
+    """
+    return certify(e, g, strong=False)
+
+
+def is_isometric_in_product(e: Embedding) -> CheckResult:
+    """True iff induced-graph distances equal Chebyshev distances for all pairs."""
+    return _isometric_clause(*_induced_adjacency(e))
+
+
 def certify(e: Embedding, g: Graph, strong: bool) -> CheckResult:
-    """First failed clause of e as an embedding of g: W-resolved, and isometric when strong."""
-    res = is_w_resolved(e, g)
+    """First failed clause of e as an embedding of g: W-resolved, and isometric when strong.
+
+    Both checks read one induced adjacency, built once the placement is known
+    to cover g's vertices exactly.
+    """
+    res = _placement_clauses(e, g)
+    if not res:
+        return res
+    labels, cells, adj = _induced_adjacency(e)
+    res = _distance_clause(e, g, labels, adj)
     if res and strong:
-        return is_isometric_in_product(e)
+        return _isometric_clause(labels, cells, adj)
     return res
 
 
 def anchor_distances_collapse(e: Embedding) -> CheckResult:
     """Induced distance to each anchor must equal the Chebyshev distance to it."""
-    labels = tuple(sorted(e.placement))
-    rows, _ = _anchor_distance_rows(e, labels)
-    cols = [list(col) for col in zip(*(e.placement[lb] for lb in labels))]
+    for w in e.anchors:
+        if w not in e.placement:
+            return CheckResult(False, "domain", f"anchor {w!r} is not a placed label")
+    labels, cells, adj = _induced_adjacency(e)
+    rows, _ = _anchor_distance_rows(e, labels, adj)
+    cols = [list(col) for col in zip(*cells)]
     for w, row in zip(e.anchors, rows):
         want = _chebyshev_row(cols, e.placement[w], 0, len(labels))
         if row != want:

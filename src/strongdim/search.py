@@ -8,7 +8,10 @@ graph the placement induces (Chebyshev-adjacency), and g's edges must map
 to adjacent cells. In the strong mode the induced graph must additionally
 be isometric in the product. The DFS below enumerates placements with sound
 interval prunes and verifies candidates exactly at the leaves, so "no" is a
-certificate; running out of node budget is a distinct outcome.
+certificate; running out of node budget is a distinct outcome. The anchors
+are placed first; after that, whether a cell's Chebyshev gap to every anchor
+cell equals its own coordinates depends on the cell alone, so that test is
+memoised per anchor placement (the "shell") instead of repeated per node.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -19,7 +22,6 @@ counters do not depend on the worker count.
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -165,17 +167,38 @@ def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int
 # the placement DFS
 
 
+class _Shell(dict):
+    """The anchor-gap test of one anchor placement, memoised per cell.
+
+    A vertex's induced distance to anchor j is its coordinate j, and it must
+    coincide with the Chebyshev gap between its cell and anchor j's cell.
+    Once every anchor is placed this depends on the cell alone: shell[c] is
+    whether c passes it for every anchor, computed on first lookup.
+    """
+
+    def __init__(self, anchor_cells: list[tuple[int, ...]]):
+        super().__init__()
+        self.anchor_cells = anchor_cells
+
+    def __missing__(self, c: tuple[int, ...]) -> bool:
+        inside = self[c] = all(
+            max(map(abs, map(sub, c, cw))) == x for cw, x in zip(self.anchor_cells, c)
+        )
+        return inside
+
+
 class _Dim2Region:
     """Two-anchor prunes for anchor distance a.
 
-    Region membership and the per-cell neighbour capacity bound any resolved
-    placement; the interior cells of the anchor-to-anchor diagonal must all
-    end up occupied (the induced graph needs a geodesic between the anchors).
+    The per-cell neighbour capacity of the feasible region bounds any
+    resolved placement; the interior cells of the anchor-to-anchor diagonal
+    must all end up occupied (the induced graph needs a geodesic between the
+    anchors). Region membership itself is the DFS's anchor-gap shell: with
+    the anchors at (0, a) and (a, 0) the two are the same cells of the grid.
     """
 
     def __init__(self, side: int, a: int):
         cells = list(feasible_region(side - 1, a).cells())
-        self.region = set(cells)
         self.cap = {c: len(nbrs) for c, nbrs in zip(cells, chebyshev_adjacency(cells))}
         self.diag = [(t, a - t) for t in range(1, a)]
 
@@ -186,15 +209,15 @@ _dim2_region = lru_cache(maxsize=64)(_Dim2Region)  # per process, so --jobs work
 class _Dim2Prune:
     """The two-anchor prunes of one DFS, from both anchor cells onward.
 
-    Candidate cells must lie in the region and have room for the vertex's
-    degree. Each interior diagonal cell keeps a pool: the unplaced vertices
-    that could still fill it, which must not run dry while the cell is
-    unfilled. The DFS calls push(v, c) after placing each further vertex and
-    pop() when undoing it; push always records a frame.
+    Candidate cells must have room for the vertex's degree (the DFS's shell
+    already keeps them in the region). Each interior diagonal cell keeps a
+    pool: the unplaced vertices that could still fill it, which must not run
+    dry while the cell is unfilled. The DFS calls push(v, c) after placing
+    each further vertex and pop() when undoing it; push always records a frame.
     """
 
     def __init__(self, reg: _Dim2Region, admissible: dict[int, frozenset], pools: dict):
-        self.region, self.cap = reg.region, reg.cap
+        self.cap = reg.cap
         self.admissible = admissible  # vertex -> the diagonal cells it could fill
         self.frames = [(pools, frozenset(reg.diag))]  # (cell -> fillers left, unfilled cells)
 
@@ -251,7 +274,6 @@ class _SearchContext:
 
     g: Graph
     dm: DistanceMatrix
-    adjset: tuple[frozenset[int], ...]
     auts: list[tuple[int, ...]] | None
 
 
@@ -261,7 +283,7 @@ def _prepare(g: Graph, symmetry: bool) -> _SearchContext:
     auts = graph_automorphisms(g) if symmetry else None
     if auts is not None and len(auts) <= 1:
         auts = None
-    return _SearchContext(g, dm, tuple(frozenset(a) for a in g.adj), auts)
+    return _SearchContext(g, dm, auts)
 
 
 def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedding | None:
@@ -283,6 +305,18 @@ def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedd
 def _run_search(
     ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSearchConfig, dim2_prunes: bool
 ) -> SearchOutcome:
+    """Place the vertices one at a time, anchors first, each in a cell that can still work.
+
+    A vertex's candidates are the free cells of its interval box (its graph
+    distances to the placed vertices bound each coordinate) that pass the
+    anchor-gap test, nearest first to its graph-distance vector. The test for
+    an anchor runs against the anchors placed before it. Each time the last
+    anchor is placed, a fresh _Shell memoises the test per cell for every
+    vertex below that placement; no shell outlives the call. Placing a
+    vertex relaxes the partial induced distances (attach),
+    and a complete placement is checked exactly (leaf_ok). dim2_prunes adds
+    the two-anchor prunes when k == 2.
+    """
     g, dm = ctx.g, ctx.dm
     mode = cfg.mode
     if len(set(anchor_labels)) != len(anchor_labels):
@@ -310,12 +344,10 @@ def _run_search(
         return SearchOutcome("no", None, 0)
 
     dG = dm.dist
-    adjset = ctx.adjset
     in_anchor = {v: i for i, v in enumerate(anchors)}
     root = dG[anchors[0]]
     rest = sorted((v for v in range(n) if v not in in_anchor), key=lambda v: (root[v], v))
     order = anchors + rest
-    targets = [tuple(min(dG[v][w], side - 1) for w in anchors) for v in range(n)]
     krange = range(k)
 
     INF = n + 2
@@ -325,11 +357,11 @@ def _run_search(
     placed: list[int] = []
     hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
     pdist = [[INF] * n for _ in krange]  # partial-subgraph distance to each anchor
+    shell = _Shell([])  # of the anchor placement the stack holds, once it holds one
 
     def candidates(v: int, dim2: _Dim2Prune | None) -> list[tuple[int, ...]]:
         lows, highs = [], []
         row_v = dG[v]
-        adj_v = adjset[v]
         for i in krange:
             w = anchors[i]
             if v == w:
@@ -338,7 +370,7 @@ def _run_search(
                 lo, hi = 1, min(row_v[w], side - 1)
             for u in placed:
                 cu = coords[u][i]
-                b = 1 if u in adj_v else row_v[u]
+                b = row_v[u]  # 1 for a neighbour of v
                 if cu - b > lo:
                     lo = cu - b
                 if cu + b < hi:
@@ -346,33 +378,35 @@ def _run_search(
             if lo > hi:
                 return []
             lows.append(lo)
-            highs.append(hi)
-        placed_anchor = [
-            (j, coords[w]) for j, w in enumerate(anchors) if coords[w] is not None
-        ]
+            highs.append(hi + 1)
+        box = product(*map(range, lows, highs))
         anchor_slot = in_anchor.get(v)
-        deg_v = g.degree(v)
-        out = []
-        for c in product(*[range(lo, hi + 1) for lo, hi in zip(lows, highs)]):
-            if c in used:
-                continue
-            ok = True
-            for j, cw in placed_anchor:
-                # induced distance to anchor j is coordinate j, and it must
-                # coincide with the Chebyshev gap to that anchor's cell
-                if max(map(abs, map(sub, c, cw))) != c[j]:
-                    ok = False
-                    break
-                if anchor_slot is not None and cw[anchor_slot] != c[j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if dim2 is not None and (c not in dim2.region or dim2.cap[c] < deg_v):
-                continue
-            out.append(c)
-        tgt = targets[v]
-        out.sort(key=lambda c: (sum(abs(a - b) for a, b in zip(c, tgt)), c))
+        if anchor_slot is not None:
+            # induced distance to a placed anchor j is coordinate j; it must
+            # coincide with the Chebyshev gap to that anchor's cell, and the
+            # anchor's own coordinate for v's slot must coincide with it too
+            placed_anchor = [(j, coords[w]) for j, w in enumerate(anchors) if coords[w] is not None]
+            out = []
+            for c in box:
+                if c in used:
+                    continue
+                for j, cw in placed_anchor:
+                    if cw[anchor_slot] != c[j] or max(map(abs, map(sub, c, cw))) != c[j]:
+                        break
+                else:
+                    out.append(c)
+        else:
+            # every anchor is placed, so the shell holds the gap test
+            deg_v = g.degree(v) if dim2 is not None else 0
+            out = [
+                c for c in box
+                if c not in used and shell[c] and (dim2 is None or dim2.cap[c] >= deg_v)
+            ]
+        if len(out) > 1:
+            # nearest first, by L1 gap, to v's graph distances capped at side-1;
+            # these bound every coordinate from above, so the gap is their sum
+            # less sum(c)
+            out.sort(key=lambda c: (-sum(c), c))
         return out
 
     def attach(v: int, c: tuple[int, ...]):
@@ -405,15 +439,13 @@ def _run_search(
                 break
             dist_undo.append((i, v, row[v]))
             row[v] = d0
-            queue = deque([v])
-            while queue:
-                u = queue.popleft()
+            queue = [v]
+            for u in queue:  # a FIFO queue without pops, as in bfs_from
                 du1 = row[u] + 1
                 for x in hadj[u]:
                     if du1 < row[x]:
                         if du1 < coords[x][i]:
                             ok = False
-                            queue.clear()
                             break
                         dist_undo.append((i, x, row[x]))
                         row[x] = du1
@@ -434,14 +466,14 @@ def _run_search(
 
     def leaf_ok() -> bool:
         for i in krange:
-            row = pdist[i]
-            if any(row[v] != coords[v][i] for v in range(n)):
+            if pdist[i] != [c[i] for c in coords]:
                 return False
         return mode != MODE_STRONG or isometry_mismatch(coords, hadj) is None
 
     # One pending candidate iterator per depth, as in graph_automorphisms;
-    # depth p holds a placement while coords[order[p]] is set. The dim2
-    # prunes are open while depth 2 is on the stack.
+    # depth p holds a placement while coords[order[p]] is set. The shell
+    # belongs to the placement held at depth k-1; the dim2 prunes are open
+    # while depth 2 is on the stack.
     stack = [iter(candidates(order[0], None))]
     undos: list = []  # attach() undo records, one per placed vertex
     dim2: _Dim2Prune | None = None
@@ -481,10 +513,12 @@ def _run_search(
             if leaf_ok():
                 break
             continue
-        if p == 1 and dim2_prunes:
-            dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(coords[w] for w in anchors))
-            if dim2 is None:
-                continue
+        if p == k - 1:
+            shell = _Shell([coords[w] for w in anchors])
+            if dim2_prunes:
+                dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(shell.anchor_cells))
+                if dim2 is None:
+                    continue
         stack.append(iter(candidates(order[p + 1], dim2)))
     if not stack:
         return SearchOutcome("no", None, nodes)

@@ -328,3 +328,108 @@ def test_embedding_json_roundtrip():
     e = cycle_embedding(8)
     again = Embedding.from_json(e.to_json())
     assert again == e
+
+
+def test_anchor_distances_collapse_reports_an_unplaced_anchor():
+    e = Embedding(1, 3, ("zz",), {"a": (0,), "b": (1,)})
+    res = anchor_distances_collapse(e)
+    assert (res.ok, res.clause) == (False, "domain") and "'zz'" in res.detail
+    assert anchor_distances_collapse(Embedding(1, 3, ("a",), {"a": (0,), "b": (1,)}))
+    assert not anchor_distances_collapse(Embedding(0, 1, ("a",), {}))
+
+
+def _graph_order_distance_clause(e: Embedding, g) -> CheckResult:
+    """Clause (c) on an induced adjacency of its own, built in g's label order."""
+    rows, index = _anchor_distance_rows(e, g.labels)
+    for i, w in enumerate(e.anchors):
+        for lb in g.labels:
+            if rows[i][index[lb]] != e.placement[lb][i]:
+                return CheckResult(
+                    False,
+                    "W-resolved(c)",
+                    f"coordinate {i} of {lb!r} is {e.placement[lb][i]} but distance to {w!r} "
+                    f"is {rows[i][index[lb]]}",
+                )
+    return CheckResult(True)
+
+
+def _family_embeddings(rng):
+    """Graphs of the gen families with their embeddings, and with distance-vector ones."""
+    from strongdim.constructions import (
+        FiveLeafTreeParams,
+        FourLeafTreeParams,
+        five_leaf_tree,
+        four_leaf_tree,
+        l3n_family,
+        tree_dim3_embedding,
+        tree_dim4_embedding,
+    )
+
+    for g in (gn_family(1), cycle_graph(9), cycle_graph(10), path_graph(6)):
+        tries = 0
+        while tries < 6:
+            W = rng.sample(list(g.labels), rng.randrange(2, 4))
+            if is_resolving_set(g, W):  # W-resolved, and isometric only sometimes
+                tries += 1
+                yield g, distance_vector_embedding(g, W)
+    for n in range(4, 11):
+        yield cycle_graph(n), cycle_embedding(n)
+    for n in range(2, 6):
+        yield l3n_family(n)
+    for _ in range(5):
+        k1 = rng.randrange(1, 5)
+        k2, k3 = sorted((rng.randrange(1, 5) for _ in range(2)), reverse=True)
+        k4, k5 = sorted((rng.randrange(1, 5) for _ in range(2)), reverse=True)
+        p4 = FourLeafTreeParams(k1, k2, k3, k4, k5)
+        yield four_leaf_tree(p4), tree_dim3_embedding(p4)
+        p5 = FiveLeafTreeParams(k1, k2, k3, k4, k5, rng.randrange(1, 5), rng.randrange(1, k1 + 1))
+        yield five_leaf_tree(p5), tree_dim4_embedding(p5)
+
+
+def _corrupted(rng, e: Embedding) -> Embedding:
+    """e with one seeded fault: a moved, swapped, nudged or copied cell, or another anchor."""
+    placement = dict(e.placement)
+    labels = sorted(placement)
+    a, b = rng.sample(labels, 2)
+    kind = rng.randrange(6)
+    if kind == 0:
+        placement[a] = tuple(rng.randrange(e.side) for _ in range(e.k))
+    elif kind == 1:
+        placement[a], placement[b] = placement[b], placement[a]
+    elif kind == 2:
+        i = rng.randrange(e.k)
+        placement[a] = tuple(x + rng.choice((-1, 1)) * (j == i) for j, x in enumerate(placement[a]))
+    elif kind == 3:
+        placement[a] = placement[b]
+    elif kind == 4:
+        anchors = list(e.anchors)
+        anchors[rng.randrange(e.k)] = rng.choice([lb for lb in labels if lb not in anchors])
+        return Embedding(e.k, e.side, tuple(anchors), placement)
+    return Embedding(e.k, e.side, e.anchors, placement)
+
+
+def test_certify_matches_the_separate_checks_on_corrupted_family_embeddings():
+    """certify builds one induced adjacency for clause (c) and the isometry; its verdicts
+    and texts equal those of checks that each build their own."""
+    from strongdim import certify
+    from strongdim.embedding import _placement_clauses
+
+    rng = random.Random(5)
+    seen: dict = {}
+    for g, built in _family_embeddings(rng):
+        for e in [built] + [_corrupted(rng, built) for _ in range(12)]:
+            for strong in (False, True):
+                want = _placement_clauses(e, g)
+                if want:
+                    want = _graph_order_distance_clause(e, g)
+                if want and strong:
+                    want = _pairwise_is_isometric_in_product(e)
+                got = certify(e, g, strong)
+                assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail)
+                seen[got.clause] = seen.get(got.clause, 0) + 1
+            res = is_w_resolved(e, g)
+            assert res == certify(e, g, False)
+            if res:
+                assert is_isometric_in_product(e) == _pairwise_is_isometric_in_product(e)
+    clauses = (None, "range", "W-resolved(a)", "W-resolved(b)", "W-resolved(c)", "isometric")
+    assert min(seen.get(c, 0) for c in clauses) >= 10, seen

@@ -361,3 +361,76 @@ def test_gap_experiment_row_and_budget():
     assert "tau" in rep.row()
     tiny = tau_gap_experiment(1, PlacementSearchConfig(node_budget=2), max_k=2)
     assert tiny.tau_s.status == "bounds"
+
+
+def test_shell_memo_matches_the_direct_gap_test():
+    """The per-placement shell answers each cell as the anchor-gap test does, hit or miss."""
+    from strongdim import chebyshev
+    from strongdim.search import _Shell
+
+    rng = random.Random(23)
+    for k in range(1, 5):
+        for side in range(2, 8):
+            for t in range(4):
+                # as the DFS places them (anchor j on coordinate j = 0), then anywhere
+                anchor_cells = [
+                    tuple(0 if i == j and t < 2 else rng.randrange(side) for i in range(k))
+                    for j in range(k)
+                ]
+                shell = _Shell(anchor_cells)
+                grid = list(itertools.product(range(side), repeat=k))
+                for c in rng.sample(grid, len(grid)) * 2:
+                    want = all(chebyshev(c, cw) == c[j] for j, cw in enumerate(anchor_cells))
+                    assert shell[c] == want, (anchor_cells, c)
+                assert len(shell) == len(grid)
+
+
+def test_two_anchor_shell_is_the_feasible_region():
+    """With anchors at (0, a) and (a, 0) the shell on the grid is the two-anchor region,
+    which is why the DFS needs no separate region test."""
+    from strongdim import feasible_region
+    from strongdim.search import _Shell
+
+    for side in range(1, 16):
+        grid = list(itertools.product(range(side), repeat=2))
+        for a in range(side):
+            shell = _Shell([(0, a), (a, 0)])
+            assert {c for c in grid if shell[c]} == set(feasible_region(side - 1, a).cells())
+
+
+def test_k3_orbit_reps_golden():
+    """Statuses and node counts of the first 40 k=3 orbit representatives of G_2, in
+    threshold_dimension's enumeration order, at budget 128 (recorded before the shell)."""
+    import hashlib
+    import json
+
+    from strongdim import all_pairs_distances
+
+    g = gn_family(2)
+    ecc = all_pairs_distances(g).eccentricities
+    auts = graph_automorphisms(g)
+    sets = sorted(
+        itertools.combinations(range(g.n), 3),
+        key=lambda W: (-sum(ecc[v] for v in W), tuple(g.labels[v] for v in W)),
+    )
+    reps: dict = {}
+    for W in sets:
+        reps.setdefault(min(tuple(sorted(p[w] for w in W)) for p in auts), W)
+    reps_40 = [[g.labels[v] for v in W] for W in list(reps.values())[:40]]
+    assert reps_40[0] == ["a3_1", "b4_1", "c5_1"] and reps_40[28] == ["a1_1", "a3_1", "b4_1"]
+
+    exhausted = ("budget_exhausted", 129)
+    strong = [exhausted] * 28 + [("no", 66)] + [exhausted] * 11
+    metric = [exhausted] * 40
+    for i in (10, 24, 26, 27, 30, 39):
+        metric[i] = ("yes", 0)  # the distance vectors already resolve G_2
+    metric[15] = ("yes", 104)
+    metric[28] = ("no", 66)
+    for mode, want in (("strongly_resolved", strong), ("resolved", metric)):
+        cfg = PlacementSearchConfig(mode=mode, node_budget=128)
+        got = [exists_supergraph_resolved_by(g, W, cfg) for W in reps_40]
+        assert [(r.status, r.nodes) for r in got] == want, mode
+    emb = got[15].embedding.to_json()
+    assert emb["anchors"] == ["b4_1", "c5_1", "w2_2"]
+    digest = hashlib.sha256(json.dumps(emb, sort_keys=True).encode()).hexdigest()[:16]
+    assert digest == "126fbadd1e78c513"
