@@ -10,9 +10,10 @@ Certification operations return the first violated clause for testability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import repeat
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graph import (
     DistanceMatrix,
@@ -231,8 +232,19 @@ def _anchor_distance_rows(
     return [bfs_from(adj, index[w]) for w in e.anchors], index
 
 
-def _placement_clauses(e: Embedding, g: Graph) -> CheckResult:
-    """The clauses of is_w_resolved before the induced distances: domain, range, (a), (b)."""
+_Induced = Callable[[], tuple[tuple[str, ...], list[Coord], list[list[int]]]]
+
+
+def is_w_resolved(e: Embedding, g: Graph, induced: _Induced | None = None) -> CheckResult:
+    """Check the three clauses of an anchor-resolved embedding of g.
+
+    (a) every edge of g maps to Chebyshev-adjacent tuples,
+    (b) the placement is injective,
+    (c) each coordinate equals the induced-supergraph distance to its anchor.
+    The anchors must be k vertices of g, and the placed labels g's vertices.
+    induced, when given, returns the induced graph as (sorted labels, their
+    cells, adjacency); certify passes one that builds it once for both checks.
+    """
     if len(e.anchors) != e.k:
         return CheckResult(False, "domain", f"{len(e.anchors)} anchors for k = {e.k}")
     missing = [lb for lb in g.labels if lb not in e.placement]
@@ -261,11 +273,8 @@ def _placement_clauses(e: Embedding, g: Graph) -> CheckResult:
         if c in seen:
             return CheckResult(False, "W-resolved(b)", f"{seen[c]!r} and {lb!r} share cell {c}")
         seen[c] = lb
-    return CheckResult(True)
 
-
-def _distance_clause(e: Embedding, g: Graph, labels: Sequence[str], adj) -> CheckResult:
-    """Clause (c) of is_w_resolved, on the induced adjacency of the cells of labels."""
+    labels, _, adj = induced() if induced is not None else _induced_adjacency(e)
     rows, index = _anchor_distance_rows(e, labels, adj)
     for i, w in enumerate(e.anchors):
         for lb in g.labels:
@@ -280,8 +289,12 @@ def _distance_clause(e: Embedding, g: Graph, labels: Sequence[str], adj) -> Chec
     return CheckResult(True)
 
 
-def _isometric_clause(labels: Sequence[str], cells: Sequence[Coord], adj) -> CheckResult:
-    """is_isometric_in_product on the induced adjacency of cells, the cells of labels."""
+def is_isometric_in_product(e: Embedding, induced: _Induced | None = None) -> CheckResult:
+    """True iff induced-graph distances equal Chebyshev distances for all pairs.
+
+    induced is as for is_w_resolved.
+    """
+    labels, cells, adj = induced() if induced is not None else _induced_adjacency(e)
     bad = isometry_mismatch(cells, adj)
     if bad is None:
         return CheckResult(True)
@@ -297,35 +310,16 @@ def _isometric_clause(labels: Sequence[str], cells: Sequence[Coord], adj) -> Che
     )
 
 
-def is_w_resolved(e: Embedding, g: Graph) -> CheckResult:
-    """Check the three clauses of an anchor-resolved embedding of g.
-
-    (a) every edge of g maps to Chebyshev-adjacent tuples,
-    (b) the placement is injective,
-    (c) each coordinate equals the induced-supergraph distance to its anchor.
-    The anchors must be k vertices of g, and the placed labels g's vertices.
-    """
-    return certify(e, g, strong=False)
-
-
-def is_isometric_in_product(e: Embedding) -> CheckResult:
-    """True iff induced-graph distances equal Chebyshev distances for all pairs."""
-    return _isometric_clause(*_induced_adjacency(e))
-
-
 def certify(e: Embedding, g: Graph, strong: bool) -> CheckResult:
     """First failed clause of e as an embedding of g: W-resolved, and isometric when strong.
 
-    Both checks read one induced adjacency, built once the placement is known
-    to cover g's vertices exactly.
+    The two checks share one induced graph, built when clause (c) first needs
+    it, so a placement that fails an earlier clause never builds it.
     """
-    res = _placement_clauses(e, g)
-    if not res:
-        return res
-    labels, cells, adj = _induced_adjacency(e)
-    res = _distance_clause(e, g, labels, adj)
+    induced = cache(partial(_induced_adjacency, e))
+    res = is_w_resolved(e, g, induced)
     if res and strong:
-        return _isometric_clause(labels, cells, adj)
+        return is_isometric_in_product(e, induced)
     return res
 
 

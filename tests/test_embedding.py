@@ -409,27 +409,40 @@ def _corrupted(rng, e: Embedding) -> Embedding:
 
 
 def test_certify_matches_the_separate_checks_on_corrupted_family_embeddings():
-    """certify builds one induced adjacency for clause (c) and the isometry; its verdicts
-    and texts equal those of checks that each build their own."""
+    """certify's two checks share one induced adjacency; its verdicts and texts equal
+    those of checks that each build their own."""
     from strongdim import certify
-    from strongdim.embedding import _placement_clauses
 
     rng = random.Random(5)
     seen: dict = {}
     for g, built in _family_embeddings(rng):
         for e in [built] + [_corrupted(rng, built) for _ in range(12)]:
-            for strong in (False, True):
-                want = _placement_clauses(e, g)
-                if want:
-                    want = _graph_order_distance_clause(e, g)
-                if want and strong:
-                    want = _pairwise_is_isometric_in_product(e)
-                got = certify(e, g, strong)
-                assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail)
-                seen[got.clause] = seen.get(got.clause, 0) + 1
-            res = is_w_resolved(e, g)
-            assert res == certify(e, g, False)
-            if res:
-                assert is_isometric_in_product(e) == _pairwise_is_isometric_in_product(e)
+            want = is_w_resolved(e, g)
+            if want or want.clause == "W-resolved(c)":  # the placement clauses passed
+                assert want == _graph_order_distance_clause(e, g)
+            assert certify(e, g, False) == want
+            if want:
+                want = _pairwise_is_isometric_in_product(e)
+                assert is_isometric_in_product(e) == want
+            got = certify(e, g, True)
+            assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail)
+            seen[got.clause] = seen.get(got.clause, 0) + 1
     clauses = (None, "range", "W-resolved(a)", "W-resolved(b)", "W-resolved(c)", "isometric")
     assert min(seen.get(c, 0) for c in clauses) >= 10, seen
+
+
+def test_certify_builds_the_induced_adjacency_once(monkeypatch):
+    import strongdim.embedding as embedding
+
+    calls = []
+    real = embedding.chebyshev_adjacency
+    monkeypatch.setattr(embedding, "chebyshev_adjacency", lambda cells: calls.append(1) or real(cells))
+    g = gn_family(1)
+    e = distance_vector_embedding(g, ["w1_1", "w2_1"])  # W-resolved, not isometric
+    for strong, clause in ((True, "isometric"), (False, None)):
+        calls.clear()
+        assert embedding.certify(e, g, strong).clause == clause
+        assert len(calls) == 1
+    bad = Embedding(e.k, e.side, e.anchors, {**e.placement, "w1_1": (e.side, 0)})
+    calls.clear()
+    assert embedding.certify(bad, g, True).clause == "range" and calls == []
