@@ -313,9 +313,9 @@ def _run_search(
     an anchor runs against the anchors placed before it. Each time the last
     anchor is placed, a fresh _Shell memoises the test per cell for every
     vertex below that placement; no shell outlives the call. Placing a
-    vertex relaxes the partial induced distances (attach),
-    and a complete placement is checked exactly (leaf_ok). dim2_prunes adds
-    the two-anchor prunes when k == 2.
+    vertex relaxes the partial induced distances (attach), and a complete
+    placement is checked exactly (leaf_ok). dim2_prunes adds the two-anchor
+    prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     mode = cfg.mode
