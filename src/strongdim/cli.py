@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 input error (parse failure,
-disconnected graph, bad parameters), 3 threshold budget exhausted (partial
-JSON still printed). All JSON output is deterministic: keys are sorted and
-no wall-clock values are emitted.
+Exit codes: 0 success, 1 usage error, 2 input error (parse failure, a file
+that cannot be read, decoded or written, disconnected graph, bad
+parameters), 3 threshold budget exhausted (partial JSON still printed). All
+JSON output is deterministic: keys are sorted and no wall-clock values are
+emitted.
 """
 
 from __future__ import annotations
@@ -160,9 +161,9 @@ def _cmd_gen(args) -> int:
         g = cons.gn_family(_one(params, family))
     else:
         raise GraphError(f"unknown family {family!r}")
-    sys.stdout.write(to_edge_list(g))
-    if emb is not None and args.embedding_out:
+    if emb is not None and args.embedding_out:  # first, so a failed write prints nothing
         Path(args.embedding_out).write_text(json.dumps(emb.to_json(), indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(to_edge_list(g))
     if emb is not None and args.render:
         for line in render_grid(emb).splitlines():
             print(f"# {line}")
@@ -279,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (GraphError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import repeat
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
 from .graph import (
+    UNREACHABLE,
     DistanceMatrix,
     Graph,
     GraphError,
@@ -157,6 +158,40 @@ def _chebyshev_row(cols: Sequence[Sequence[int]], c: Coord, start: int, n: int) 
     return [0] * (n - start)  # k = 0: every cell is the empty tuple
 
 
+def _gap_sums(xs: Sequence[int]) -> list[int]:
+    """For each value of xs, the sum of its absolute gaps to all values of xs.
+
+    One sort and a running prefix sum: a value at sorted rank r, with the
+    values ranked before it summing to below, is total - 2*below + x*(2r - n).
+    """
+    n, total, below = len(xs), sum(xs), 0
+    out = [0] * n
+    for r, i in enumerate(sorted(range(n), key=xs.__getitem__)):
+        x = xs[i]
+        out[i] = total - 2 * below + x * (2 * r - n)
+        below += x
+    return out
+
+
+def _chebyshev_sums(cols: Sequence[Sequence[int]], n: int) -> list[int] | None:
+    """Each cell's sum of Chebyshev distances to all n cells, given their coordinate columns.
+
+    O(n log n) for k <= 2: zeros for k = 0, the gap sums of the one column for
+    k = 1, and for k = 2 half the gap sums along x+y plus those along x-y
+    (max(|dx|, |dy|) = (|dx + dy| + |dx - dy|) / 2). None for k >= 3.
+    """
+    if not cols:
+        return [0] * n
+    if len(cols) == 1:
+        return _gap_sums(cols[0])
+    if len(cols) == 2:
+        xs, ys = cols
+        diag = _gap_sums(list(map(add, xs, ys)))
+        anti = _gap_sums(list(map(sub, xs, ys)))
+        return [(a + b) // 2 for a, b in zip(diag, anti)]
+    return None
+
+
 def isometry_mismatch(
     cells: Sequence[Coord], adj: Sequence[Sequence[int]]
 ) -> tuple[int, int, int, int] | None:
@@ -164,14 +199,25 @@ def isometry_mismatch(
 
     Pairs are taken i < j, by i and then j. Returns (i, j, graph distance,
     Chebyshev distance), the graph distance UNREACHABLE for split pairs, or
-    None when the graph is isometric in the product. Each source costs one
-    BFS and one whole-row comparison. The cells share one length, as
-    chebyshev_adjacency requires.
+    None when the graph is isometric in the product. The cells share one
+    length, as chebyshev_adjacency requires.
+
+    Precondition: every edge of adj joins cells at Chebyshev distance at most
+    1, as chebyshev_adjacency and CellIndex.near build it. Graph distances
+    are then never below Chebyshev distances, so for k <= 2 a source's BFS row
+    is right iff it reaches every cell and its sum equals the cell's
+    Chebyshev sum. Each source costs one BFS; its Chebyshev row is built only
+    for k >= 3 or when the sum test fails. The first source to fail has
+    every earlier row right, so its first mismatch lies at some j > i.
     """
     n = len(cells)
     cols = [list(col) for col in zip(*cells)]
+    sums = _chebyshev_sums(cols, n)
     for i in range(n - 1):
-        dist = bfs_from(adj, i)[i + 1:]
+        dist = bfs_from(adj, i)
+        if sums is not None and UNREACHABLE not in dist and sum(dist) == sums[i]:
+            continue
+        dist = dist[i + 1:]
         cheb = _chebyshev_row(cols, cells[i], i + 1, n)
         if dist != cheb:
             j = next(j for j, (d, x) in enumerate(zip(dist, cheb)) if d != x)

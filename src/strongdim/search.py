@@ -465,6 +465,8 @@ def _run_search(
         hadj[v] = []
 
     def leaf_ok() -> bool:
+        # hadj joins only cells that CellIndex.near found at Chebyshev
+        # distance 1, as isometry_mismatch requires of its adjacency
         for i in krange:
             if pdist[i] != [c[i] for c in coords]:
                 return False

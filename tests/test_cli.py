@@ -273,6 +273,24 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dim", "--input", "{dir}"),
+        ("dim", "--input", "{latin1}"),
+        ("certify", "--input", "{c7}", "--embedding", "{dir}"),
+        ("gen", "--family", "cycle", "--params", "5", "--embedding-out", "{dir}"),
+    ],
+    ids=["dim-directory", "dim-not-utf8", "certify-directory", "gen-out-directory"],
+)
+def test_unreadable_files_are_input_errors(capsys, tmp_path, c7_file, argv):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("caf\xe9 b\n".encode("latin-1"))
+    paths = {"dir": str(tmp_path), "latin1": str(latin1), "c7": c7_file}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2 and out == "" and err.startswith("input error: ")
+
+
 def test_unknown_family(capsys):
     code, _, err = run(capsys, "gen", "--family", "moebius")
     assert code == 1  # argparse choice violation is a usage error

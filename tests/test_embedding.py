@@ -28,7 +28,8 @@ from strongdim import (
     render_grid,
 )
 from strongdim.constructions import cycle_embedding, gn_family, g1_placement
-from strongdim.embedding import _anchor_distance_rows, isometry_mismatch
+from strongdim import embedding
+from strongdim.embedding import _anchor_distance_rows, _chebyshev_sums, isometry_mismatch
 from strongdim.graph import bfs_from
 
 from .conftest import random_connected_graph
@@ -153,25 +154,34 @@ def test_distance_vector_roundtrip_random(rng):
         done += 1
 
 
-def _pairwise_is_isometric_in_product(e: Embedding) -> CheckResult:
-    """The per-pair check that isometry_mismatch replaced, kept as its reference."""
-    labels = tuple(sorted(e.placement))
-    adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
-    for i, lb in enumerate(labels):
+def _pairwise_isometry_mismatch(cells, adj):
+    """The per-pair scan that isometry_mismatch replaced, kept as its reference."""
+    for i, c in enumerate(cells):
         dist = bfs_from(adj, i)
-        for j in range(i + 1, len(labels)):
-            want = chebyshev(e.placement[lb], e.placement[labels[j]])
+        for j in range(i + 1, len(cells)):
+            want = chebyshev(c, cells[j])
             if dist[j] != want:
-                if dist[j] < 0:
-                    return CheckResult(
-                        False, "isometric", f"{lb!r} and {labels[j]!r} are in different components"
-                    )
-                return CheckResult(
-                    False,
-                    "isometric",
-                    f"d({lb!r},{labels[j]!r}) = {dist[j]} in the image but {want} in the product",
-                )
-    return CheckResult(True)
+                return i, j, dist[j], want
+    return None
+
+
+def _pairwise_is_isometric_in_product(e: Embedding) -> CheckResult:
+    """is_isometric_in_product on the per-pair scan."""
+    labels = tuple(sorted(e.placement))
+    cells = [e.placement[lb] for lb in labels]
+    bad = _pairwise_isometry_mismatch(cells, chebyshev_adjacency(cells))
+    if bad is None:
+        return CheckResult(True)
+    i, j, got, want = bad
+    if got < 0:
+        return CheckResult(
+            False, "isometric", f"{labels[i]!r} and {labels[j]!r} are in different components"
+        )
+    return CheckResult(
+        False,
+        "isometric",
+        f"d({labels[i]!r},{labels[j]!r}) = {got} in the image but {want} in the product",
+    )
 
 
 def _pairwise_anchor_distances_collapse(e: Embedding) -> CheckResult:
@@ -239,9 +249,67 @@ def test_isometry_mismatch_reports_the_first_pair():
     cells = [(0, 0), (2, 0), (1, 1), (1, 1)]
     assert isometry_mismatch(cells, chebyshev_adjacency(cells)) == (2, 3, 2, 0)
     assert isometry_mismatch([(0,), (2,)], [[], []]) == (0, 1, -1, 2)
+    # edges 0-2 and 2-3 give source 0 the row [0, -1, 1, 2]: its sum, 2, equals
+    # the Chebyshev sum of (0,), but cell 1 is unreachable
+    assert isometry_mismatch([(0,), (1,), (1,), (0,)], [[2], [], [0, 3], [2]]) == (0, 1, -1, 1)
     assert isometry_mismatch([(), ()], [[], []]) == (0, 1, -1, 0)
     assert isometry_mismatch([(5, 5)], [[]]) is None
     assert isometry_mismatch([], []) is None
+
+
+def test_chebyshev_sums_match_brute_force_rows():
+    rng = random.Random(13)
+    for t in range(600):
+        k, n = t % 3, rng.randrange(0, 25)
+        cells = [tuple(rng.randrange(-2, 6) for _ in range(k)) for _ in range(n)]
+        if cells and rng.random() < 0.3:
+            cells += rng.sample(cells, rng.randrange(1, len(cells) + 1))
+        cols = [list(col) for col in zip(*cells)]
+        want = [sum(chebyshev(c, d) for d in cells) for c in cells]
+        assert _chebyshev_sums(cols, len(cells)) == want, cells
+    assert _chebyshev_sums([[0], [0], [0]], 1) is None  # k >= 3 keeps the row compare
+
+
+def test_passing_plane_embeddings_build_no_chebyshev_row(monkeypatch):
+    from strongdim.constructions import l3n_family
+
+    calls = []
+    row = embedding._chebyshev_row
+
+    def counted(*args):
+        calls.append(args[1])
+        return row(*args)
+
+    monkeypatch.setattr(embedding, "_chebyshev_row", counted)
+    cycle = cycle_embedding(401)
+    _, l3n = l3n_family(40)
+    assert is_isometric_in_product(cycle) and is_isometric_in_product(l3n)
+    assert calls == []
+    assert not is_isometric_in_product(Embedding(2, 3, (), {"a": (0, 0), "b": (2, 2)}))
+    assert calls == [(0, 0)]  # a failing source still names its pair from a row
+
+
+def test_isometry_mismatch_matches_the_row_scan_on_subgraphs():
+    """Subgraphs of the Chebyshev adjacency keep the precondition; deleted edges split
+    pairs and stretch gaps."""
+    rng = random.Random(17)
+    passing = split = wrong_gap = 0
+    for t in range(3000):
+        e = _seeded_placement(rng, t % 5, 2 + (t // 5) % 5)
+        cells = list(e.placement.values())
+        p = rng.choice((0.0, 0.05, 0.2, 0.5))
+        adj = [[] for _ in cells]
+        for u, nbrs in enumerate(chebyshev_adjacency(cells)):
+            for v in nbrs:
+                if u < v and rng.random() >= p:
+                    adj[u].append(v)
+                    adj[v].append(u)
+        want = _pairwise_isometry_mismatch(cells, adj)
+        assert isometry_mismatch(cells, adj) == want, (cells, adj)
+        passing += want is None and len(cells) > 1
+        split += want is not None and want[2] < 0
+        wrong_gap += want is not None and want[2] >= 0
+    assert min(passing, split, wrong_gap) > 200, (passing, split, wrong_gap)
 
 
 def test_isometric_examples():
