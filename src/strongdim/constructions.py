@@ -21,7 +21,7 @@ from .embedding import (
     certify,
     chebyshev_adjacency,
 )
-from .graph import Graph, GraphError, bfs_from, cycle_graph, is_tree, leaves_of
+from .graph import Graph, GraphError, bfs_from, cycle_graph, is_tree, isomorphisms, leaves_of
 
 
 # ---------------------------------------------------------------------------
@@ -106,105 +106,31 @@ def type_graph(spec: StarPairSpec) -> Graph:
     return _grid_graph(cells, leaves_at)
 
 
-def _star_shape(adj: dict[str, set[str]], comp: set[str]) -> int | None:
-    """Leaf count if the component is a star, else None."""
-    if len(comp) == 1:
-        return None
-    if len(comp) == 2:
-        return 1
-    centers = [v for v in comp if len(adj[v]) == len(comp) - 1]
-    if len(centers) != 1:
-        return None
-    others = comp - {centers[0]}
-    if all(adj[v] == {centers[0]} for v in others):
-        return len(others)
-    return None
-
-
-def _sr_core(g: Graph) -> tuple[dict[str, set[str]], list[set[str]]]:
-    sr = strong_resolving_graph(g)
-    adj = {
-        sr.labels[v]: {sr.labels[u] for u in sr.adj[v]}
-        for v in range(sr.n)
-        if sr.degree(v) > 0
-    }
-    comps: list[set[str]] = []
-    todo = set(adj)
-    while todo:
-        start = todo.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        todo -= comp
-        comps.append(comp)
-    return adj, comps
+def _target_graph(spec: StarPairSpec) -> Graph:
+    """The two stars of spec, plus the center-center edge and/or middle vertex of its type."""
+    edges = [("c1", f"a{i}") for i in range(spec.m)] + [("c2", f"b{i}") for i in range(spec.n)]
+    if spec.type in (2, 4):
+        edges.append(("c1", "c2"))
+    if spec.type in (3, 4):
+        edges += [("mid", "c1"), ("mid", "c2")]
+    return Graph.from_label_edges(edges)
 
 
 def verify_type_sr(g: Graph, spec: StarPairSpec) -> CheckResult:
-    """Structurally match g's strong resolving graph against the target."""
-    m, n = spec.m, spec.n
-    adj, comps = _sr_core(g)
-    want_sizes = sorted((m, n))
+    """Match g's strong resolving graph, less its isolated vertices, with the target.
 
-    if spec.type == 1:
-        if len(comps) != 2:
-            return CheckResult(False, "components", f"expected 2 star components, got {len(comps)}")
-        sizes = sorted(s for c in comps if (s := _star_shape(adj, c)) is not None)
-        if len(sizes) != 2 or sizes != want_sizes:
-            return CheckResult(False, "stars", f"star sizes {sizes} != {want_sizes}")
-        return CheckResult(True)
-
-    if len(comps) != 1:
-        return CheckResult(False, "components", f"expected 1 component, got {len(comps)}")
-    comp = comps[0]
-    edge_count = sum(len(adj[v]) for v in comp) // 2
-
-    def leaves_ok(center: str, exclude: set[str]) -> set[str] | None:
-        ls = adj[center] - exclude
-        if all(adj[x] == {center} for x in ls):
-            return ls
-        return None
-
-    if spec.type == 2:
-        if len(comp) != m + n + 2 or edge_count != m + n + 1:
-            return CheckResult(False, "size", f"{len(comp)} vertices / {edge_count} edges")
-        for c1 in sorted(comp):
-            for c2 in sorted(adj[c1]):
-                l1 = leaves_ok(c1, {c2})
-                l2 = leaves_ok(c2, {c1})
-                if l1 is None or l2 is None or (l1 & l2):
-                    continue
-                if sorted((len(l1), len(l2))) == want_sizes and len(l1) + len(l2) + 2 == len(comp):
-                    return CheckResult(True)
-        return CheckResult(False, "shape", "no center pair matches two stars plus the joining edge")
-
-    want_v = m + n + 3
-    want_e = m + n + 2 if spec.type == 3 else m + n + 3
-    if len(comp) != want_v or edge_count != want_e:
-        return CheckResult(False, "size", f"{len(comp)} vertices / {edge_count} edges")
-    for v in sorted(comp):
-        if len(adj[v]) != 2:
-            continue
-        c1, c2 = sorted(adj[v])
-        adjacent_centers = c2 in adj[c1]
-        if spec.type == 3 and adjacent_centers:
-            continue
-        if spec.type == 4 and not adjacent_centers:
-            continue
-        excl1 = {v, c2} if adjacent_centers else {v}
-        excl2 = {v, c1} if adjacent_centers else {v}
-        l1 = leaves_ok(c1, excl1)
-        l2 = leaves_ok(c2, excl2)
-        if l1 is None or l2 is None or (l1 & l2) or v in l1 or v in l2:
-            continue
-        if sorted((len(l1), len(l2))) == want_sizes and len(l1) + len(l2) + 3 == len(comp):
-            return CheckResult(True)
-    return CheckResult(False, "shape", "no degree-2 connector matches the target")
+    They match when some isomorphism maps one onto the other. A mismatch is
+    clause size when the vertex or edge counts differ, else clause shape.
+    """
+    target = _target_graph(spec)
+    sr = strong_resolving_graph(g)
+    core = Graph.from_label_edges((sr.labels[u], sr.labels[v]) for u, v in sr.edges())
+    if (core.n, core.m) != (target.n, target.m):
+        return CheckResult(False, "size", f"{core.n} vertices / {core.m} edges, "
+                                          f"the target has {target.n} / {target.m}")
+    if next(isomorphisms(core, target), None) is None:
+        return CheckResult(False, "shape", "not isomorphic to the target")
+    return CheckResult(True)
 
 
 # ---------------------------------------------------------------------------

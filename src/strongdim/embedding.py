@@ -264,16 +264,12 @@ def _induced_adjacency(e: Embedding) -> tuple[tuple[str, ...], list[Coord], list
     return labels, cells, chebyshev_adjacency(cells)
 
 
-def _anchor_distance_rows(
-    e: Embedding, labels: Sequence[str], adj: Sequence[Sequence[int]] | None = None
-):
+def _anchor_distance_rows(e: Embedding, labels: Sequence[str], adj: Sequence[Sequence[int]]):
     """BFS distances in the induced graph from each anchor, by label.
 
-    adj is the induced adjacency of the cells of labels, in that order; it is
-    built when not given. Every anchor must be one of the labels.
+    adj is the induced adjacency of the cells of labels, in that order.
+    Every anchor must be one of the labels.
     """
-    if adj is None:
-        adj = chebyshev_adjacency([e.placement[lb] for lb in labels])
     index = {lb: i for i, lb in enumerate(labels)}
     return [bfs_from(adj, index[w]) for w in e.anchors], index
 

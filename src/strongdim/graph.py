@@ -12,7 +12,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 UNREACHABLE = -1
 
@@ -165,6 +165,74 @@ def require_connected(g: Graph) -> None:
     for v, d in enumerate(dist):
         if d == UNREACHABLE:
             raise DisconnectedError(g.labels[0], g.labels[v])
+
+
+def _refine_colors(g: Graph) -> list[int]:
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
+        sig = [(colors[v], tuple(sorted(colors[u] for u in g.adj[v]))) for v in range(g.n)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism from g onto h, as the tuple of images of g's vertices.
+
+    Colour refinement is canonical, so an isomorphism keeps each vertex's
+    colour; g's vertices are mapped in colour order, each onto a free vertex
+    of h of its colour whose adjacency to the images so far matches. Colour
+    alone cannot tell C6 from two triangles; the adjacency test can.
+    """
+    if g.n != h.n:
+        return
+    colors = _refine_colors(g)
+    adj = [set(a) for a in g.adj]
+    if h is g:  # automorphisms: one refinement, one set of adjacency sets
+        h_colors, h_adj = colors, adj
+    else:
+        h_colors = _refine_colors(h)
+        if sorted(colors) != sorted(h_colors):
+            return
+        h_adj = [set(a) for a in h.adj]
+    if g.n == 0:
+        yield ()
+        return
+    order = sorted(range(g.n), key=lambda v: (colors[v], v))
+    image = [-1] * g.n
+    used = [False] * g.n
+
+    def images(p: int):
+        """Lazily, each w that order[p] may map to given the images of order[:p]."""
+        v = order[p]
+        for w in range(g.n):
+            if used[w] or h_colors[w] != colors[v]:
+                continue
+            if all((order[q] in adj[v]) == (image[order[q]] in h_adj[w]) for q in range(p)):
+                yield w
+
+    # One pending image iterator per depth, an explicit stack so that long
+    # paths do not hit the recursion limit; depth p is assigned when
+    # image[order[p]] != -1.
+    stack = [images(0)]
+    while stack:
+        p = len(stack) - 1
+        v = order[p]
+        if image[v] != -1:
+            used[image[v]] = False
+            image[v] = -1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        if p + 1 < g.n:
+            stack.append(images(p + 1))
+            continue
+        yield tuple(image)
 
 
 def parse_edge_list(text: str) -> Graph:

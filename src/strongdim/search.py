@@ -9,9 +9,10 @@ to adjacent cells. In the strong mode the induced graph must additionally
 be isometric in the product. The DFS below enumerates placements with sound
 interval prunes and verifies candidates exactly at the leaves, so "no" is a
 certificate; running out of node budget is a distinct outcome. The anchors
-are placed first; after that, whether a cell's Chebyshev gap to every anchor
-cell equals its own coordinates depends on the cell alone, so that test is
-memoised per anchor placement (the "shell") instead of repeated per node.
+are placed first. Once some are placed, whether a cell's Chebyshev gap to
+each placed anchor's cell equals its own coordinate for that anchor depends
+on the cell alone, so that test is memoised per placement of the anchors
+so far (the "shell") instead of repeated per node.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -25,7 +26,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from operator import sub
 
 from .constructions import gn_family
@@ -44,6 +45,7 @@ from .graph import (
     Graph,
     GraphError,
     all_pairs_distances,
+    isomorphisms,
     require_connected,
 )
 
@@ -65,6 +67,8 @@ class PlacementSearchConfig:
             raise GraphError("node_budget must be positive")
         if self.jobs < 1:
             raise GraphError(f"jobs must be at least 1, got {self.jobs}")
+        if self.max_side is not None and self.max_side < 1:
+            raise GraphError(f"max_side must be at least 1, got {self.max_side}")
         if self.mode not in (MODE_RESOLVED, MODE_STRONG):
             raise GraphError(f"unknown mode {self.mode!r}")
 
@@ -103,60 +107,10 @@ class ThresholdResult:
 # automorphisms (used only to skip orbit-mates of refuted anchor sets)
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        sig = [(colors[v], tuple(sorted(colors[u] for u in g.adj[v]))) for v in range(g.n)]
-        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
-            return colors
-        colors = new
-
-
 def graph_automorphisms(g: Graph, cap: int = _AUTOMORPHISM_CAP) -> list[tuple[int, ...]] | None:
     """All automorphisms as index permutations, or None when more than cap."""
-    if g.n == 0:
-        return [()]
-    colors = _refine_colors(g)
-    order = sorted(range(g.n), key=lambda v: (colors[v], v))
-    found: list[tuple[int, ...]] = []
-    image = [-1] * g.n
-    used = [False] * g.n
-    adj = [set(a) for a in g.adj]
-
-    def images(p: int):
-        """Lazily, each w that order[p] may map to given the images of order[:p]."""
-        v = order[p]
-        for w in range(g.n):
-            if used[w] or colors[w] != colors[v]:
-                continue
-            if all((order[q] in adj[v]) == (image[order[q]] in adj[w]) for q in range(p)):
-                yield w
-
-    # One pending image iterator per depth, an explicit stack so that long
-    # paths do not hit the recursion limit; depth p is assigned when
-    # image[order[p]] != -1.
-    stack = [images(0)]
-    while stack:
-        p = len(stack) - 1
-        v = order[p]
-        if image[v] != -1:
-            used[image[v]] = False
-            image[v] = -1
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            continue
-        image[v] = w
-        used[w] = True
-        if p + 1 < g.n:
-            stack.append(images(p + 1))
-            continue
-        found.append(tuple(image))
-        if len(found) > cap:
-            return None
-    return found
+    auts = list(islice(isomorphisms(g, g), cap + 1))
+    return auts if len(auts) <= cap else None
 
 
 def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -168,12 +122,13 @@ def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int
 
 
 class _Shell(dict):
-    """The anchor-gap test of one anchor placement, memoised per cell.
+    """The anchor-gap test against the anchors placed so far, memoised per cell.
 
     A vertex's induced distance to anchor j is its coordinate j, and it must
     coincide with the Chebyshev gap between its cell and anchor j's cell.
-    Once every anchor is placed this depends on the cell alone: shell[c] is
-    whether c passes it for every anchor, computed on first lookup.
+    With anchors 0..len(anchor_cells)-1 placed this depends on the cell
+    alone: shell[c] is whether c passes it for each of them, computed on
+    first lookup.
     """
 
     def __init__(self, anchor_cells: list[tuple[int, ...]]):
@@ -309,13 +264,14 @@ def _run_search(
 
     A vertex's candidates are the free cells of its interval box (its graph
     distances to the placed vertices bound each coordinate) that pass the
-    anchor-gap test, nearest first to its graph-distance vector. The test for
-    an anchor runs against the anchors placed before it. Each time the last
-    anchor is placed, a fresh _Shell memoises the test per cell for every
-    vertex below that placement; no shell outlives the call. Placing a
-    vertex relaxes the partial induced distances (attach), and a complete
-    placement is checked exactly (leaf_ok). dim2_prunes adds the two-anchor
-    prunes when k == 2.
+    anchor-gap test, nearest first to its graph-distance vector. Each time
+    an anchor is placed, a fresh _Shell over the anchors placed so far
+    memoises the test per cell for the vertex below it, and after the last
+    anchor for every vertex below; no shell outlives the call. An anchor's
+    coordinate for a placed anchor is pinned to that anchor's coordinate for
+    it, as induced distances are symmetric. Placing a vertex relaxes the
+    partial induced distances (attach), and a complete placement is checked
+    exactly (leaf_ok). dim2_prunes adds the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     mode = cfg.mode
@@ -357,15 +313,18 @@ def _run_search(
     placed: list[int] = []
     hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
     pdist = [[INF] * n for _ in krange]  # partial-subgraph distance to each anchor
-    shell = _Shell([])  # of the anchor placement the stack holds, once it holds one
+    shell = _Shell([])  # of the anchors placed so far: none yet
 
     def candidates(v: int, dim2: _Dim2Prune | None) -> list[tuple[int, ...]]:
         lows, highs = [], []
         row_v = dG[v]
+        slot = in_anchor.get(v)
         for i in krange:
             w = anchors[i]
             if v == w:
                 lo = hi = 0
+            elif slot is not None and coords[w] is not None:
+                lo = hi = coords[w][slot]  # induced anchor distances are symmetric
             else:
                 lo, hi = 1, min(row_v[w], side - 1)
             for u in placed:
@@ -380,28 +339,12 @@ def _run_search(
             lows.append(lo)
             highs.append(hi + 1)
         box = product(*map(range, lows, highs))
-        anchor_slot = in_anchor.get(v)
-        if anchor_slot is not None:
-            # induced distance to a placed anchor j is coordinate j; it must
-            # coincide with the Chebyshev gap to that anchor's cell, and the
-            # anchor's own coordinate for v's slot must coincide with it too
-            placed_anchor = [(j, coords[w]) for j, w in enumerate(anchors) if coords[w] is not None]
-            out = []
-            for c in box:
-                if c in used:
-                    continue
-                for j, cw in placed_anchor:
-                    if cw[anchor_slot] != c[j] or max(map(abs, map(sub, c, cw))) != c[j]:
-                        break
-                else:
-                    out.append(c)
-        else:
-            # every anchor is placed, so the shell holds the gap test
-            deg_v = g.degree(v) if dim2 is not None else 0
-            out = [
-                c for c in box
-                if c not in used and shell[c] and (dim2 is None or dim2.cap[c] >= deg_v)
-            ]
+        # the shell holds the gap test to every anchor placed so far
+        deg_v = g.degree(v) if dim2 is not None else 0
+        out = [
+            c for c in box
+            if c not in used and shell[c] and (dim2 is None or dim2.cap[c] >= deg_v)
+        ]
         if len(out) > 1:
             # nearest first, by L1 gap, to v's graph distances capped at side-1;
             # these bound every coordinate from above, so the gap is their sum
@@ -472,10 +415,11 @@ def _run_search(
                 return False
         return mode != MODE_STRONG or isometry_mismatch(coords, hadj) is None
 
-    # One pending candidate iterator per depth, as in graph_automorphisms;
+    # One pending candidate iterator per depth, as in graph.isomorphisms;
     # depth p holds a placement while coords[order[p]] is set. The shell
-    # belongs to the placement held at depth k-1; the dim2 prunes are open
-    # while depth 2 is on the stack.
+    # belongs to the placement held at the deepest anchor depth (k-1 once
+    # the non-anchors are reached); the dim2 prunes are open while depth 2
+    # is on the stack.
     stack = [iter(candidates(order[0], None))]
     undos: list = []  # attach() undo records, one per placed vertex
     dim2: _Dim2Prune | None = None
@@ -515,12 +459,12 @@ def _run_search(
             if leaf_ok():
                 break
             continue
-        if p == k - 1:
-            shell = _Shell([coords[w] for w in anchors])
-            if dim2_prunes:
-                dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(shell.anchor_cells))
-                if dim2 is None:
-                    continue
+        if p < k:
+            shell = _Shell([coords[w] for w in anchors[:p + 1]])
+        if p == k - 1 and dim2_prunes:
+            dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(shell.anchor_cells))
+            if dim2 is None:
+                continue
         stack.append(iter(candidates(order[p + 1], dim2)))
     if not stack:
         return SearchOutcome("no", None, nodes)
@@ -559,8 +503,8 @@ def dim2_pruned_search(
 
 
 def _search_task(args):
-    ctx, labels, cfg = args
-    return _run_search(ctx, list(labels), cfg, dim2_prunes=True)
+    ctx, W, cfg = args
+    return _run_search(ctx, [ctx.g.labels[v] for v in W], cfg, dim2_prunes=True)
 
 
 def threshold_dimension(
@@ -576,7 +520,9 @@ def threshold_dimension(
     exhaustively; feasibility is monotone in the anchor set, so a refuted
     level also refutes every smaller one. When max_k ends the sweep, the
     upper bound is the strong dimension, whose basis always works; a lower
-    bound that meets it is exact, with that basis as the witness.
+    bound that meets it is exact, with that basis as the witness. A set
+    cfg.max_side must exceed the diameter: coordinates reach the diameter,
+    so a "no" on a smaller grid refutes nothing.
     """
     if mode not in ("metric", "strong"):
         raise GraphError(f"mode must be 'metric' or 'strong', got {mode!r}")
@@ -587,19 +533,21 @@ def threshold_dimension(
         mode=MODE_RESOLVED if mode == "metric" else MODE_STRONG,
     )
     ctx = _prepare(g, cfg.symmetry_pruning)
+    if cfg.max_side is not None and cfg.max_side <= ctx.dm.diameter:
+        raise GraphError(f"max_side must exceed the diameter {ctx.dm.diameter}, "
+                         f"got {cfg.max_side}")
     n = g.n
     if n == 1:
         return ThresholdResult("exact", 0, None, (), None, {"nodes": 0, "levels": []})
 
     ecc = ctx.dm.eccentricities
     auts = ctx.auts
-
-    def run_one(W: tuple[int, ...]) -> SearchOutcome:
-        return _run_search(ctx, [g.labels[v] for v in W], cfg, dim2_prunes=True)
+    task_ctx = replace(ctx, auts=None)  # orbits are grouped here, not in the searches
 
     # at most one worker per CPU: a fork-started pool starts all of them at the first submit
     workers = min(cfg.jobs, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    run = map if pool is None else pool.map  # pool.map submits every task at once
     total_nodes = 0
     levels: list[dict] = []
     lo = 1
@@ -625,22 +573,13 @@ def threshold_dimension(
             }
             level_yes: tuple[tuple[str, ...], Embedding] | None = None
             level_all_refuted = True
-            reps = [members[0] for members in orbits.values()]
-            if pool is None:
-                rep_results = map(run_one, reps)
-            else:
-                task_ctx = replace(ctx, auts=None)  # orbits are grouped here, not in workers
-                rep_results = pool.map(
-                    _search_task,
-                    [(task_ctx, tuple(g.labels[v] for v in W), cfg) for W in reps],
-                    chunksize=1,
-                )
+            rep_results = run(_search_task, [(task_ctx, ms[0], cfg) for ms in orbits.values()])
             # Fold each orbit: a budget-exhausted member falls through to the
             # next one; a single exhaustive "no" refutes every isomorphic copy.
             for members, res in zip(orbits.values(), rep_results):
                 for i, W in enumerate(members):
                     if i:
-                        res = run_one(W)
+                        res = _search_task((task_ctx, W, cfg))
                     level["sets_searched"] += 1
                     total_nodes += res.nodes
                     if res.status != "budget_exhausted":

@@ -36,6 +36,8 @@ from strongdim.constructions import (
 )
 from strongdim.graph import Graph
 
+from .conftest import atlas_connected
+
 
 # --- two-star realizations -------------------------------------------------
 
@@ -55,34 +57,66 @@ def test_type_graph_verifies_small():
 
 
 def test_verify_type_sr_negative():
-    assert not verify_type_sr(path_graph(5), StarPairSpec(1, 1, 1))
+    got = verify_type_sr(path_graph(5), StarPairSpec(1, 1, 1))
+    assert (got.ok, got.clause) == (False, "size")  # one MMD pair against two stars
+    # both are two stars with 6 vertices and 4 edges in all: 1 + 3 leaves against 2 + 2
+    got = verify_type_sr(type_graph(StarPairSpec(1, 3, 1)), StarPairSpec(2, 2, 1))
+    assert (got.ok, got.clause) == (False, "shape")
+
+
+def _nx_target(spec: StarPairSpec):
+    """The literal target graph of spec, in networkx."""
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_edges_from(("c1", f"l1_{i}") for i in range(spec.m))
+    G.add_edges_from(("c2", f"r1_{i}") for i in range(spec.n))
+    if spec.type in (2, 4):
+        G.add_edge("c1", "c2")
+    if spec.type in (3, 4):
+        G.add_edges_from([("v", "c1"), ("v", "c2")])
+    return G
+
+
+def _nx_verdict(g: Graph, spec: StarPairSpec) -> bool:
+    """networkx's answer: is the non-isolated MMD graph of g isomorphic to the target?"""
+    import networkx as nx
+
+    from strongdim import strong_resolving_graph
+
+    H = nx.Graph()
+    H.add_edges_from(strong_resolving_graph(g).label_edges())
+    return nx.is_isomorphic(H, _nx_target(spec))
+
+
+def _all_specs(top: int) -> list[StarPairSpec]:
+    return [
+        StarPairSpec(m, n, tp) for tp in (1, 2, 3, 4) for m in range(1, top + 1)
+        for n in range(m, top + 1)
+    ]
 
 
 def test_type_sr_matches_target_up_to_isomorphism():
     """Independent check: the non-isolated MMD graph is isomorphic to the
     literal target graph (networkx isomorphism as the oracle)."""
-    import networkx as nx
+    for spec in _all_specs(5):
+        assert _nx_verdict(type_graph(spec), spec), spec
 
-    from strongdim import strong_resolving_graph
 
-    def target(spec: StarPairSpec) -> nx.Graph:
-        G = nx.Graph()
-        G.add_edges_from(("c1", f"l1_{i}") for i in range(spec.m))
-        G.add_edges_from(("c2", f"r1_{i}") for i in range(spec.n))
-        if spec.type in (2, 4):
-            G.add_edge("c1", "c2")
-        if spec.type in (3, 4):
-            G.add_edges_from([("v", "c1"), ("v", "c2")])
-        return G
-
-    for tp in (1, 2, 3, 4):
-        for m in range(1, 6):
-            for n in range(m, 6):
-                spec = StarPairSpec(m, n, tp)
-                sr = strong_resolving_graph(type_graph(spec))
-                H = nx.Graph()
-                H.add_edges_from(sr.label_edges())
-                assert nx.is_isomorphic(H, target(spec)), (tp, m, n)
+def test_verify_type_sr_agrees_with_networkx():
+    """Every type graph with m <= n <= 3 against every spec of that range, and
+    every connected graph on at most 6 vertices against the same specs."""
+    specs = _all_specs(3)
+    graphs = [type_graph(spec) for spec in specs] + atlas_connected(6)
+    positive = 0
+    for g in graphs:
+        for spec in specs:
+            want = _nx_verdict(g, spec)
+            got = verify_type_sr(g, spec)
+            assert bool(got) == want, (g.label_edges(), spec, got.clause)
+            assert got or got.clause in ("size", "shape")
+            positive += want
+    assert positive >= len(specs)
 
 
 def test_spec_validation():

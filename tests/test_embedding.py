@@ -187,7 +187,9 @@ def _pairwise_is_isometric_in_product(e: Embedding) -> CheckResult:
 def _pairwise_anchor_distances_collapse(e: Embedding) -> CheckResult:
     """The per-pair anchor check that the Chebyshev rows replaced, kept as its reference."""
     labels = tuple(sorted(e.placement))
-    rows, index = _anchor_distance_rows(e, labels)
+    rows, index = _anchor_distance_rows(
+        e, labels, chebyshev_adjacency([e.placement[lb] for lb in labels])
+    )
     for i, w in enumerate(e.anchors):
         cw = e.placement[w]
         for lb in labels:
@@ -408,7 +410,9 @@ def test_anchor_distances_collapse_reports_an_unplaced_anchor():
 
 def _graph_order_distance_clause(e: Embedding, g) -> CheckResult:
     """Clause (c) on an induced adjacency of its own, built in g's label order."""
-    rows, index = _anchor_distance_rows(e, g.labels)
+    rows, index = _anchor_distance_rows(
+        e, g.labels, chebyshev_adjacency([e.placement[lb] for lb in g.labels])
+    )
     for i, w in enumerate(e.anchors):
         for lb in g.labels:
             if rows[i][index[lb]] != e.placement[lb][i]:

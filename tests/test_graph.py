@@ -20,9 +20,9 @@ from strongdim import (
     star_graph,
     to_edge_list,
 )
-from strongdim.graph import UNREACHABLE, bfs_from, is_connected, require_connected
+from strongdim.graph import UNREACHABLE, bfs_from, is_connected, isomorphisms, require_connected
 
-from .conftest import random_connected_graph, to_nx
+from .conftest import atlas_connected, random_connected_graph, to_nx
 
 
 def test_parse_path():
@@ -178,3 +178,36 @@ def test_bfs_from_matches_deque_bfs():
             assert row == _deque_bfs(nbrs, s)
             split += UNREACHABLE in row
     assert split > 100  # disconnected graphs were exercised
+
+
+def _is_isomorphism(g: Graph, h: Graph, image: tuple[int, ...]) -> bool:
+    return sorted(image) == list(range(h.n)) and all(
+        h.has_edge(image[u], image[v]) == g.has_edge(u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )
+
+
+def test_isomorphisms_onto_a_shuffled_copy_count_the_automorphisms():
+    rng = random.Random(11)
+    graphs = atlas_connected(6, min_n=1)[::3] + [random_connected_graph(9, rng) for _ in range(6)]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph.from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
+        got = list(isomorphisms(g, h))
+        assert all(_is_isomorphism(g, h, image) for image in got), g.label_edges()
+        assert len(set(got)) == len(got)
+        G = to_nx(g)
+        want = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
+        assert len(got) == want, g.label_edges()
+
+
+def test_isomorphisms_need_more_than_colour_refinement():
+    two_triangles = Graph.from_edges([str(i) for i in range(6)],
+                                     [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    assert list(isomorphisms(cycle_graph(6), two_triangles)) == []
+    assert list(isomorphisms(two_triangles, cycle_graph(6))) == []
+    assert list(isomorphisms(path_graph(3), path_graph(4))) == []
+    assert list(isomorphisms(path_graph(4), star_graph(3))) == []
+    assert list(isomorphisms(Graph.from_edges([], []), Graph.from_edges([], []))) == [()]

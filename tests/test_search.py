@@ -209,6 +209,24 @@ def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
         assert sizes == pools and got.to_json() == want
 
 
+def test_max_side_must_be_positive():
+    for side in (0, -3):
+        with pytest.raises(GraphError, match="max_side"):
+            PlacementSearchConfig(max_side=side)
+
+
+def test_threshold_rejects_a_grid_too_small_to_refute():
+    """A grid of side at most the diameter cannot hold every placement, so its "no"
+    refutes nothing: P5 (diameter 4, strong threshold 1) is not reported as 4."""
+    g = path_graph(5)
+    for side in (1, 2, 4):
+        with pytest.raises(GraphError, match="max_side"):
+            threshold_dimension(g, "strong", PlacementSearchConfig(max_side=side))
+    for side in (5, 7):
+        got = threshold_dimension(g, "strong", PlacementSearchConfig(max_side=side))
+        assert (got.status, got.value) == ("exact", 1)
+
+
 def test_max_k_must_be_positive():
     for max_k in (0, -1):
         with pytest.raises(GraphError, match="max_k"):
