@@ -23,11 +23,10 @@ counters do not depend on the worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import combinations, islice, product
-from operator import sub
+from operator import lt, sub
 
 from .constructions import gn_family
 from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimension
@@ -224,12 +223,67 @@ class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
     auts is None when symmetry pruning is off, the group is trivial, or it
-    has more than _AUTOMORPHISM_CAP elements.
+    has more than _AUTOMORPHISM_CAP elements. shadows caches the W_xv masks
+    that _bounding_set reads, per process.
     """
 
     g: Graph
     dm: DistanceMatrix
     auts: list[tuple[int, ...]] | None
+    shadows: _Shadows = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a fresh cache for every context, replace() included
+        object.__setattr__(self, "shadows", _Shadows(self.dm.dist))
+
+    def __getstate__(self):
+        # A pool pickles tasks in a feeder thread while the parent's own searches
+        # fill the cache, so no cache is sent: each worker fills its own.
+        return {**self.__dict__, "shadows": _Shadows(self.dm.dist)}
+
+
+class _Shadows(dict):
+    """shadows[v, x], for a G-edge (v, x): the Djokovic-Winkler set
+    W_xv = {u : d(x, u) < d(v, u)} less x itself, as a bitmask.
+
+    x lies on a v-u geodesic for every u in it. Built on first lookup, so
+    there is at most one mask per directed edge.
+    """
+
+    def __init__(self, dist: tuple[tuple[int, ...], ...]):
+        super().__init__()
+        self.dist = dist
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        v, x = key
+        bits = bytes(map(lt, self.dist[x], self.dist[v]))[::-1].translate(_BIT_DIGITS)
+        mask = self[key] = int(bits, 2) & ~(1 << x)  # bits holds vertex 0 last
+        return mask
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
+    """The placed vertices (bitmask placed) whose gap constraints bound v's box.
+
+    A placed u is left out when a placed G-neighbour x of v shadows it:
+    d(x, u) = d(v, u) - 1, so with |c_v - c_x| <= 1 and |c_x - c_u| <= d(x, u)
+    (every placed pair already meets its constraint) x's interval for v lies
+    inside u's. The box is the same; no placed neighbour is ever left out.
+    """
+    shadows = ctx.shadows
+    shadowed = 0
+    for x in ctx.g.adj[v]:
+        if placed >> x & 1:
+            shadowed |= shadows[v, x]
+    out = []
+    rest = placed & ~shadowed
+    while rest:  # from the top bit down: cheaper on long masks than lowest-bit tricks
+        u = rest.bit_length() - 1
+        out.append(u)
+        rest ^= 1 << u
+    return out
 
 
 def _prepare(g: Graph, symmetry: bool) -> _SearchContext:
@@ -264,14 +318,17 @@ def _run_search(
 
     A vertex's candidates are the free cells of its interval box (its graph
     distances to the placed vertices bound each coordinate) that pass the
-    anchor-gap test, nearest first to its graph-distance vector. Each time
-    an anchor is placed, a fresh _Shell over the anchors placed so far
-    memoises the test per cell for the vertex below it, and after the last
-    anchor for every vertex below; no shell outlives the call. An anchor's
-    coordinate for a placed anchor is pinned to that anchor's coordinate for
-    it, as induced distances are symmetric. Placing a vertex relaxes the
-    partial induced distances (attach), and a complete placement is checked
-    exactly (leaf_ok). dim2_prunes adds the two-anchor prunes when k == 2.
+    anchor-gap test, nearest first to its graph-distance vector. The box is
+    cut only by the placed vertices of the depth's _bounding_set, whose
+    bounds imply the others'; the order is fixed, so each depth computes its
+    set once. Each time an anchor is placed, a fresh _Shell over the anchors
+    placed so far memoises the test per cell for the vertex below it, and
+    after the last anchor for every vertex below; no shell outlives the call.
+    An anchor's coordinate for a placed anchor is pinned to that anchor's
+    coordinate for it, as induced distances are symmetric. Placing a vertex
+    relaxes the partial induced distances (attach), and a complete placement
+    is checked exactly (leaf_ok). dim2_prunes adds the two-anchor prunes
+    when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     mode = cfg.mode
@@ -310,37 +367,50 @@ def _run_search(
     coords: list[tuple[int, ...] | None] = [None] * n
     used: set[tuple[int, ...]] = set()
     occupied = CellIndex()  # placed vertices by cell
-    placed: list[int] = []
     hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
     pdist = [[INF] * n for _ in krange]  # partial-subgraph distance to each anchor
     shell = _Shell([])  # of the anchors placed so far: none yet
+    statics: list = [None] * n  # per depth, built on its first visit, in depth order
+    before = [0]  # bitmask of the vertices placed above each depth built so far
 
-    def candidates(v: int, dim2: _Dim2Prune | None) -> list[tuple[int, ...]]:
-        lows, highs = [], []
+    def static(p: int):
+        """Depth p's fixed data: each coordinate's anchor bounds (None when pinned),
+        the bounding vertices with their G-distances to v, and deg(v)."""
+        v = order[p]
         row_v = dG[v]
         slot = in_anchor.get(v)
+        inits = [
+            (0, 0) if v == w
+            else None if slot is not None and i < slot  # that anchor is placed
+            else (1, min(row_v[w], side - 1))
+            for i, w in enumerate(anchors)
+        ]
+        before.append(before[p] | 1 << v)
+        bounding = [(u, row_v[u]) for u in _bounding_set(ctx, v, before[p])]
+        statics[p] = data = (slot, inits, bounding, g.degree(v))
+        return data
+
+    def candidates(p: int, dim2: _Dim2Prune | None) -> list[tuple[int, ...]]:
+        slot, inits, bounding, deg_v = statics[p] or static(p)
+        lows, highs = [], []
         for i in krange:
-            w = anchors[i]
-            if v == w:
-                lo = hi = 0
-            elif slot is not None and coords[w] is not None:
-                lo = hi = coords[w][slot]  # induced anchor distances are symmetric
+            lohi = inits[i]
+            if lohi is None:
+                lo = hi = coords[anchors[i]][slot]  # induced anchor distances are symmetric
             else:
-                lo, hi = 1, min(row_v[w], side - 1)
-            for u in placed:
-                cu = coords[u][i]
-                b = row_v[u]  # 1 for a neighbour of v
-                if cu - b > lo:
-                    lo = cu - b
-                if cu + b < hi:
-                    hi = cu + b
+                lo, hi = lohi
+            for u, b in bounding:
+                ci = coords[u][i]
+                if ci - b > lo:
+                    lo = ci - b
+                if ci + b < hi:
+                    hi = ci + b
             if lo > hi:
                 return []
             lows.append(lo)
             highs.append(hi + 1)
         box = product(*map(range, lows, highs))
         # the shell holds the gap test to every anchor placed so far
-        deg_v = g.degree(v) if dim2 is not None else 0
         out = [
             c for c in box
             if c not in used and shell[c] and (dim2 is None or dim2.cap[c] >= deg_v)
@@ -420,7 +490,7 @@ def _run_search(
     # belongs to the placement held at the deepest anchor depth (k-1 once
     # the non-anchors are reached); the dim2 prunes are open while depth 2
     # is on the stack.
-    stack = [iter(candidates(order[0], None))]
+    stack = [iter(candidates(0, None))]
     undos: list = []  # attach() undo records, one per placed vertex
     dim2: _Dim2Prune | None = None
     nodes = 0
@@ -432,7 +502,6 @@ def _run_search(
             if dim2 is not None:
                 dim2.pop()
             detach(undos.pop())
-            placed.pop()
             occupied.remove(c, v)
             used.discard(c)
             coords[v] = None
@@ -448,7 +517,6 @@ def _run_search(
         coords[v] = c
         used.add(c)
         occupied.add(c, v)
-        placed.append(v)
         ok, undo = attach(v, c)
         undos.append(undo)
         if dim2 is not None:
@@ -465,7 +533,7 @@ def _run_search(
             dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(shell.anchor_cells))
             if dim2 is None:
                 continue
-        stack.append(iter(candidates(order[p + 1], dim2)))
+        stack.append(iter(candidates(p + 1, dim2)))
     if not stack:
         return SearchOutcome("no", None, nodes)
 
@@ -546,7 +614,11 @@ def threshold_dimension(
 
     # at most one worker per CPU: a fork-started pool starts all of them at the first submit
     workers = min(cfg.jobs, os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        import concurrent.futures  # here, so that a serial run never loads multiprocessing
+
+        pool = concurrent.futures.ProcessPoolExecutor(workers)
     run = map if pool is None else pool.map  # pool.map submits every task at once
     total_nodes = 0
     levels: list[dict] = []

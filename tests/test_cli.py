@@ -327,3 +327,26 @@ def test_python_m_strongdim_runs_the_cli(k5_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["size"] == 4
+
+
+def test_cli_import_loads_no_process_pool():
+    """A serial run never needs a process pool, so importing the CLI loads none."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import strongdim
+
+    src = str(Path(strongdim.__file__).resolve().parents[1])
+    probe = (
+        "import sys, strongdim.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

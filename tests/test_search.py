@@ -183,9 +183,8 @@ def test_jobs_do_not_change_results():
 
 def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
     """A pool never gets more workers than CPUs, and one CPU runs serially."""
+    import concurrent.futures
     import os
-
-    import strongdim.search
 
     sizes = []
 
@@ -199,7 +198,7 @@ def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(strongdim.search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     g = cycle_graph(7)
     want = threshold_dimension(g, "strong").to_json()
     for cpus, pools in ((3, [3]), (1, []), (None, [])):
@@ -452,3 +451,73 @@ def test_k3_orbit_reps_golden():
     assert emb["anchors"] == ["b4_1", "c5_1", "w2_2"]
     digest = hashlib.sha256(json.dumps(emb, sort_keys=True).encode()).hexdigest()[:16]
     assert digest == "126fbadd1e78c513"
+
+
+def _every_placed_vertex(ctx, v, placed):
+    """The bounding set without the shadow rule: every placed vertex (the reference)."""
+    return [u for u in range(ctx.g.n) if placed >> u & 1]
+
+
+def test_shadow_masks_and_bounding_sets_pair_by_pair():
+    """Each cached shadow is W_xv = {u : d(x,u) < d(v,u)} less x; the bounding set drops
+    exactly the placed vertices some placed neighbour shadows, and never a neighbour."""
+    import pickle
+
+    from strongdim.search import _bounding_set, _prepare
+
+    rng = random.Random(41)
+    graphs = [cycle_graph(9), gn_family(1), path_graph(6)]
+    graphs += [random_connected_graph(rng.randrange(2, 13), rng) for _ in range(30)]
+    for g in graphs:
+        ctx = _prepare(g, symmetry=False)
+        d = ctx.dm.dist
+        for v in range(g.n):
+            for x in g.adj[v]:
+                want = sum(1 << u for u in range(g.n) if d[x][u] < d[v][u] and u != x)
+                assert ctx.shadows[v, x] == want, (g.label_edges(), v, x)
+            for _ in range(10):
+                placed = {u for u in range(g.n) if u != v and rng.random() < 0.6}
+                mask = sum(1 << u for u in placed)
+                got = _bounding_set(ctx, v, mask)
+                assert len(got) == len(set(got))
+                want = {
+                    u for u in placed
+                    if not any(x != u and d[x][u] < d[v][u] for x in g.adj[v] if x in placed)
+                }
+                assert set(got) == want, (g.label_edges(), v, placed)
+                assert placed & set(g.adj[v]) <= want
+        assert len(ctx.shadows) <= 2 * g.m
+        # a pickled context (a --jobs task) starts with an empty cache that still works
+        clone = pickle.loads(pickle.dumps(ctx))
+        assert not clone.shadows and all(clone.shadows[k] == m for k, m in ctx.shadows.items())
+
+
+def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
+    """The shadow rule leaves every box as bounding by all placed vertices does, so the
+    whole search (status, nodes, embedding) is the same, with and without the dim2 prunes."""
+    import strongdim.search
+    from strongdim.search import _prepare, _run_search
+
+    rng = random.Random(5)
+    cases = [(cycle_graph(9), W, 3000) for W in (["0", "4"], ["0", "1", "5"], ["3"])]
+    g1 = gn_family(1)
+    cases += [(g1, W, 300) for W in (["w1_1", "w2_1"], ["a3_1", "b4_1", "c5_1"], ["a1_1"])]
+    while len(cases) < 200:
+        g = random_connected_graph(rng.randrange(5, 13), rng, rng.choice((0.05, 0.1, 0.2, 0.35)))
+        W = rng.sample(list(g.labels), rng.choice((1, 2, 2, 3, 3, 3)))
+        cases.append((g, W, rng.choice((30, 3000))))
+    seen = {"yes": 0, "no": 0, "budget_exhausted": 0}
+    searched = 0
+    for g, W, budget in cases:
+        ctx = _prepare(g, symmetry=False)
+        for mode in ("resolved", "strongly_resolved"):
+            cfg = PlacementSearchConfig(mode=mode, node_budget=budget)
+            for dim2 in (False, True):
+                got = _run_search(ctx, W, cfg, dim2)
+                with monkeypatch.context() as m:
+                    m.setattr(strongdim.search, "_bounding_set", _every_placed_vertex)
+                    want = _run_search(ctx, W, cfg, dim2)
+                assert got == want, (g.label_edges(), W, mode, dim2)
+                seen[got.status] += 1
+                searched += got.nodes > 0
+    assert min(seen.values()) >= 40 and searched >= 400, (seen, searched)
