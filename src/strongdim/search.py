@@ -12,7 +12,11 @@ certificate; running out of node budget is a distinct outcome. The anchors
 are placed first. Once some are placed, whether a cell's Chebyshev gap to
 each placed anchor's cell equals its own coordinate for that anchor depends
 on the cell alone, so that test is memoised per placement of the anchors
-so far (the "shell") instead of repeated per node.
+so far (the "shell") instead of repeated per node. Every placed cell passes
+it, and adjacent cells are one Chebyshev step apart, so no partial placement
+puts a vertex nearer an anchor than its coordinate: the anchor distances
+can only go wrong upward, and are checked once per complete placement by a
+BFS from each anchor.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -44,6 +48,7 @@ from .graph import (
     Graph,
     GraphError,
     all_pairs_distances,
+    bfs_from,
     isomorphisms,
     require_connected,
 )
@@ -222,18 +227,15 @@ class _Dim2Prune:
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
-    auts is None when symmetry pruning is off, the group is trivial, or it
-    has more than _AUTOMORPHISM_CAP elements. shadows caches the W_xv masks
-    that _bounding_set reads, per process.
+    shadows caches the W_xv masks that _bounding_set reads, per process.
     """
 
     g: Graph
     dm: DistanceMatrix
-    auts: list[tuple[int, ...]] | None
     shadows: _Shadows = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # a fresh cache for every context, replace() included
+        # a fresh cache for every context
         object.__setattr__(self, "shadows", _Shadows(self.dm.dist))
 
     def __getstate__(self):
@@ -286,28 +288,19 @@ def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
     return out
 
 
-def _prepare(g: Graph, symmetry: bool) -> _SearchContext:
+def _prepare(g: Graph) -> _SearchContext:
     require_connected(g)
-    dm = all_pairs_distances(g)
-    auts = graph_automorphisms(g) if symmetry else None
-    if auts is not None and len(auts) <= 1:
-        auts = None
-    return _SearchContext(g, dm, auts)
+    return _SearchContext(g, all_pairs_distances(g))
 
 
 def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedding | None:
-    """If W already (strongly) resolves g itself, its distance vectors work."""
+    """If W, a nonempty set of g's labels, already (strongly) resolves g itself,
+    its distance vectors work."""
     g, dm = ctx.g, ctx.dm
-    try:
-        if mode == MODE_RESOLVED:
-            if not is_resolving_set(g, anchors, dm):
-                return None
-        else:
-            if not is_strong_resolving_set(g, anchors, dm):
-                return None
-        emb = distance_vector_embedding(g, anchors, dm=dm)
-    except GraphError:
+    resolves = is_resolving_set if mode == MODE_RESOLVED else is_strong_resolving_set
+    if not resolves(g, anchors, dm):
         return None
+    emb = distance_vector_embedding(g, anchors, dm=dm)
     return emb if certify(emb, g, mode == MODE_STRONG) else None
 
 
@@ -326,15 +319,19 @@ def _run_search(
     after the last anchor for every vertex below; no shell outlives the call.
     An anchor's coordinate for a placed anchor is pinned to that anchor's
     coordinate for it, as induced distances are symmetric. Placing a vertex
-    relaxes the partial induced distances (attach), and a complete placement
-    is checked exactly (leaf_ok). dim2_prunes adds the two-anchor prunes
-    when k == 2.
+    joins it to the placed subgraph. The shell keeps every placed cell at
+    Chebyshev gap c[i] from anchor i's cell, so no placed subgraph, whose
+    edges are single Chebyshev steps, brings a vertex nearer an anchor than
+    its coordinate; a complete placement is checked exactly, by a BFS from
+    each anchor and, in the strong mode, the isometry check. dim2_prunes adds
+    the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     mode = cfg.mode
     if len(set(anchor_labels)) != len(anchor_labels):
         raise GraphError("anchor labels must be distinct")
-    k = len(anchor_labels)
+    anchors = [g.index(lb) for lb in anchor_labels]  # an unknown label raises before any "no"
+    k = len(anchors)
     n = g.n
     if k == 0:
         if n == 1:
@@ -351,7 +348,6 @@ def _run_search(
     if side**k < n:
         return SearchOutcome("no", None, 0)
 
-    anchors = [g.index(lb) for lb in anchor_labels]
     dim2_prunes = dim2_prunes and k == 2  # the prunes hold for two anchors only
     if dim2_prunes and any(g.degree(w) > 3 for w in anchors):
         return SearchOutcome("no", None, 0)
@@ -361,14 +357,11 @@ def _run_search(
     root = dG[anchors[0]]
     rest = sorted((v for v in range(n) if v not in in_anchor), key=lambda v: (root[v], v))
     order = anchors + rest
-    krange = range(k)
 
-    INF = n + 2
     coords: list[tuple[int, ...] | None] = [None] * n
     used: set[tuple[int, ...]] = set()
     occupied = CellIndex()  # placed vertices by cell
     hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
-    pdist = [[INF] * n for _ in krange]  # partial-subgraph distance to each anchor
     shell = _Shell([])  # of the anchors placed so far: none yet
     statics: list = [None] * n  # per depth, built on its first visit, in depth order
     before = [0]  # bitmask of the vertices placed above each depth built so far
@@ -393,7 +386,7 @@ def _run_search(
     def candidates(p: int, dim2: _Dim2Prune | None) -> list[tuple[int, ...]]:
         slot, inits, bounding, deg_v = statics[p] or static(p)
         lows, highs = [], []
-        for i in krange:
+        for i in range(k):
             lohi = inits[i]
             if lohi is None:
                 lo = hi = coords[anchors[i]][slot]  # induced anchor distances are symmetric
@@ -422,66 +415,9 @@ def _run_search(
             out.sort(key=lambda c: (-sum(c), c))
         return out
 
-    def attach(v: int, c: tuple[int, ...]):
-        """Join v to the placed subgraph and relax anchor distances through it.
-
-        Returns (ok, undo). Placing v can only shorten partial-subgraph
-        distances; any placed vertex whose distance to an anchor drops below
-        its claimed coordinate kills the whole subtree (the final induced
-        graph only gains more edges).
-        """
-        nbrs = occupied.near(c)
-        hadj[v] = nbrs
-        for u in nbrs:
-            hadj[u].append(v)
-        dist_undo: list[tuple[int, int, int]] = []
-        ok = True
-        for i in krange:
-            row = pdist[i]
-            if v == anchors[i]:
-                d0 = 0
-            else:
-                d0 = INF
-                for u in nbrs:
-                    if row[u] + 1 < d0:
-                        d0 = row[u] + 1
-            if d0 >= row[v]:
-                continue
-            if d0 < c[i]:
-                ok = False
-                break
-            dist_undo.append((i, v, row[v]))
-            row[v] = d0
-            queue = [v]
-            for u in queue:  # a FIFO queue without pops, as in bfs_from
-                du1 = row[u] + 1
-                for x in hadj[u]:
-                    if du1 < row[x]:
-                        if du1 < coords[x][i]:
-                            ok = False
-                            break
-                        dist_undo.append((i, x, row[x]))
-                        row[x] = du1
-                        queue.append(x)
-                if not ok:
-                    break
-            if not ok:
-                break
-        return ok, (v, nbrs, dist_undo)
-
-    def detach(undo) -> None:
-        v, nbrs, dist_undo = undo
-        for i, u, old in reversed(dist_undo):
-            pdist[i][u] = old
-        for u in nbrs:
-            hadj[u].pop()
-        hadj[v] = []
-
     def leaf_ok() -> bool:
-        # hadj joins only cells that CellIndex.near found at Chebyshev
-        # distance 1, as isometry_mismatch requires of its adjacency
-        for i in krange:
-            if pdist[i] != [c[i] for c in coords]:
+        for i, w in enumerate(anchors):
+            if bfs_from(hadj, w) != [c[i] for c in coords]:
                 return False
         return mode != MODE_STRONG or isometry_mismatch(coords, hadj) is None
 
@@ -491,7 +427,6 @@ def _run_search(
     # the non-anchors are reached); the dim2 prunes are open while depth 2
     # is on the stack.
     stack = [iter(candidates(0, None))]
-    undos: list = []  # attach() undo records, one per placed vertex
     dim2: _Dim2Prune | None = None
     nodes = 0
     while stack:
@@ -501,7 +436,8 @@ def _run_search(
         if c is not None:
             if dim2 is not None:
                 dim2.pop()
-            detach(undos.pop())
+            for u in hadj[v]:  # v was placed last, so it is last in each neighbour's list
+                hadj[u].pop()
             occupied.remove(c, v)
             used.discard(c)
             coords[v] = None
@@ -517,11 +453,12 @@ def _run_search(
         coords[v] = c
         used.add(c)
         occupied.add(c, v)
-        ok, undo = attach(v, c)
-        undos.append(undo)
-        if dim2 is not None:
-            ok = dim2.push(v, c) and ok
-        if not ok:
+        # hadj joins only cells that CellIndex.near finds at Chebyshev distance 1,
+        # as the leaf's isometry_mismatch requires of its adjacency
+        hadj[v] = near = occupied.near(c)
+        for u in near:
+            hadj[u].append(v)
+        if dim2 is not None and not dim2.push(v, c):
             continue
         if p + 1 == n:
             if leaf_ok():
@@ -550,7 +487,7 @@ def exists_supergraph_resolved_by(
 ) -> SearchOutcome:
     """Search all placements for the given anchor set; exhaustive unless budgeted out."""
     cfg = cfg or PlacementSearchConfig()
-    return _run_search(_prepare(g, symmetry=False), list(anchors), cfg, dim2_prunes=False)
+    return _run_search(_prepare(g), list(anchors), cfg, dim2_prunes=False)
 
 
 def dim2_pruned_search(
@@ -563,7 +500,7 @@ def dim2_pruned_search(
     if len(anchors) != 2:
         raise GraphError("dim2 pruned search needs exactly two anchors")
     cfg = replace(cfg or PlacementSearchConfig(), mode=mode)
-    return _run_search(_prepare(g, symmetry=False), list(anchors), cfg, dim2_prunes=True)
+    return _run_search(_prepare(g), list(anchors), cfg, dim2_prunes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +537,7 @@ def threshold_dimension(
         cfg or PlacementSearchConfig(),
         mode=MODE_RESOLVED if mode == "metric" else MODE_STRONG,
     )
-    ctx = _prepare(g, cfg.symmetry_pruning)
+    ctx = _prepare(g)
     if cfg.max_side is not None and cfg.max_side <= ctx.dm.diameter:
         raise GraphError(f"max_side must exceed the diameter {ctx.dm.diameter}, "
                          f"got {cfg.max_side}")
@@ -609,8 +546,10 @@ def threshold_dimension(
         return ThresholdResult("exact", 0, None, (), None, {"nodes": 0, "levels": []})
 
     ecc = ctx.dm.eccentricities
-    auts = ctx.auts
-    task_ctx = replace(ctx, auts=None)  # orbits are grouped here, not in the searches
+    # None when symmetry pruning is off, the group is trivial, or it is past the cap
+    auts = graph_automorphisms(g) if cfg.symmetry_pruning else None
+    if auts is not None and len(auts) <= 1:
+        auts = None
 
     # at most one worker per CPU: a fork-started pool starts all of them at the first submit
     workers = min(cfg.jobs, os.cpu_count() or 1)
@@ -645,13 +584,13 @@ def threshold_dimension(
             }
             level_yes: tuple[tuple[str, ...], Embedding] | None = None
             level_all_refuted = True
-            rep_results = run(_search_task, [(task_ctx, ms[0], cfg) for ms in orbits.values()])
+            rep_results = run(_search_task, [(ctx, ms[0], cfg) for ms in orbits.values()])
             # Fold each orbit: a budget-exhausted member falls through to the
             # next one; a single exhaustive "no" refutes every isomorphic copy.
             for members, res in zip(orbits.values(), rep_results):
                 for i, W in enumerate(members):
                     if i:
-                        res = _search_task((task_ctx, W, cfg))
+                        res = _search_task((ctx, W, cfg))
                     level["sets_searched"] += 1
                     total_nodes += res.nodes
                     if res.status != "budget_exhausted":

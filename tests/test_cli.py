@@ -208,6 +208,44 @@ def test_gen_families(capsys, tmp_path):
     assert any(line.startswith("# ") for line in out.splitlines())
 
 
+@pytest.mark.parametrize(
+    "family, params, n, m",
+    [
+        ("path", "5", 5, 4),
+        ("complete", "5", 5, 10),
+        ("star", "4", 5, 4),
+        ("multipartite", "2,3", 5, 6),
+        ("random_tree", "9", 9, 8),
+    ],
+)
+def test_gen_standard_families(capsys, family, params, n, m):
+    from strongdim import generate, parse_edge_list
+
+    code, out, _ = run(capsys, "gen", "--family", family, "--params", params, "--seed", "3")
+    assert code == 0
+    g = parse_edge_list(out)
+    assert (g.n, g.m) == (n, m)
+    if family == "random_tree":
+        assert out == to_edge_list(generate("random_tree", n=n, seed=3))
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        ("cycle", "5,x", "comma-separated integers"),
+        ("type", "2,3", "TYPE,M,N"),
+        ("tree4", "3,4,4,4", "K1,K2,K3,K4,K5"),
+        ("tree5", "3,2,1,2,1,2", "K1..K7"),
+        ("path", "", "single integer"),
+        ("star", "3,4", "single integer"),
+        ("gn", "1,2", "single integer"),
+    ],
+)
+def test_gen_bad_params_are_input_errors(capsys, family, params, message):
+    code, out, err = run(capsys, "gen", "--family", family, "--params", params)
+    assert code == 2 and out == "" and err.startswith("input error: ") and message in err
+
+
 def test_gen_tree5_embedding_certifies(capsys, tmp_path):
     g, ej = tmp_path / "t5.txt", tmp_path / "t5.json"
     code, out, _ = run(
@@ -327,6 +365,20 @@ def test_python_m_strongdim_runs_the_cli(k5_file):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["size"] == 4
+
+
+def test_main_module_exits_with_the_cli_code(capsys, monkeypatch):
+    """strongdim.__main__, run in this process, exits with cli.main's code."""
+    import runpy
+
+    monkeypatch.setattr("sys.argv", ["strongdim", "gen", "--family", "path", "--params", "3"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("strongdim", run_name="__main__")
+    assert exc.value.code == 0 and capsys.readouterr().out == "0 1\n1 2\n"
+    monkeypatch.setattr("sys.argv", ["strongdim", "gen", "--family", "path", "--params", "x"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("strongdim", run_name="__main__")
+    assert exc.value.code == 2 and capsys.readouterr().err.startswith("input error: ")
 
 
 def test_cli_import_loads_no_process_pool():

@@ -160,6 +160,52 @@ def test_k0_and_duplicate_anchor_validation():
         dim2_pruned_search(g, ["0"], "resolved")
 
 
+def test_unknown_anchor_label_raises_and_is_never_refuted():
+    """A "no" is an exhaustive refutation, so an anchor that is not a vertex raises before
+    the fast path and the pigeonhole rule can answer."""
+    tiny = PlacementSearchConfig(max_side=2)  # 2**2 < 5: the pigeonhole rule would say "no"
+    with pytest.raises(GraphError, match="zz"):
+        exists_supergraph_resolved_by(cycle_graph(5), ["zz"])
+    with pytest.raises(GraphError, match="zz"):
+        exists_supergraph_resolved_by(path_graph(5), ["zz", "0"], tiny)
+    with pytest.raises(GraphError, match="zz"):
+        dim2_pruned_search(path_graph(5), ["zz", "0"], cfg=tiny)
+
+
+def test_shell_cells_are_never_nearer_an_anchor_than_their_coordinate():
+    """Cells at Chebyshev gap c[i] from anchor i's cell, as the DFS's shell keeps every
+    placed cell: in the Chebyshev graph of any subset holding the anchors, no cell is
+    nearer anchor i than c[i]. So a partial placement needs no anchor-distance check."""
+    from strongdim import chebyshev, chebyshev_adjacency, distance_vector_embedding
+    from strongdim.graph import UNREACHABLE, bfs_from
+
+    rng = random.Random(17)
+    placements = tight = 0
+    while placements < 300:
+        g = random_connected_graph(rng.randrange(2, 11), rng, rng.choice((0.1, 0.3)))
+        W = rng.sample(list(g.labels), rng.randrange(1, min(g.n, 3) + 1))
+        try:
+            emb = distance_vector_embedding(g, W)
+        except GraphError:
+            continue  # W does not resolve g
+        anchor_cells = [emb.placement[w] for w in W]
+        shell = {
+            c for c in itertools.product(range(emb.side), repeat=len(W))
+            if all(chebyshev(c, a) == c[i] for i, a in enumerate(anchor_cells))
+        }
+        assert set(emb.placement.values()) <= shell
+        others = sorted(shell - set(anchor_cells))
+        for pool in (sorted(set(emb.placement.values()) - set(anchor_cells)), others):
+            cells = anchor_cells + rng.sample(pool, rng.randrange(len(pool) + 1))
+            adj = chebyshev_adjacency(cells)
+            for i in range(len(W)):
+                for c, d in zip(cells, bfs_from(adj, i)):
+                    assert d == UNREACHABLE or d >= c[i], (g.label_edges(), W, cells)
+                    tight += d == c[i]
+            placements += 1
+    assert tight > 3 * placements  # not only the anchors meet the bound
+
+
 def test_automorphisms_against_networkx(rng):
     import networkx as nx
 
@@ -469,7 +515,7 @@ def test_shadow_masks_and_bounding_sets_pair_by_pair():
     graphs = [cycle_graph(9), gn_family(1), path_graph(6)]
     graphs += [random_connected_graph(rng.randrange(2, 13), rng) for _ in range(30)]
     for g in graphs:
-        ctx = _prepare(g, symmetry=False)
+        ctx = _prepare(g)
         d = ctx.dm.dist
         for v in range(g.n):
             for x in g.adj[v]:
@@ -509,7 +555,7 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
     seen = {"yes": 0, "no": 0, "budget_exhausted": 0}
     searched = 0
     for g, W, budget in cases:
-        ctx = _prepare(g, symmetry=False)
+        ctx = _prepare(g)
         for mode in ("resolved", "strongly_resolved"):
             cfg = PlacementSearchConfig(mode=mode, node_budget=budget)
             for dim2 in (False, True):
