@@ -157,10 +157,10 @@ def _cmd_gen(args) -> int:
         emb = cons.tree_dim4_embedding(p5)
     elif family == "l3n":
         g, emb = cons.l3n_family(_one(params, family))
-    elif family == "gn":
+    else:  # gn; argparse admits no other family
         g = cons.gn_family(_one(params, family))
-    else:
-        raise GraphError(f"unknown family {family!r}")
+    if g.n < 2:  # an edge list cannot carry an isolated vertex
+        raise GraphError(f"{family} with params {args.params} has one vertex and no edge-list form")
     if emb is not None and args.embedding_out:  # first, so a failed write prints nothing
         Path(args.embedding_out).write_text(json.dumps(emb.to_json(), indent=2, sort_keys=True) + "\n")
     sys.stdout.write(to_edge_list(g))

@@ -54,24 +54,13 @@ def _cell(x: int, y: int) -> str:
 
 
 def _region_cells(m: int, n: int) -> set[tuple[int, int]]:
-    if (n - m) % 2 == 0:
-        y_top = n + (n - m) // 2 + 1
-        return {
-            (x, y)
-            for x in range(n + 2)
-            for y in range(y_top + 1)
-            if n <= x + y <= 2 * n + 1
-            and y - x <= n
-            and x - y <= n
-            and x <= n + 1
-            and y <= y_top
-        }
-    y_top = (3 * n - m + 1) // 2
+    e = 1 if (n - m) % 2 == 0 else 0
+    y_top = (3 * n - m) // 2 + 1
     return {
         (x, y)
-        for x in range(n + 1)
+        for x in range(n + e + 1)
         for y in range(y_top + 1)
-        if n <= x + y <= 2 * n and y - x <= n and x <= n and y <= y_top
+        if n <= x + y <= 2 * n + e and abs(x - y) <= n
     }
 
 
@@ -91,13 +80,8 @@ def type_graph(spec: StarPairSpec) -> Graph:
     m, n = spec.m, spec.n
     cells = _region_cells(m, n)
     same = (n - m) % 2 == 0
-    corner = None
     if spec.type in (3, 4):
-        if same:
-            corner = ((n + m + 2) // 2, (3 * n - m + 2) // 2)
-        else:
-            corner = ((n + m + 1) // 2, (3 * n - m + 1) // 2)
-        cells = cells | {corner}
+        cells = cells | {((n + m) // 2 + 1, (3 * n - m) // 2 + 1)}
     leaves_at: list[tuple[int, int]] = []
     if spec.type == 2:
         leaves_at = [(0, n), (n, 0)] if same else [(0, n)]
@@ -210,12 +194,8 @@ def chromatic_bound_supergraph(g: Graph, coloring: ProperColoring) -> tuple[Grap
         ws = list(cl[: _ceil_log2(len(cl))])
         bound += len(ws)
         others = [lb for lb in cl if lb not in ws]
-        assignments = iter(_subsets_in_counter_order(ws))
-        full = frozenset(ws)
-        for v in others:
-            s = next(assignments)
-            if s == full:
-                s = next(assignments)
+        # len(others) < 2**len(ws), so the counter stops before the full selector set
+        for v, s in zip(others, _subsets_in_counter_order(ws)):
             extra += [(ix(v), ix(w)) for w in s]
         extra += [(ix(a), ix(b)) for a, b in combinations(others, 2)]
     return g.with_edges(extra), bound
@@ -252,8 +232,8 @@ def tree_bound_supergraph(t: Graph) -> tuple[Graph, int]:
             reserved[v] = s
 
     assigned = dict(reserved)
+    free = [v for v in others if v not in reserved]
     if wset not in reserved.values():
-        free = [v for v in others if v not in reserved]
         if free:
             assigned[free[0]] = wset
             free = free[1:]
@@ -262,8 +242,6 @@ def tree_bound_supergraph(t: Graph) -> tuple[Graph, int]:
             # reserved neighbourhood only adds edges and restores the bound
             promoted = min(reserved, key=lambda v: (-len(reserved[v]), v))
             assigned[promoted] = wset
-    else:
-        free = [v for v in others if v not in reserved]
 
     used = set(assigned.values())
     pool = iter(_subsets_in_counter_order(list(ws)))
@@ -360,12 +338,8 @@ def _four_leaf_placement(p: FourLeafTreeParams) -> tuple[dict[str, tuple[int, in
         v_main = [f"v{i}" for i in range(1, k1 + 1, 2)]
         v_off = [f"v{i}" for i in range(2, k1, 2)]
     else:
-        if k1 == 2:
-            v_main = ["v1", "v2"]
-            v_off = []
-        else:
-            v_main = [f"v{i}" for i in range(1, k1, 2)] + [f"v{k1}"]
-            v_off = [f"v{i}" for i in range(2, k1 - 1, 2)]
+        v_main = [f"v{i}" for i in range(1, k1, 2)] + [f"v{k1}"]
+        v_off = [f"v{i}" for i in range(2, k1 - 1, 2)]
     diag1 = ys + v_main + us
     diag2 = zs + v_off + xs
     assert len(diag1) == k + 1, (p, len(diag1), k)

@@ -424,13 +424,8 @@ class Dim2Report:
     """Structure checks available to any graph resolved by two anchors."""
 
     anchor_degrees: dict[str, int]
-    anchor_degree_ok: bool
     unique_geodesic: bool
     geodesic: tuple[str, ...] | None
-    geodesic_degree_ok: bool
-    level_paths_ok: bool
-    level_size_ok: bool
-    up_down_degree_ok: bool
     failures: tuple[str, ...]
 
     @property
@@ -470,8 +465,7 @@ def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
 
     failures: list[str] = []
     degs = {anchors[j]: h.degree(w[j]) for j in range(2)}
-    anchor_degree_ok = all(d <= 3 for d in degs.values())
-    if not anchor_degree_ok:
+    if any(d > 3 for d in degs.values()):
         failures.append("anchor degree exceeds 3")
 
     count, path = _count_geodesics(h, dm, w[0], w[1])
@@ -479,8 +473,7 @@ def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
     if not unique:
         failures.append(f"{count} shortest paths between the anchors")
     geodesic = tuple(h.labels[v] for v in path) if path else None
-    geodesic_degree_ok = bool(path) and all(h.degree(v) <= 5 for v in path)
-    if path and not geodesic_degree_ok:
+    if path and any(h.degree(v) > 5 for v in path):
         failures.append("a geodesic vertex has degree above 5")
 
     level_paths_ok = True
@@ -512,13 +505,8 @@ def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
 
     return Dim2Report(
         anchor_degrees=degs,
-        anchor_degree_ok=anchor_degree_ok,
         unique_geodesic=unique,
         geodesic=geodesic,
-        geodesic_degree_ok=geodesic_degree_ok,
-        level_paths_ok=level_paths_ok,
-        level_size_ok=level_size_ok,
-        up_down_degree_ok=up_down_ok,
         failures=tuple(failures),
     )
 

@@ -315,8 +315,6 @@ def random_tree(n: int, seed: int = 0) -> Graph:
         raise GraphError("tree needs n >= 1")
     if n == 1:
         return Graph.from_edges(_canonical_labels(1), [])
-    if n == 2:
-        return Graph.from_edges(_canonical_labels(2), [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n

@@ -111,10 +111,10 @@ class ThresholdResult:
 # automorphisms (used only to skip orbit-mates of refuted anchor sets)
 
 
-def graph_automorphisms(g: Graph, cap: int = _AUTOMORPHISM_CAP) -> list[tuple[int, ...]] | None:
-    """All automorphisms as index permutations, or None when more than cap."""
-    auts = list(islice(isomorphisms(g, g), cap + 1))
-    return auts if len(auts) <= cap else None
+def graph_automorphisms(g: Graph) -> list[tuple[int, ...]] | None:
+    """All automorphisms as index permutations, or None when more than _AUTOMORPHISM_CAP."""
+    auts = list(islice(isomorphisms(g, g), _AUTOMORPHISM_CAP + 1))
+    return auts if len(auts) <= _AUTOMORPHISM_CAP else None
 
 
 def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int, ...]:

@@ -174,6 +174,7 @@ def test_criterion_06_corridor_separates_thresholds():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_double_corridor_stretch():
     t0 = time.time()
     g2 = gn_family(2)

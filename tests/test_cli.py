@@ -266,6 +266,56 @@ def test_gen_is_parse_compatible(capsys):
     assert g.n > 0
 
 
+@pytest.mark.parametrize("family", ["path", "complete", "random_tree", "multipartite"])
+def test_gen_one_vertex_is_input_error(capsys, family):
+    code, out, err = run(capsys, "gen", "--family", family, "--params", "1")
+    assert code == 2 and out == "" and err.startswith("input error: ")
+
+
+def test_gen_star_with_one_leaf(capsys):
+    assert run(capsys, "gen", "--family", "star", "--params", "1") == (0, "0 1\n", "")
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("path", "4"),
+        ("cycle", "5"),
+        ("complete", "4"),
+        ("star", "3"),
+        ("multipartite", "2,3"),
+        ("random_tree", "6"),
+        ("type", "3,2,3"),
+        ("tree4", "2,2,1,1,1"),
+        ("tree5", "3,2,1,2,1,2,2"),
+        ("l3n", "3"),
+        ("gn", "1"),
+    ],
+)
+def test_gen_round_trips(capsys, family, params):
+    from strongdim import generate, parse_edge_list
+    from strongdim import constructions as cons
+
+    p = [int(x) for x in params.split(",")]
+    built = {
+        "path": lambda: generate("path", n=p[0]),
+        "cycle": lambda: generate("cycle", n=p[0]),
+        "complete": lambda: generate("complete", n=p[0]),
+        "star": lambda: generate("star", n=p[0]),
+        "multipartite": lambda: generate("complete_multipartite", sizes=p),
+        "random_tree": lambda: generate("random_tree", n=p[0], seed=4),
+        "type": lambda: cons.type_graph(cons.StarPairSpec(p[1], p[2], p[0])),
+        "tree4": lambda: cons.four_leaf_tree(cons.FourLeafTreeParams(*p)),
+        "tree5": lambda: cons.five_leaf_tree(cons.FiveLeafTreeParams(*p)),
+        "l3n": lambda: cons.l3n_family(p[0])[0],
+        "gn": lambda: cons.gn_family(p[0]),
+    }[family]()
+    code, out, _ = run(capsys, "gen", "--family", family, "--params", params, "--seed", "4")
+    assert code == 0
+    g = parse_edge_list(out)
+    assert (g.n, g.label_edges()) == (built.n, built.label_edges())
+
+
 def test_bounds_tree(capsys, tmp_path):
     from strongdim import random_tree
 

@@ -94,6 +94,13 @@ def test_random_tree_is_tree():
     assert random_tree(10, seed=7).label_edges() == random_tree(10, seed=7).label_edges()
 
 
+def test_random_tree_smallest():
+    one = random_tree(1)
+    assert (one.n, one.m) == (1, 0)
+    for seed in range(5):
+        assert random_tree(2, seed=seed).label_edges() == [("0", "1")]
+
+
 def test_distances_against_networkx():
     rng = random.Random(11)
     for _ in range(100):

@@ -41,6 +41,7 @@ def test_oracle_equivalence_n4_exhaustive():
                     assert (got.status == "yes") == want, (g.label_edges(), W, strong)
 
 
+@pytest.mark.slow
 def test_oracle_equivalence_n6_exhaustive():
     for g in atlas_connected(6, min_n=6):
         for k in range(1, g.n + 1):
@@ -80,6 +81,35 @@ def test_dim2_degree_cap_immediate_no():
     g = star_graph(4)  # center has degree 4
     out = dim2_pruned_search(g, ["0", "1"], "strongly_resolved")
     assert out.status == "no" and out.nodes == 0
+
+
+def test_dim2_empty_pool_refutes():
+    """An interior diagonal cell that no vertex can fill ends the search at the anchors.
+
+    w0 hangs on c0, c1 and w1 on c5, c6 of a K7 on c0..c6: the diameter is 3,
+    so the side is 4, and every non-anchor has degree >= 6, above the
+    capacity of any interior diagonal cell.
+    """
+    from strongdim.search import _Dim2Prune, _dim2_region, _prepare
+
+    cs = [f"c{i}" for i in range(7)]
+    hang = [("w0", "c0"), ("w0", "c1"), ("w1", "c5"), ("w1", "c6")]
+    g = Graph.from_label_edges(list(itertools.combinations(cs, 2)) + hang)
+    ctx = _prepare(g)
+    anchors = [g.index("w0"), g.index("w1")]
+    rest = [v for v in range(g.n) if v not in anchors]
+    assert min(g.degree(v) for v in rest) == 6
+    for a in (1, 2, 3):
+        reg = _dim2_region(4, a)
+        assert all(reg.cap[c] >= 2 for c in ((0, a), (a, 0)))  # the anchors fit
+        assert all(reg.cap[r] < 6 for r in reg.diag)
+        got = _Dim2Prune.open(ctx, anchors, rest, 4, ((0, a), (a, 0)))
+        assert (got is None) == (a > 1), a  # a = 1 has no interior diagonal cell
+    for mode in ("resolved", "strongly_resolved"):
+        pruned = dim2_pruned_search(g, ["w0", "w1"], mode)
+        plain = exists_supergraph_resolved_by(g, ["w0", "w1"], cfg_for(mode == "strongly_resolved"))
+        assert (pruned.status, pruned.nodes) == ("no", 6), mode
+        assert (plain.status, plain.nodes) == ("no", 31), mode
 
 
 def test_threshold_paths():
