@@ -161,7 +161,9 @@ def _cmd_gen(args) -> int:
         g = cons.gn_family(_one(params, family))
     if g.n < 2:  # an edge list cannot carry an isolated vertex
         raise GraphError(f"{family} with params {args.params} has one vertex and no edge-list form")
-    if emb is not None and args.embedding_out:  # first, so a failed write prints nothing
+    if emb is None and args.embedding_out:  # so a stale file there is not taken for this graph's
+        raise GraphError(f"{family} with params {args.params} builds no embedding to write")
+    if args.embedding_out:  # first, so a failed write prints nothing
         Path(args.embedding_out).write_text(json.dumps(emb.to_json(), indent=2, sort_keys=True) + "\n")
     sys.stdout.write(to_edge_list(g))
     if emb is not None and args.render:

@@ -513,32 +513,18 @@ def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
 
 def _induces_disjoint_paths(g: Graph, members: list[int]) -> bool:
     """The induced subgraph is a disjoint union of paths (max degree 2, acyclic)."""
-    inside = set(members)
-    deg = {}
-    edge_count = 0
-    for v in members:
-        nbrs = [x for x in g.adj[v] if x in inside]
-        deg[v] = len(nbrs)
-        edge_count += len(nbrs)
-        if deg[v] > 2:
-            return False
-    edge_count //= 2
+    pos = {v: i for i, v in enumerate(members)}
+    adj = [[pos[x] for x in g.adj[v] if x in pos] for v in members]
+    if any(len(nbrs) > 2 for nbrs in adj):
+        return False
     # acyclic iff every component is a tree: edges = vertices - components
-    seen: set[int] = set()
+    unseen = set(range(len(adj)))
     components = 0
-    for v in members:
-        if v in seen:
-            continue
+    while unseen:
         components += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for x in g.adj[u]:
-                if x in inside and x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-    return edge_count == len(members) - components
+        row = bfs_from(adj, min(unseen))
+        unseen.difference_update(i for i, d in enumerate(row) if d != UNREACHABLE)
+    return sum(map(len, adj)) // 2 == len(members) - components
 
 
 def render_grid(e: Embedding) -> str:

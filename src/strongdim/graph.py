@@ -356,8 +356,8 @@ def generate(family: str, *, n: int | None = None, sizes: Sequence[int] | None =
 
 
 def _need_n(family: str, n: int | None) -> int:
-    if n is None or n < 1:
-        raise GraphError(f"{family} needs n >= 1")
+    if n is None:
+        raise GraphError(f"{family} needs n")
     return n
 
 

@@ -27,7 +27,7 @@ counters do not depend on the worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice, product
 from operator import lt, sub
@@ -223,20 +223,16 @@ class _Dim2Prune:
         self.frames.pop()
 
 
-@dataclass(frozen=True)
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
     shadows caches the W_xv masks that _bounding_set reads, per process.
     """
 
-    g: Graph
-    dm: DistanceMatrix
-    shadows: _Shadows = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # a fresh cache for every context
-        object.__setattr__(self, "shadows", _Shadows(self.dm.dist))
+    def __init__(self, g: Graph, dm: DistanceMatrix):
+        self.g = g
+        self.dm = dm
+        self.shadows = _Shadows(dm.dist)
 
     def __getstate__(self):
         # A pool pickles tasks in a feeder thread while the parent's own searches
@@ -521,13 +517,13 @@ def threshold_dimension(
     """Smallest anchor-set size admitting a certified placement, or bounds.
 
     mode "metric" searches resolved placements, "strong" adds the isometry
-    requirement. Size k is reported exact only when size k-1 was refuted
-    exhaustively; feasibility is monotone in the anchor set, so a refuted
-    level also refutes every smaller one. When max_k ends the sweep, the
-    upper bound is the strong dimension, whose basis always works; a lower
-    bound that meets it is exact, with that basis as the witness. A set
-    cfg.max_side must exceed the diameter: coordinates reach the diameter,
-    so a "no" on a smaller grid refutes nothing.
+    requirement. lo is one above the largest size refuted exhaustively;
+    feasibility is monotone in the anchor set, so a refuted level also
+    refutes every smaller one. hi is the first size with a yes, or, when
+    max_k ends the sweep first, the strong dimension, whose basis always
+    works. The result is exact when lo meets hi, else bounds (lo, hi). A
+    set cfg.max_side must exceed the diameter: coordinates reach the
+    diameter, so a "no" on a smaller grid refutes nothing.
     """
     if mode not in ("metric", "strong"):
         raise GraphError(f"mode must be 'metric' or 'strong', got {mode!r}")
@@ -562,7 +558,7 @@ def threshold_dimension(
     total_nodes = 0
     levels: list[dict] = []
     lo = 1
-    prev_exhaustive = True
+    hi = witness = emb = None
     try:
         top = max_k if max_k is not None else n - 1
         for k in range(1, top + 1):
@@ -582,7 +578,6 @@ def threshold_dimension(
                 "refuted": 0,
                 "budget_exhausted": 0,
             }
-            level_yes: tuple[tuple[str, ...], Embedding] | None = None
             level_all_refuted = True
             rep_results = run(_search_task, [(ctx, ms[0], cfg) for ms in orbits.values()])
             # Fold each orbit: a budget-exhausted member falls through to the
@@ -597,35 +592,31 @@ def threshold_dimension(
                         break
                     level["budget_exhausted"] += 1
                 if res.status == "yes":
-                    level_yes = (tuple(g.labels[v] for v in W), res.embedding)
+                    hi, witness, emb = k, tuple(g.labels[v] for v in W), res.embedding
                     break
                 if res.status == "no":
                     level["refuted"] += len(members) - i
                 else:
                     level_all_refuted = False
             levels.append(level)
-
-            if level_yes is not None:
-                stats = {"nodes": total_nodes, "levels": levels}
-                witness, emb = level_yes
-                if prev_exhaustive:
-                    return ThresholdResult("exact", k, None, witness, emb, stats)
-                return ThresholdResult("bounds", None, (lo, k), witness, emb, stats)
+            if hi is not None:
+                break
             if level_all_refuted:
                 lo = k + 1
-            else:
-                prev_exhaustive = False
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
+    if hi is None:  # max_k ended the sweep; a strong basis always works
+        basis = strong_dimension(g)
+        hi = basis.value
+        if lo == hi:
+            emb = _try_fast_path(ctx, list(basis.witness), cfg.mode)
+            witness = basis.witness if emb is not None else None
     stats = {"nodes": total_nodes, "levels": levels}
-    basis = strong_dimension(g)
-    if lo == basis.value:  # every smaller size refuted, and a strong basis always works
-        emb = _try_fast_path(ctx, list(basis.witness), cfg.mode)
-        if emb is not None:
-            return ThresholdResult("exact", lo, None, basis.witness, emb, stats)
-    return ThresholdResult("bounds", None, (lo, basis.value), None, None, stats)
+    if lo == hi and emb is not None:  # size lo - 1 refuted, and so every smaller size
+        return ThresholdResult("exact", lo, None, witness, emb, stats)
+    return ThresholdResult("bounds", None, (lo, hi), witness, emb, stats)
 
 
 @dataclass(frozen=True)

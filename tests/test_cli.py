@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from strongdim import to_edge_list, complete_graph, cycle_graph, path_graph
+from strongdim import Graph, to_edge_list, complete_graph, cycle_graph, path_graph
 from strongdim.cli import main
 from strongdim.constructions import cycle_embedding
 
@@ -239,6 +239,9 @@ def test_gen_standard_families(capsys, family, params, n, m):
         ("path", "", "single integer"),
         ("star", "3,4", "single integer"),
         ("gn", "1,2", "single integer"),
+        ("cycle", "0", "cycle needs n >= 3"),
+        ("cycle", "2", "cycle needs n >= 3"),
+        ("random_tree", "0", "tree needs n >= 1"),
     ],
 )
 def test_gen_bad_params_are_input_errors(capsys, family, params, message):
@@ -255,6 +258,33 @@ def test_gen_tree5_embedding_certifies(capsys, tmp_path):
     g.write_text(out)
     code, out, _ = run(capsys, "certify", "--input", str(g), "--embedding", str(ej))
     assert code == 0 and json.loads(out)["verdict"] is True
+
+
+@pytest.mark.parametrize("family, params", [("cycle", "7"), ("l3n", "3"), ("tree4", "2,2,1,1,1")])
+def test_gen_embedding_out_certifies(capsys, tmp_path, family, params):
+    g, ej = tmp_path / "g.txt", tmp_path / "emb.json"
+    code, out, _ = run(
+        capsys, "gen", "--family", family, "--params", params, "--embedding-out", str(ej)
+    )
+    assert code == 0
+    g.write_text(out)
+    code, out, _ = run(capsys, "certify", "--input", str(g), "--embedding", str(ej))
+    assert code == 0 and json.loads(out)["verdict"] is True
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("path", "4"), ("complete", "4"), ("star", "3"), ("multipartite", "2,3"),
+     ("random_tree", "6"), ("type", "3,2,3"), ("gn", "1"), ("cycle", "3")],
+)
+def test_gen_embedding_out_without_an_embedding_is_input_error(capsys, tmp_path, family, params):
+    stale = tmp_path / "emb.json"
+    stale.write_text("from an earlier run\n")
+    code, out, err = run(
+        capsys, "gen", "--family", family, "--params", params, "--embedding-out", str(stale)
+    )
+    assert code == 2 and out == "" and "builds no embedding" in err
+    assert stale.read_text() == "from an earlier run\n"
 
 
 def test_gen_is_parse_compatible(capsys):
@@ -326,6 +356,24 @@ def test_bounds_tree(capsys, tmp_path):
     assert code == 0
     assert payload["tree"]["bound"] == payload["tree"]["strong_dimension_of_H"]
     assert payload["chromatic"]["bound"] == payload["chromatic"]["strong_dimension_of_H"]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        cycle_graph(4),
+        cycle_graph(5),
+        Graph.from_label_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")]),
+    ],
+    ids=["C4", "C5", "paw"],
+)
+def test_bounds_non_tree(capsys, tmp_path, g):
+    p = tmp_path / "g.txt"
+    p.write_text(to_edge_list(g))
+    code, out, _ = run(capsys, "bounds", "--input", str(p))
+    payload = json.loads(out)
+    assert code == 0 and payload["tree"] is None
+    assert (payload["chromatic"]["bound"], payload["chromatic"]["strong_dimension_of_H"]) == (2, 2)
 
 
 def test_gap_experiment_row(capsys):

@@ -12,6 +12,7 @@ from strongdim import (
     all_pairs_distances,
     anchor_distances_collapse,
     brute_force_dimension,
+    certify,
     chebyshev,
     chebyshev_adjacency,
     complete_graph,
@@ -32,7 +33,7 @@ from strongdim import embedding
 from strongdim.embedding import _anchor_distance_rows, _chebyshev_sums, isometry_mismatch
 from strongdim.graph import bfs_from
 
-from .conftest import random_connected_graph
+from .conftest import random_connected_graph, to_nx
 
 
 def test_chebyshev_examples():
@@ -518,3 +519,42 @@ def test_certify_builds_the_induced_adjacency_once(monkeypatch):
     bad = Embedding(e.k, e.side, e.anchors, {**e.placement, "w1_1": (e.side, 0)})
     calls.clear()
     assert embedding.certify(bad, g, True).clause == "range" and calls == []
+
+
+def test_induces_disjoint_paths_against_networkx():
+    import networkx as nx
+
+    rng = random.Random(14)
+    outcomes = set()
+    for _ in range(600):
+        g = random_connected_graph(rng.randrange(1, 11), rng, rng.choice((0.1, 0.25, 0.5)))
+        members = [v for v in range(g.n) if rng.random() < 0.7]
+        rng.shuffle(members)
+        sub = to_nx(g).subgraph(g.labels[v] for v in members)
+        low_degree = all(d <= 2 for _, d in sub.degree)
+        want = not members or (low_degree and nx.is_forest(sub))
+        assert embedding._induces_disjoint_paths(g, members) == want, (g.label_edges(), members)
+        outcomes.add((want, low_degree))
+    # paths, a degree above 2, and a cycle of degree-2 vertices all occur
+    assert outcomes == {(True, True), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda obj: obj["placement"].pop("3"), "domain: placement missing '3'"),
+        (lambda obj: obj.pop("k"), "embedding JSON lacks 'k'"),
+        (lambda obj: obj["anchors"].__setitem__(0, 0), "embedding 'anchors' must be a list of labels"),
+    ],
+    ids=["missing_vertex", "no_k", "int_anchor"],
+)
+def test_malformed_embeddings_are_refused(edit, message):
+    obj = cycle_embedding(7).to_json()
+    edit(obj)
+    try:
+        res = certify(Embedding.from_json(obj), cycle_graph(7), strong=True)
+    except GraphError as exc:
+        got = str(exc)
+    else:
+        got = f"{res.clause}: {res.detail}"
+    assert got == message

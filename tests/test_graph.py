@@ -218,3 +218,22 @@ def test_isomorphisms_need_more_than_colour_refinement():
     assert list(isomorphisms(path_graph(3), path_graph(4))) == []
     assert list(isomorphisms(path_graph(4), star_graph(3))) == []
     assert list(isomorphisms(Graph.from_edges([], []), Graph.from_edges([], []))) == [()]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Graph.from_edges(["a", "a"], []), "duplicate vertex labels"),
+        (lambda: Graph.from_edges(["a", "b"], [(0, 2)]), r"edge \(0,2\) out of range"),
+        (lambda: Graph.from_edges(["a", "b"], [(1, 1)]), "self-loop at vertex 'b'"),
+        (lambda: generate("complete_multipartite"), "complete_multipartite needs sizes"),
+        (lambda: generate("moebius", n=3), "unknown family 'moebius'"),
+        (lambda: generate("path"), "path needs n"),
+        (lambda: generate("cycle", n=0), "cycle needs n >= 3"),
+    ],
+    ids=["duplicate_label", "edge_out_of_range", "self_loop", "no_sizes", "unknown_family",
+         "no_n", "cycle_zero"],
+)
+def test_graph_input_checks(build, message):
+    with pytest.raises(GraphError, match=message):
+        build()

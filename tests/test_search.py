@@ -6,6 +6,8 @@ import pytest
 from strongdim import (
     GraphError,
     PlacementSearchConfig,
+    brute_force_dimension,
+    certify,
     complete_graph,
     cycle_graph,
     dim2_pruned_search,
@@ -402,8 +404,6 @@ def test_symmetry_pruning_preserves_results():
 
 def test_threshold_matches_supergraph_minimum():
     """End to end: threshold value == min dimension over all explicit supergraphs."""
-    from strongdim import brute_force_dimension
-
     for g in atlas_connected(5, min_n=2):
         non_edges = [
             e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)
@@ -597,3 +597,52 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
                 seen[got.status] += 1
                 searched += got.nodes > 0
     assert min(seen.values()) >= 40 and searched >= 400, (seen, searched)
+
+
+def test_exact_needs_only_the_level_below_refuted(monkeypatch):
+    """A yes at size k after size k-1 was refuted is exact even when an earlier level was
+    left undecided: refuting size k-1 refutes every smaller size."""
+    import strongdim.search
+    from strongdim.search import SearchOutcome
+
+    real = strongdim.search._search_task
+    undecided = []
+
+    def scripted(args):
+        W = args[1]
+        if len(W) == 4:
+            return real(args)
+        if len(W) == 2 and not undecided:
+            undecided.append(W)
+            return SearchOutcome("budget_exhausted", None, 1)
+        return SearchOutcome("no", None, 1)
+
+    monkeypatch.setattr(strongdim.search, "_search_task", scripted)
+    g = cycle_graph(7)
+    res = threshold_dimension(g, "strong", PlacementSearchConfig(symmetry_pruning=False), max_k=4)
+    assert [lv["budget_exhausted"] for lv in res.stats["levels"]] == [0, 1, 0, 0]
+    assert (res.status, res.value, res.bounds) == ("exact", 4, None)
+    assert len(res.witness_W) == 4 and certify(res.embedding, g, strong=True)
+
+
+def test_one_vertex_graph_is_resolved_by_no_anchor():
+    g = Graph.from_edges(["a"], [])
+    res = exists_supergraph_resolved_by(g, [])
+    assert (res.status, res.nodes, res.embedding.k) == ("yes", 0, 0)
+    assert certify(res.embedding, g, strong=True)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PlacementSearchConfig(node_budget=0), "node_budget must be positive"),
+        (lambda: PlacementSearchConfig(mode="x"), "unknown mode 'x'"),
+        (lambda: threshold_dimension(cycle_graph(5), "resolved"), "mode must be"),
+        (lambda: brute_force_dimension(cycle_graph(5), "x"), "mode must be"),
+        (lambda: tau_gap_experiment(0), "need n >= 1"),
+    ],
+    ids=["node_budget", "config_mode", "threshold_mode", "brute_force_mode", "gap_n"],
+)
+def test_search_input_checks(call, message):
+    with pytest.raises(GraphError, match=message):
+        call()
