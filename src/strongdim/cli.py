@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 input error (parse failure, a file
 that cannot be read, decoded or written, disconnected graph, bad
-parameters), 3 threshold budget exhausted (partial JSON still printed). All
+parameters), 3 threshold budget exhausted (partial JSON still printed),
+141 stdout closed by its reader (128 + SIGPIPE, nothing on stderr). All
 JSON output is deterministic: keys are sorted and no wall-clock values are
 emitted.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 
 class _UsageError(Exception):
@@ -161,12 +164,12 @@ def _cmd_gen(args) -> int:
         g = cons.gn_family(_one(params, family))
     if g.n < 2:  # an edge list cannot carry an isolated vertex
         raise GraphError(f"{family} with params {args.params} has one vertex and no edge-list form")
-    if emb is None and args.embedding_out:  # so a stale file there is not taken for this graph's
-        raise GraphError(f"{family} with params {args.params} builds no embedding to write")
+    if emb is None and (args.embedding_out or args.render):  # else a stale file or no grid passes
+        raise GraphError(f"{family} with params {args.params} builds no embedding")
     if args.embedding_out:  # first, so a failed write prints nothing
         Path(args.embedding_out).write_text(json.dumps(emb.to_json(), indent=2, sort_keys=True) + "\n")
     sys.stdout.write(to_edge_list(g))
-    if emb is not None and args.render:
+    if args.render:
         for line in render_grid(emb).splitlines():
             print(f"# {line}")
     return EXIT_OK
@@ -282,6 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:  # an OSError, but the reader left (`| head`): no input error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so no exit flush fails
+        return EXIT_PIPE
     except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

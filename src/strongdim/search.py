@@ -146,81 +146,50 @@ class _Shell(dict):
         return inside
 
 
-class _Dim2Region:
-    """Two-anchor prunes for anchor distance a.
-
-    The per-cell neighbour capacity of the feasible region bounds any
-    resolved placement; the interior cells of the anchor-to-anchor diagonal
-    must all end up occupied (the induced graph needs a geodesic between the
-    anchors). Region membership itself is the DFS's anchor-gap shell: with
-    the anchors at (0, a) and (a, 0) the two are the same cells of the grid.
-    """
-
-    def __init__(self, side: int, a: int):
-        cells = list(feasible_region(side - 1, a).cells())
-        self.cap = {c: len(nbrs) for c, nbrs in zip(cells, chebyshev_adjacency(cells))}
-        self.diag = [(t, a - t) for t in range(1, a)]
+@lru_cache(maxsize=64)  # per process, so --jobs workers reuse it too
+def _region_cap(side: int, a: int) -> dict[tuple[int, ...], int]:
+    """Each cell of the two-anchor feasible region for anchor distance a, with its
+    neighbour count there, which bounds the degree of a vertex placed in it. With the
+    anchors at (0, a) and (a, 0) the region is the DFS's anchor-gap shell."""
+    cells = list(feasible_region(side - 1, a).cells())
+    return {c: len(nbrs) for c, nbrs in zip(cells, chebyshev_adjacency(cells))}
 
 
-_dim2_region = lru_cache(maxsize=64)(_Dim2Region)  # per process, so --jobs workers reuse it too
-
-
+@dataclass(frozen=True)
 class _Dim2Prune:
     """The two-anchor prunes of one DFS, from both anchor cells onward.
 
     Candidate cells must have room for the vertex's degree (the DFS's shell
-    already keeps them in the region). Each interior diagonal cell keeps a
-    pool: the unplaced vertices that could still fill it, which must not run
-    dry while the cell is unfilled. The DFS calls push(v, c) after placing
-    each further vertex and pop() when undoing it; push always records a frame.
+    already keeps them in the region). Every interior cell of the diagonal
+    between the anchors ends up occupied (the anchors need a geodesic), so a
+    free one needs a filler below the current depth; the vertex order is
+    fixed, so that is one comparison per cell, with nothing to undo.
     """
 
-    def __init__(self, reg: _Dim2Region, admissible: dict[int, frozenset], pools: dict):
-        self.cap = reg.cap
-        self.admissible = admissible  # vertex -> the diagonal cells it could fill
-        self.frames = [(pools, frozenset(reg.diag))]  # (cell -> fillers left, unfilled cells)
+    cap: dict[tuple[int, ...], int]
+    last: dict[tuple[int, ...], int]  # interior diagonal cell -> deepest depth that could fill it
 
     @classmethod
     def open(cls, ctx: _SearchContext, anchors: list[int], rest: list[int], side: int,
              cells: tuple[tuple[int, ...], ...]) -> _Dim2Prune | None:
         """The prunes for anchors placed at cells, or None when these already fail."""
         g, dG = ctx.g, ctx.dm.dist
-        reg = _dim2_region(side, cells[0][1])
-        if any(reg.cap.get(c, 0) < g.degree(w) for c, w in zip(cells, anchors)):
+        a = cells[0][1]
+        cap = _region_cap(side, a)
+        if any(cap[c] < g.degree(w) for c, w in zip(cells, anchors)):
             return None
         w0, w1 = anchors
-        admissible = {
-            v: frozenset(
-                r
-                for r in reg.diag
-                if r[0] <= dG[v][w0] and r[1] <= dG[v][w1] and reg.cap[r] >= g.degree(v)
-            )
-            for v in rest
+        diag = [(t, a - t) for t in range(1, a)]
+        last = {  # rest follows the anchors in DFS order, so the deepest filler is kept
+            r: p for p, v in enumerate(rest, 2) for r in diag
+            if r[0] <= dG[v][w0] and r[1] <= dG[v][w1] and cap[r] >= g.degree(v)
         }
-        pools = {r: 0 for r in reg.diag}
-        for rs in admissible.values():
-            for r in rs:
-                pools[r] += 1
-        if any(pools[r] <= 0 for r in reg.diag):
-            return None
-        return cls(reg, admissible, pools)
+        return cls(cap, last) if len(last) == len(diag) else None  # else a cell has no filler
 
-    def push(self, v: int, c: tuple[int, ...]) -> bool:
-        """Record v placed at c; False when some unfilled diagonal cell can no longer be filled."""
-        pools, unfilled = self.frames[-1]
-        pools = dict(pools)
-        if c in unfilled:
-            unfilled = unfilled - {c}
-        for r in self.admissible[v]:
-            if r != c:
-                pools[r] -= 1
-        # admissible holds every non-anchor vertex; frames, one more than were placed before v
-        unplaced = len(self.admissible) - len(self.frames)
-        self.frames.append((pools, unfilled))
-        return len(unfilled) <= unplaced and all(pools[r] > 0 for r in unfilled)
-
-    def pop(self) -> None:
-        self.frames.pop()
+    def allows(self, p: int, used: set[tuple[int, ...]], n: int) -> bool:
+        """Whether the n - 1 - p vertices below depth p can fill each free diagonal cell."""
+        free = [q for r, q in self.last.items() if r not in used]
+        return len(free) < n - p and all(q > p for q in free)
 
 
 class _SearchContext:
@@ -291,13 +260,16 @@ def _prepare(g: Graph) -> _SearchContext:
 
 def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedding | None:
     """If W, a nonempty set of g's labels, already (strongly) resolves g itself,
-    its distance vectors work."""
+    its distance vectors work; None when it does not."""
     g, dm = ctx.g, ctx.dm
     resolves = is_resolving_set if mode == MODE_RESOLVED else is_strong_resolving_set
     if not resolves(g, anchors, dm):
         return None
     emb = distance_vector_embedding(g, anchors, dm=dm)
-    return emb if certify(emb, g, mode == MODE_STRONG) else None
+    check = certify(emb, g, mode == MODE_STRONG)  # independent of the resolving test
+    if not check:
+        raise AssertionError(f"fast path embedding fails {check.clause}: {check.detail}")
+    return emb
 
 
 def _run_search(
@@ -430,8 +402,6 @@ def _run_search(
         v = order[p]
         c = coords[v]
         if c is not None:
-            if dim2 is not None:
-                dim2.pop()
             for u in hadj[v]:  # v was placed last, so it is last in each neighbour's list
                 hadj[u].pop()
             occupied.remove(c, v)
@@ -454,7 +424,7 @@ def _run_search(
         hadj[v] = near = occupied.near(c)
         for u in near:
             hadj[u].append(v)
-        if dim2 is not None and not dim2.push(v, c):
+        if dim2 is not None and not dim2.allows(p, used, n):
             continue
         if p + 1 == n:
             if leaf_ok():
@@ -610,11 +580,10 @@ def threshold_dimension(
     if hi is None:  # max_k ended the sweep; a strong basis always works
         basis = strong_dimension(g)
         hi = basis.value
-        if lo == hi:
-            emb = _try_fast_path(ctx, list(basis.witness), cfg.mode)
-            witness = basis.witness if emb is not None else None
+        if lo == hi:  # a strong basis resolves g in either mode
+            witness, emb = basis.witness, _try_fast_path(ctx, list(basis.witness), cfg.mode)
     stats = {"nodes": total_nodes, "levels": levels}
-    if lo == hi and emb is not None:  # size lo - 1 refuted, and so every smaller size
+    if lo == hi:  # size lo - 1 refuted, and so every smaller size
         return ThresholdResult("exact", lo, None, witness, emb, stats)
     return ThresholdResult("bounds", None, (lo, hi), witness, emb, stats)
 

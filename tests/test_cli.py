@@ -280,10 +280,9 @@ def test_gen_embedding_out_certifies(capsys, tmp_path, family, params):
 def test_gen_embedding_out_without_an_embedding_is_input_error(capsys, tmp_path, family, params):
     stale = tmp_path / "emb.json"
     stale.write_text("from an earlier run\n")
-    code, out, err = run(
-        capsys, "gen", "--family", family, "--params", params, "--embedding-out", str(stale)
-    )
-    assert code == 2 and out == "" and "builds no embedding" in err
+    for flag in (["--embedding-out", str(stale)], ["--render"]):
+        code, out, err = run(capsys, "gen", "--family", family, "--params", params, *flag)
+        assert code == 2 and out == "" and "builds no embedding" in err, flag
     assert stale.read_text() == "from an earlier run\n"
 
 
@@ -500,3 +499,28 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_gen_into_a_closed_pipe_exits_quietly():
+    """A reader that leaves early (`| head`) ends gen with 141, as SIGPIPE would, and no
+    message: the closed stdout is not an input error."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import strongdim
+
+    src = str(Path(strongdim.__file__).resolve().parents[1])
+    # buffered, as a plain `python -m strongdim` runs: an unbuffered text stdout
+    # (PYTHONUNBUFFERED) drops the rest of a partial write without an error
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(  # about 200 KB of edges, far more than a pipe holds
+        [sys.executable, "-m", "strongdim", "gen", "--family", "path", "--params", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"0 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141 and err == b""

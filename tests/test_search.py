@@ -85,6 +85,12 @@ def test_dim2_degree_cap_immediate_no():
     assert out.status == "no" and out.nodes == 0
 
 
+def _k7_with_hanging_anchors() -> Graph:
+    cs = [f"c{i}" for i in range(7)]
+    hang = [("w0", "c0"), ("w0", "c1"), ("w1", "c5"), ("w1", "c6")]
+    return Graph.from_label_edges(list(itertools.combinations(cs, 2)) + hang)
+
+
 def test_dim2_empty_pool_refutes():
     """An interior diagonal cell that no vertex can fill ends the search at the anchors.
 
@@ -92,19 +98,17 @@ def test_dim2_empty_pool_refutes():
     so the side is 4, and every non-anchor has degree >= 6, above the
     capacity of any interior diagonal cell.
     """
-    from strongdim.search import _Dim2Prune, _dim2_region, _prepare
+    from strongdim.search import _Dim2Prune, _prepare, _region_cap
 
-    cs = [f"c{i}" for i in range(7)]
-    hang = [("w0", "c0"), ("w0", "c1"), ("w1", "c5"), ("w1", "c6")]
-    g = Graph.from_label_edges(list(itertools.combinations(cs, 2)) + hang)
+    g = _k7_with_hanging_anchors()
     ctx = _prepare(g)
     anchors = [g.index("w0"), g.index("w1")]
     rest = [v for v in range(g.n) if v not in anchors]
     assert min(g.degree(v) for v in rest) == 6
     for a in (1, 2, 3):
-        reg = _dim2_region(4, a)
-        assert all(reg.cap[c] >= 2 for c in ((0, a), (a, 0)))  # the anchors fit
-        assert all(reg.cap[r] < 6 for r in reg.diag)
+        cap = _region_cap(4, a)
+        assert all(cap[c] >= 2 for c in ((0, a), (a, 0)))  # the anchors fit
+        assert all(cap[(t, a - t)] < 6 for t in range(1, a))
         got = _Dim2Prune.open(ctx, anchors, rest, 4, ((0, a), (a, 0)))
         assert (got is None) == (a > 1), a  # a = 1 has no interior diagonal cell
     for mode in ("resolved", "strongly_resolved"):
@@ -170,6 +174,19 @@ def test_fast_path_uses_distance_vectors():
     g = complete_graph(4)
     out = exists_supergraph_resolved_by(g, ["0", "1", "2"], cfg_for(True))
     assert out.status == "yes" and out.nodes == 0
+
+
+def test_fast_path_embedding_that_fails_certify_is_an_error(monkeypatch):
+    """The fast path's distance vectors always certify, so a refusal is a fault, not a
+    reason to fall through to the DFS."""
+    from strongdim.embedding import CheckResult
+
+    def refuse(e, g, strong):
+        return CheckResult(False, "isometric", "refused")
+
+    monkeypatch.setattr("strongdim.search.certify", refuse)
+    with pytest.raises(AssertionError, match="fast path"):
+        exists_supergraph_resolved_by(path_graph(5), ["0"])
 
 
 def test_g1_resolved_yes_strong_no():
@@ -597,6 +614,116 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
                 seen[got.status] += 1
                 searched += got.nodes > 0
     assert min(seen.values()) >= 40 and searched >= 400, (seen, searched)
+
+
+class _FrameStackDim2Prune:
+    """The two-anchor pool prune as a stack of pool copies, one pushed per placement
+    and popped per undo (the reference for the stateless _Dim2Prune).
+
+    allows replays the DFS's undos and its push from the depth and the occupied
+    cells; kills counts the prunes of each rule.
+    """
+
+    kills = {"pool": 0, "count": 0}
+
+    def __init__(self, cap, diag, admissible, pools, rest):
+        self.cap = cap
+        self.admissible = admissible  # vertex -> the diagonal cells it could fill
+        self.frames = [(pools, frozenset(diag))]  # (cell -> fillers left, unfilled cells)
+        self.rest = rest
+
+    @classmethod
+    def open(cls, ctx, anchors, rest, side, cells):
+        from strongdim.search import _region_cap
+
+        g, dG = ctx.g, ctx.dm.dist
+        a = cells[0][1]
+        cap, diag = _region_cap(side, a), [(t, a - t) for t in range(1, a)]
+        if any(cap.get(c, 0) < g.degree(w) for c, w in zip(cells, anchors)):
+            return None
+        w0, w1 = anchors
+        admissible = {
+            v: frozenset(
+                r for r in diag
+                if r[0] <= dG[v][w0] and r[1] <= dG[v][w1] and cap[r] >= g.degree(v)
+            )
+            for v in rest
+        }
+        pools = {r: 0 for r in diag}
+        for rs in admissible.values():
+            for r in rs:
+                pools[r] += 1
+        if any(pools[r] <= 0 for r in diag):
+            cls.kills["pool"] += 1
+            return None
+        return cls(cap, diag, admissible, pools, rest)
+
+    def push(self, v, c):
+        pools, unfilled = self.frames[-1]
+        pools = dict(pools)
+        if c in unfilled:
+            unfilled = unfilled - {c}
+        for r in self.admissible[v]:
+            if r != c:
+                pools[r] -= 1
+        # admissible holds every non-anchor vertex; frames, one more than were placed before v
+        unplaced = len(self.admissible) - len(self.frames)
+        self.frames.append((pools, unfilled))
+        if len(unfilled) > unplaced:
+            self.kills["count"] += 1
+            return False
+        if not all(pools[r] > 0 for r in unfilled):
+            self.kills["pool"] += 1
+            return False
+        return True
+
+    def pop(self):
+        self.frames.pop()
+
+    def allows(self, p, used, n):
+        while len(self.frames) > p - 1:  # frames[j] follows depth j + 1; the DFS undid the rest
+            self.pop()
+        # the one unfilled cell of depth p - 1 that is used now is depth p's, if any
+        c = next((r for r in self.frames[-1][1] if r in used), None)
+        return self.push(self.rest[p - 2], c)
+
+
+def test_stateless_dim2_prune_matches_the_frame_stack(monkeypatch):
+    """Comparing each free diagonal cell's deepest filler with the depth, and the free
+    cells with the vertices left, prunes as the pool copies pushed and popped with the
+    DFS did: the whole search (status, nodes, embedding) is the same."""
+    import strongdim.search
+    from strongdim.search import _prepare, _run_search
+
+    kills = _FrameStackDim2Prune.kills
+    kills.update(pool=0, count=0)
+
+    def check(g, W):
+        ctx = _prepare(g)
+        for mode in ("resolved", "strongly_resolved"):
+            for budget in (30, 3000):
+                cfg = PlacementSearchConfig(mode=mode, node_budget=budget)
+                got = _run_search(ctx, W, cfg, True)
+                with monkeypatch.context() as m:
+                    m.setattr(strongdim.search, "_Dim2Prune", _FrameStackDim2Prune)
+                    want = _run_search(ctx, W, cfg, True)
+                assert got == want, (g.label_edges(), W, mode, budget)
+
+    cases = [(cycle_graph(9), W) for W in (["0", "4"], ["0", "3"], ["2", "5"])]
+    cases += [(gn_family(1), W) for W in (["w1_1", "w2_1"], ["w1_1", "c5_1"], ["c5_1", "f3_1"])]
+    cases.append((_k7_with_hanging_anchors(), ["w0", "w1"]))
+    for g, W in cases:
+        check(g, W)
+    # A few hard strong-mode searches on sparse graphs make almost every kill, so
+    # seeded random cases are drawn until each rule has pruned often enough.
+    rng = random.Random(15)
+    searched = len(cases)
+    while searched < 200 or min(kills.values()) < 20:
+        assert searched < 2000, kills
+        g = random_connected_graph(rng.randrange(5, 13), rng, rng.choice((0, 0.05, 0.1, 0.2, 0.35)))
+        check(g, rng.sample(list(g.labels), 2))
+        searched += 1
+    assert kills["pool"] >= 20 and kills["count"] >= 20, kills
 
 
 def test_exact_needs_only_the_level_below_refuted(monkeypatch):
