@@ -11,6 +11,7 @@ emitted.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -55,8 +56,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _write(text: str) -> None:
+    """Write text to stdout in full.
+
+    An unbuffered stdout (python -u, PYTHONUNBUFFERED) is a text layer
+    straight on the file, whose write may stop short at a full pipe and
+    drop the rest unseen. So there the text goes to the file itself until
+    all of it is out, or until a reader that left raises BrokenPipeError.
+    Any other stdout, such as a StringIO, takes it as it is.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[raw.write(data):]
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph(path: str) -> Graph:
@@ -87,10 +108,8 @@ def _cmd_dim(args) -> int:
 def _cmd_srgraph(args) -> int:
     g = _load_graph(args.input)
     sr = strong_resolving_graph(g)
-    sys.stdout.write(to_edge_list(sr))
     isolated = [sr.labels[v] for v in range(sr.n) if sr.degree(v) == 0]
-    for lb in sorted(isolated):
-        print(f"# isolated {lb}")
+    _write(to_edge_list(sr) + "".join(f"# isolated {lb}\n" for lb in sorted(isolated)))
     return EXIT_OK
 
 
@@ -122,8 +141,7 @@ def _cmd_certify(args) -> int:
     res = certify(emb, g, strong=args.mode == "strong")
     _emit({"verdict": res.ok, "clause": res.clause, "detail": res.detail})
     if args.render and emb.k == 2:
-        for line in render_grid(emb).splitlines():
-            print(f"# {line}")
+        _write("".join(f"# {line}\n" for line in render_grid(emb).splitlines()))
     return EXIT_OK
 
 
@@ -168,10 +186,9 @@ def _cmd_gen(args) -> int:
         raise GraphError(f"{family} with params {args.params} builds no embedding")
     if args.embedding_out:  # first, so a failed write prints nothing
         Path(args.embedding_out).write_text(json.dumps(emb.to_json(), indent=2, sort_keys=True) + "\n")
-    sys.stdout.write(to_edge_list(g))
+    _write(to_edge_list(g))
     if args.render:
-        for line in render_grid(emb).splitlines():
-            print(f"# {line}")
+        _write("".join(f"# {line}\n" for line in render_grid(emb).splitlines()))
     return EXIT_OK
 
 
@@ -207,7 +224,7 @@ def _cmd_gap(args) -> int:
     reports = []
     for i in range(1, args.n + 1):
         rep = tau_gap_experiment(i, cfg, max_k=args.max_k)
-        print(rep.row())
+        _write(rep.row() + "\n")
         reports.append(rep)
     if args.json:
         _emit([r.to_json() for r in reports])

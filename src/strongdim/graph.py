@@ -182,35 +182,55 @@ def isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
     """Every isomorphism from g onto h, as the tuple of images of g's vertices.
 
     Colour refinement is canonical, so an isomorphism keeps each vertex's
-    colour; g's vertices are mapped in colour order, each onto a free vertex
-    of h of its colour whose adjacency to the images so far matches. Colour
-    alone cannot tell C6 from two triangles; the adjacency test can.
+    colour. g's vertices are mapped in BFS order, each component from its
+    first vertex in colour order and each vertex's neighbours in colour
+    order, so every vertex but a component's first has a mapped neighbour
+    x. Its images are the free vertices of its colour next to x's image
+    whose mapped neighbours are the images of its own: each of those is
+    checked, and a count of mapped neighbours stands for the non-edges. A
+    component's first vertex has no mapped neighbour, so it scans all of h
+    for a free vertex of its colour with none either. Colour alone cannot
+    tell C6 from two triangles; these checks can.
     """
     if g.n != h.n:
         return
     colors = _refine_colors(g)
-    adj = [set(a) for a in g.adj]
-    if h is g:  # automorphisms: one refinement, one set of adjacency sets
-        h_colors, h_adj = colors, adj
-    else:
-        h_colors = _refine_colors(h)
-        if sorted(colors) != sorted(h_colors):
-            return
-        h_adj = [set(a) for a in h.adj]
+    h_colors = colors if h is g else _refine_colors(h)
+    if sorted(colors) != sorted(h_colors):
+        return
     if g.n == 0:
         yield ()
         return
-    order = sorted(range(g.n), key=lambda v: (colors[v], v))
+    h_adj = [set(a) for a in h.adj]
+    key = [(c, v) for v, c in enumerate(colors)]
+    order: list[int] = []
+    seen = [False] * g.n
+    for root in sorted(range(g.n), key=key.__getitem__):
+        if seen[root]:
+            continue
+        seen[root] = True
+        i = len(order)
+        order.append(root)
+        while i < len(order):  # order[i:] is the BFS queue
+            for u in sorted(g.adj[order[i]], key=key.__getitem__):
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+            i += 1
+    depth = [0] * g.n
+    for p, v in enumerate(order):
+        depth[v] = p
+    back = [[u for u in g.adj[v] if depth[u] < p] for p, v in enumerate(order)]
     image = [-1] * g.n
     used = [False] * g.n
+    mapped = [0] * g.n  # per vertex of h, its neighbours that are images so far
 
     def images(p: int):
         """Lazily, each w that order[p] may map to given the images of order[:p]."""
-        v = order[p]
-        for w in range(g.n):
-            if used[w] or h_colors[w] != colors[v]:
-                continue
-            if all((order[q] in adj[v]) == (image[order[q]] in h_adj[w]) for q in range(p)):
+        color, nbrs = colors[order[p]], back[p]
+        for w in h.adj[image[nbrs[0]]] if nbrs else range(g.n):
+            if (not used[w] and h_colors[w] == color and mapped[w] == len(nbrs)
+                    and all(image[u] in h_adj[w] for u in nbrs)):
                 yield w
 
     # One pending image iterator per depth, an explicit stack so that long
@@ -220,8 +240,11 @@ def isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
     while stack:
         p = len(stack) - 1
         v = order[p]
-        if image[v] != -1:
-            used[image[v]] = False
+        w = image[v]
+        if w != -1:
+            used[w] = False
+            for z in h.adj[w]:
+                mapped[z] -= 1
             image[v] = -1
         w = next(stack[-1], None)
         if w is None:
@@ -229,6 +252,8 @@ def isomorphisms(g: Graph, h: Graph) -> Iterator[tuple[int, ...]]:
             continue
         image[v] = w
         used[w] = True
+        for z in h.adj[w]:
+            mapped[z] += 1
         if p + 1 < g.n:
             stack.append(images(p + 1))
             continue

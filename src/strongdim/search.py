@@ -11,12 +11,16 @@ interval prunes and verifies candidates exactly at the leaves, so "no" is a
 certificate; running out of node budget is a distinct outcome. The anchors
 are placed first. Once some are placed, whether a cell's Chebyshev gap to
 each placed anchor's cell equals its own coordinate for that anchor depends
-on the cell alone, so that test is memoised per placement of the anchors
-so far (the "shell") instead of repeated per node. Every placed cell passes
-it, and adjacent cells are one Chebyshev step apart, so no partial placement
-puts a vertex nearer an anchor than its coordinate: the anchor distances
-can only go wrong upward, and are checked once per complete placement by a
-BFS from each anchor.
+on the cell alone. The grid's cells are the bits of one integer, numbered
+in the DFS's candidate order (_Grid), so that test is one cached ring mask
+per anchor cell and slot, ANDed in as each anchor is placed (the "shell").
+A depth's candidates are then the free shell cells of its interval box,
+read off one mask, and the placed cells next to a new one are a fixed
+neighbour mask shifted to it and ANDed with the occupied cells. Every
+placed cell passes the shell, and adjacent cells are one Chebyshev step
+apart, so no partial placement puts a vertex nearer an anchor than its
+coordinate: the anchor distances can only go wrong upward, and are checked
+once per complete placement by a BFS from each anchor.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -30,19 +34,11 @@ import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice, product
-from operator import lt, sub
+from operator import lt, mul
 
 from .constructions import gn_family
 from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimension
-from .embedding import (
-    CellIndex,
-    Embedding,
-    certify,
-    chebyshev_adjacency,
-    distance_vector_embedding,
-    feasible_region,
-    isometry_mismatch,
-)
+from .embedding import Embedding, certify, distance_vector_embedding, isometry_mismatch
 from .graph import (
     DistanceMatrix,
     Graph,
@@ -125,34 +121,173 @@ def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int
 # the placement DFS
 
 
-class _Shell(dict):
-    """The anchor-gap test against the anchors placed so far, memoised per cell.
+class _Grid:
+    """The cells {0..side-1}^k of one search grid, one bit each.
 
-    A vertex's induced distance to anchor j is its coordinate j, and it must
-    coincide with the Chebyshev gap between its cell and anchor j's cell.
-    With anchors 0..len(anchor_cells)-1 placed this depends on the cell
-    alone: shell[c] is whether c passes it for each of them, computed on
-    first lookup.
+    Cell c sits at bit sum(c_j * u_j), where u_{k-1} = T = (side+1)^(k-1)
+    and u_j = T - (side+1)^(k-2-j) for j < k-1: T * sum(c) less c_0..c_{k-2}
+    read as a base side+1 number. So:
+    - bits descend in the DFS's candidate order (-sum(c), c);
+    - the cells of a box are the products of one power of two per
+      coordinate, so a box is k multiplications of geometric sums;
+    - no cell has a base side+1 digit equal to side, so a unit step in each
+      coordinate is a fixed bit offset that never carries into another cell:
+      the cells at Chebyshev distance 1 are one fixed mask, shifted.
+    A set of cells is a mask with bits at cells only. within() and near()
+    use masks that also cover bits holding no cell, so they read them
+    through such a set. A grid keeps no mask per cell: the mask of all
+    cells, the neighbour mask and per coordinate the sums of up to 16 powers
+    (wider boxes compute theirs), about 0.1 MB for the 601-side grid of a
+    1200-cycle.
     """
 
-    def __init__(self, anchor_cells: list[tuple[int, ...]]):
-        super().__init__()
-        self.anchor_cells = anchor_cells
+    def __init__(self, side: int, k: int):
+        self.side, self.k = side, k
+        self.T = T = (side + 1) ** (k - 1)
+        self.units = [T - (side + 1) ** (k - 2 - j) for j in range(k - 1)] + [T]
+        self.size = (side - 1) * sum(self.units) + 1  # the top cell's bit, plus one
+        # reps[j][w]: bits 0, u_j, ..., (w-1) u_j: w values of c_j from c_j = 0
+        self.reps = [[_geometric(u, w) for w in range(min(side, 16) + 1)] for u in self.units]
+        # the 3^k - 1 unit steps as bit offsets; ball has them shifted by reach
+        # to bits >= 0 (a set: at side 1, which has no steps, two coincide)
+        steps = {sum(map(mul, dc, self.units)) for dc in product((-1, 0, 1), repeat=k) if any(dc)}
+        self.reach = -min(steps)
+        self.ball = sum(1 << self.reach + o for o in steps)
+        self.cells = self.rows([])  # every cell
+        self.cell = _CellOf(self)
 
-    def __missing__(self, c: tuple[int, ...]) -> bool:
-        inside = self[c] = all(
-            max(map(abs, map(sub, c, cw))) == x for cw, x in zip(self.anchor_cells, c)
-        )
-        return inside
+    def bit(self, c: tuple[int, ...]) -> int:
+        return sum(map(mul, c, self.units))
+
+    def within(self, cells: int, lows: list[int], highs: list[int]):
+        """The bits of cells with lows[i] <= c_i <= highs[i] for each i (each
+        range nonempty), highest first: in the DFS's candidate order."""
+        box, base = 1, 0
+        for reps, u, lo, hi in zip(self.reps, self.units, lows, highs):
+            w = hi - lo + 1
+            box *= reps[w] if w < len(reps) else _geometric(u, w)
+            base += lo * u
+        return _bits(cells >> base & box, base)  # box also covers bits holding no cell
+
+    def near(self, cells: int, b: int) -> list[int]:
+        """The bits of cells at Chebyshev distance 1 from the cell at bit b."""
+        rel = b - self.reach
+        m = (cells >> rel if rel >= 0 else cells << -rel) & self.ball
+        out = []
+        while m:  # _bits, inlined: near runs once per search node
+            q = m.bit_length() - 1
+            out.append(rel + q)
+            m ^= 1 << q
+        return out
+
+    def rows(self, ineqs: list[tuple[int, int, int, int]]) -> int:
+        """The cells with |c_i - a| + e <= c_j for each (i, j, a, e) of ineqs.
+
+        Built one row at a time: a row fixes c_0..c_{k-3} and R = c_{k-2} +
+        c_{k-1}, and along it x = c_{k-2} takes one bit lower a step, so each
+        inequality is two linear ones in x and the row's cells that meet them
+        all are one run.
+        """
+        side, k, T = self.side, self.k, self.T
+        xmax = side - 1 if k > 1 else 0  # with k = 1 there is no c_{k-2}: x = 0
+        alpha = ([0] * (k - 2) + [1, -1])[-k:]  # c_i = alpha_i x + vals_i
+        buf = bytearray(b"0" * self.size)  # char b is bit b
+        ones = b"1" * side
+        for digits in product(range(side), repeat=max(k - 2, 0)):
+            start = sum(map(mul, digits, self.units))
+            for R in range(side + xmax):
+                vals = [*digits, 0, R][-k:]
+                lo, hi = max(0, R - side + 1), min(xmax, R)
+                for i, j, a, e in ineqs:
+                    ai, aj, bi, bj = alpha[i], alpha[j], vals[i], vals[j]
+                    for m, q in ((ai - aj, bj - bi + a - e), (-ai - aj, bj + bi - a - e)):
+                        if m > 0:
+                            hi = min(hi, q // m)
+                        elif m < 0:
+                            lo = max(lo, -(q // -m))
+                        elif q < 0:
+                            hi = -1
+                if lo <= hi:
+                    top = start + R * T  # the bit of x = 0
+                    buf[top - hi:top - lo + 1] = ones[:hi - lo + 1]
+        return int(buf[::-1], 2)
+
+
+class _CellOf(dict):
+    """bit -> cell of one _Grid, decoded on first lookup."""
+
+    def __init__(self, grid: _Grid):
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, b: int) -> tuple[int, ...]:
+        grid = self.grid
+        total = -(-b // grid.T)  # sum(c)
+        r = total * grid.T - b  # c_0..c_{k-2} in base side+1
+        c = []
+        for j in range(grid.k - 2, -1, -1):
+            x, r = divmod(r, (grid.side + 1) ** j)
+            c.append(x)
+        c.append(total - sum(c))
+        cell = self[b] = tuple(c)
+        return cell
+
+
+def _geometric(u: int, w: int) -> int:
+    """Bits 0, u, 2u, ..., (w-1)u."""
+    return ((1 << w * u) - 1) // ((1 << u) - 1)
+
+
+def _bits(m: int, base: int = 0):
+    """base + each set bit of m, highest first."""
+    while m:
+        b = m.bit_length() - 1
+        yield base + b
+        m ^= 1 << b
+
+
+@lru_cache(maxsize=16)  # per process, so --jobs workers reuse it too
+def _grid(side: int, k: int) -> _Grid:
+    return _Grid(side, k)
+
+
+@lru_cache(maxsize=256)  # 256 masks of _Grid.size bits at most
+def _cone(side: int, k: int, i: int, j: int, a: int, e: int) -> int:
+    """The cells c of the grid with |c_i - a| + e <= c_j."""
+    return _grid(side, k).rows([(i, j, a, e)])
+
+
+def _ring(grid: _Grid, cell: tuple[int, ...], j: int) -> int:
+    """The anchor-gap shell of one anchor: the cells c whose Chebyshev gap to
+    the anchor's cell equals c_j, for the anchor in slot j.
+
+    That gap is at most c_j in every coordinate (one cone each) and not at
+    most c_j - 1 in all of them. An anchor the DFS places has coordinate 0
+    for itself, so its second set is empty.
+    """
+    side, k = grid.side, grid.k
+    outer = inner = grid.cells
+    for i, a in enumerate(cell):
+        outer &= _cone(side, k, i, j, a, 0)
+        inner &= _cone(side, k, i, j, a, 1)
+    return outer & ~inner
 
 
 @lru_cache(maxsize=64)  # per process, so --jobs workers reuse it too
-def _region_cap(side: int, a: int) -> dict[tuple[int, ...], int]:
-    """Each cell of the two-anchor feasible region for anchor distance a, with its
-    neighbour count there, which bounds the degree of a vertex placed in it. With the
-    anchors at (0, a) and (a, 0) the region is the DFS's anchor-gap shell."""
-    cells = list(feasible_region(side - 1, a).cells())
-    return {c: len(nbrs) for c, nbrs in zip(cells, chebyshev_adjacency(cells))}
+def _region_cap(side: int, a: int) -> tuple[int, ...]:
+    """cap[d]: the cells of the two-anchor feasible region for anchor distance
+    a with at least d neighbours there, which bounds the degree of a vertex
+    placed in them; a cell has 8 neighbours at most, so cap[9] is empty and
+    cap[min(deg, 9)] answers any degree. With the anchors at (0, a) and
+    (a, 0) the region is the DFS's anchor-gap shell."""
+    grid = _grid(side, 2)
+    region = _ring(grid, (0, a), 0) & _ring(grid, (a, 0), 1)
+    cap = [region] + [0] * 9
+    for o in _bits(grid.ball, -grid.reach):  # each unit step's bit offset
+        nbr = (region >> o if o > 0 else region << -o) & region
+        for d in range(8, 0, -1):  # cap[d] |= cells with d - 1 neighbours before this one
+            cap[d] |= cap[d - 1] & nbr
+    return tuple(cap)
 
 
 @dataclass(frozen=True)
@@ -166,8 +301,10 @@ class _Dim2Prune:
     fixed, so that is one comparison per cell, with nothing to undo.
     """
 
-    cap: dict[tuple[int, ...], int]
-    last: dict[tuple[int, ...], int]  # interior diagonal cell -> deepest depth that could fill it
+    cap: tuple[int, ...]  # _region_cap
+    shift: int  # the diagonal's cells are the bits shift + i, i < a - 1
+    diag: int  # the mask of those i
+    last: tuple[int, ...]  # per i, the deepest depth that could fill its cell
 
     @classmethod
     def open(cls, ctx: _SearchContext, anchors: list[int], rest: list[int], side: int,
@@ -175,21 +312,36 @@ class _Dim2Prune:
         """The prunes for anchors placed at cells, or None when these already fail."""
         g, dG = ctx.g, ctx.dm.dist
         a = cells[0][1]
+        grid = _grid(side, 2)
         cap = _region_cap(side, a)
-        if any(cap[c] < g.degree(w) for c, w in zip(cells, anchors)):
+        if not all(cap[min(g.degree(w), 9)] >> grid.bit(c) & 1 for c, w in zip(cells, anchors)):
             return None
         w0, w1 = anchors
-        diag = [(t, a - t) for t in range(1, a)]
-        last = {  # rest follows the anchors in DFS order, so the deepest filler is kept
-            r: p for p, v in enumerate(rest, 2) for r in diag
-            if r[0] <= dG[v][w0] and r[1] <= dG[v][w1] and cap[r] >= g.degree(v)
-        }
-        return cls(cap, last) if len(last) == len(diag) else None  # else a cell has no filler
+        shift = grid.bit((a - 1, 1))  # (t, a - t) is bit a*T - t, so i = a - 1 - t
+        diag = (1 << a - 1) - 1
+        if not diag:
+            return cls(cap, shift, diag, ())
+        room = [c >> shift & diag for c in cap]  # per degree, on the diagonal
+        last = [0] * (a - 1)
+        unfilled = diag
+        for p in range(len(rest) + 1, 1, -1):  # deepest first, so each cell keeps its deepest
+            v = rest[p - 2]
+            # t <= d(v, w0) and a - t <= d(v, w1), with room for deg(v)
+            span = (1 << dG[v][w1]) - (1 << max(a - 1 - dG[v][w0], 0))
+            new = unfilled & span & room[min(g.degree(v), 9)]
+            if new:
+                for i in _bits(new):
+                    last[i] = p
+                unfilled ^= new
+                if not unfilled:
+                    return cls(cap, shift, diag, tuple(last))
+        return None  # a cell has no filler
 
-    def allows(self, p: int, used: set[tuple[int, ...]], n: int) -> bool:
-        """Whether the n - 1 - p vertices below depth p can fill each free diagonal cell."""
-        free = [q for r, q in self.last.items() if r not in used]
-        return len(free) < n - p and all(q > p for q in free)
+    def allows(self, p: int, used: int, n: int) -> bool:
+        """Whether the n - 1 - p vertices below depth p can fill each free diagonal
+        cell, used being the occupied cells."""
+        free = self.diag & ~(used >> self.shift)
+        return free.bit_count() < n - p and all(self.last[i] > p for i in _bits(free))
 
 
 class _SearchContext:
@@ -282,17 +434,20 @@ def _run_search(
     anchor-gap test, nearest first to its graph-distance vector. The box is
     cut only by the placed vertices of the depth's _bounding_set, whose
     bounds imply the others'; the order is fixed, so each depth computes its
-    set once. Each time an anchor is placed, a fresh _Shell over the anchors
-    placed so far memoises the test per cell for the vertex below it, and
-    after the last anchor for every vertex below; no shell outlives the call.
-    An anchor's coordinate for a placed anchor is pinned to that anchor's
-    coordinate for it, as induced distances are symmetric. Placing a vertex
-    joins it to the placed subgraph. The shell keeps every placed cell at
-    Chebyshev gap c[i] from anchor i's cell, so no placed subgraph, whose
-    edges are single Chebyshev steps, brings a vertex nearer an anchor than
-    its coordinate; a complete placement is checked exactly, by a BFS from
-    each anchor and, in the strong mode, the isometry check. dim2_prunes adds
-    the two-anchor prunes when k == 2.
+    set once. Cells are bits of the side^k grid (_grid, shared per process),
+    numbered so that reading a mask from its highest bit gives that order:
+    the candidates are one mask, the shell AND the free cells AND the box.
+    shells[p] is the test against anchors 0..p-1: placing anchor p ANDs in
+    its ring (_ring), the cells whose Chebyshev gap to its cell equals their
+    coordinate p. An anchor's coordinate for a placed anchor is pinned to
+    that anchor's coordinate for it, as induced distances are symmetric.
+    Placing a vertex joins it to the placed vertices whose cells _Grid.near
+    finds one step away. The shell keeps every placed cell at Chebyshev gap
+    c[i] from anchor i's cell, so no placed subgraph, whose edges are single
+    Chebyshev steps, brings a vertex nearer an anchor than its coordinate; a
+    complete placement is checked exactly, by a BFS from each anchor and, in
+    the strong mode, the isometry check. dim2_prunes adds the two-anchor
+    prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     mode = cfg.mode
@@ -326,11 +481,14 @@ def _run_search(
     rest = sorted((v for v in range(n) if v not in in_anchor), key=lambda v: (root[v], v))
     order = anchors + rest
 
+    grid = _grid(side, k)
+    cell_of = grid.cell
     coords: list[tuple[int, ...] | None] = [None] * n
-    used: set[tuple[int, ...]] = set()
-    occupied = CellIndex()  # placed vertices by cell
+    bits: list[int] = [0] * n  # each placed vertex's cell bit
+    occupied = 0  # the placed cells
+    at: dict[int, int] = {}  # placed vertex by cell bit
     hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
-    shell = _Shell([])  # of the anchors placed so far: none yet
+    shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
     statics: list = [None] * n  # per depth, built on its first visit, in depth order
     before = [0]  # bitmask of the vertices placed above each depth built so far
 
@@ -351,7 +509,7 @@ def _run_search(
         statics[p] = data = (slot, inits, bounding, g.degree(v))
         return data
 
-    def candidates(p: int, dim2: _Dim2Prune | None) -> list[tuple[int, ...]]:
+    def candidates(p: int, dim2: _Dim2Prune | None):
         slot, inits, bounding, deg_v = statics[p] or static(p)
         lows, highs = [], []
         for i in range(k):
@@ -367,21 +525,17 @@ def _run_search(
                 if ci + b < hi:
                     hi = ci + b
             if lo > hi:
-                return []
+                return iter(())
             lows.append(lo)
-            highs.append(hi + 1)
-        box = product(*map(range, lows, highs))
-        # the shell holds the gap test to every anchor placed so far
-        out = [
-            c for c in box
-            if c not in used and shell[c] and (dim2 is None or dim2.cap[c] >= deg_v)
-        ]
-        if len(out) > 1:
-            # nearest first, by L1 gap, to v's graph distances capped at side-1;
-            # these bound every coordinate from above, so the gap is their sum
-            # less sum(c)
-            out.sort(key=lambda c: (-sum(c), c))
-        return out
+            highs.append(hi)
+        # the free cells of the box that pass the gap test to every anchor placed
+        # so far, in bit order, which is nearest first to v's graph distances
+        # capped at side-1 (these bound every coordinate from above, so the L1
+        # gap is their sum less sum(c)), ties by c
+        free = shells[min(p, k)] & ~occupied
+        if dim2 is not None:
+            free &= dim2.cap[min(deg_v, 9)]
+        return grid.within(free, lows, highs)
 
     def leaf_ok() -> bool:
         for i, w in enumerate(anchors):
@@ -390,25 +544,23 @@ def _run_search(
         return mode != MODE_STRONG or isometry_mismatch(coords, hadj) is None
 
     # One pending candidate iterator per depth, as in graph.isomorphisms;
-    # depth p holds a placement while coords[order[p]] is set. The shell
-    # belongs to the placement held at the deepest anchor depth (k-1 once
-    # the non-anchors are reached); the dim2 prunes are open while depth 2
-    # is on the stack.
-    stack = [iter(candidates(0, None))]
+    # depth p holds a placement while coords[order[p]] is set. shells[p + 1]
+    # belongs to the placement held at anchor depth p; the dim2 prunes are
+    # open while depth 2 is on the stack.
+    stack = [candidates(0, None)]
     dim2: _Dim2Prune | None = None
     nodes = 0
     while stack:
         p = len(stack) - 1
         v = order[p]
-        c = coords[v]
-        if c is not None:
+        if coords[v] is not None:
             for u in hadj[v]:  # v was placed last, so it is last in each neighbour's list
                 hadj[u].pop()
-            occupied.remove(c, v)
-            used.discard(c)
+            occupied ^= 1 << bits[v]
+            del at[bits[v]]
             coords[v] = None
-        c = next(stack[-1], None)
-        if c is None:
+        b = next(stack[-1], None)
+        if b is None:
             stack.pop()
             if p == 2:
                 dim2 = None
@@ -416,27 +568,28 @@ def _run_search(
         nodes += 1
         if nodes > cfg.node_budget:
             return SearchOutcome("budget_exhausted", None, nodes)
-        coords[v] = c
-        used.add(c)
-        occupied.add(c, v)
-        # hadj joins only cells that CellIndex.near finds at Chebyshev distance 1,
+        c = coords[v] = cell_of[b]
+        bits[v] = b
+        # hadj joins only cells one grid step apart, at Chebyshev distance 1,
         # as the leaf's isometry_mismatch requires of its adjacency
-        hadj[v] = near = occupied.near(c)
+        hadj[v] = near = [at[x] for x in grid.near(occupied, b)]
         for u in near:
             hadj[u].append(v)
-        if dim2 is not None and not dim2.allows(p, used, n):
+        occupied |= 1 << b
+        at[b] = v
+        if dim2 is not None and not dim2.allows(p, occupied, n):
             continue
         if p + 1 == n:
             if leaf_ok():
                 break
             continue
         if p < k:
-            shell = _Shell([coords[w] for w in anchors[:p + 1]])
+            shells[p + 1] = shells[p] & _ring(grid, c, p)
         if p == k - 1 and dim2_prunes:
-            dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(shell.anchor_cells))
+            dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(coords[w] for w in anchors))
             if dim2 is None:
                 continue
-        stack.append(iter(candidates(p + 1, dim2)))
+        stack.append(candidates(p + 1, dim2))
     if not stack:
         return SearchOutcome("no", None, nodes)
 

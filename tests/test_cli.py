@@ -501,9 +501,9 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
-def test_gen_into_a_closed_pipe_exits_quietly():
-    """A reader that leaves early (`| head`) ends gen with 141, as SIGPIPE would, and no
-    message: the closed stdout is not an input error."""
+def _gen_into_a_pipe_closed_after_one_line(unbuffered: bool) -> tuple[int, bytes]:
+    """Run gen with about 200 KB of edges, far more than a pipe holds, read one line,
+    close the pipe; the exit code and stderr."""
     import os
     import subprocess
     import sys
@@ -512,10 +512,10 @@ def test_gen_into_a_closed_pipe_exits_quietly():
     import strongdim
 
     src = str(Path(strongdim.__file__).resolve().parents[1])
-    # buffered, as a plain `python -m strongdim` runs: an unbuffered text stdout
-    # (PYTHONUNBUFFERED) drops the rest of a partial write without an error
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen(  # about 200 KB of edges, far more than a pipe holds
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
         [sys.executable, "-m", "strongdim", "gen", "--family", "path", "--params", "20000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": src},
     )
@@ -523,4 +523,16 @@ def test_gen_into_a_closed_pipe_exits_quietly():
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 141 and err == b""
+    return proc.wait(timeout=60), err
+
+
+def test_gen_into_a_closed_pipe_exits_quietly():
+    """A reader that leaves early (`| head`) ends gen with 141, as SIGPIPE would, and no
+    message: the closed stdout is not an input error."""
+    assert _gen_into_a_pipe_closed_after_one_line(unbuffered=False) == (141, b"")
+
+
+def test_unbuffered_gen_into_a_closed_pipe_exits_quietly():
+    """Unbuffered (PYTHONUNBUFFERED), the text stdout drops the rest of a short write
+    without an error; the CLI writes the rest itself, so the closed pipe is still seen."""
+    assert _gen_into_a_pipe_closed_after_one_line(unbuffered=True) == (141, b"")

@@ -220,6 +220,80 @@ def test_isomorphisms_need_more_than_colour_refinement():
     assert list(isomorphisms(Graph.from_edges([], []), Graph.from_edges([], []))) == [()]
 
 
+def _scan_isomorphisms(g: Graph, h: Graph):
+    """isomorphisms as it was before neighbour-driven candidates (the reference): g's
+    vertices in colour order, each image found by a scan of all of h, checked against
+    every earlier image."""
+    from strongdim.graph import _refine_colors
+
+    if g.n != h.n:
+        return
+    colors, h_colors = _refine_colors(g), _refine_colors(h)
+    if sorted(colors) != sorted(h_colors):
+        return
+    if g.n == 0:
+        yield ()
+        return
+    adj, h_adj = [set(a) for a in g.adj], [set(a) for a in h.adj]
+    order = sorted(range(g.n), key=lambda v: (colors[v], v))
+    image, used = [-1] * g.n, [False] * g.n
+
+    def images(p):
+        v = order[p]
+        for w in range(g.n):
+            if used[w] or h_colors[w] != colors[v]:
+                continue
+            if all((order[q] in adj[v]) == (image[order[q]] in h_adj[w]) for q in range(p)):
+                yield w
+
+    stack = [images(0)]
+    while stack:
+        p = len(stack) - 1
+        v = order[p]
+        if image[v] != -1:
+            used[image[v]] = False
+            image[v] = -1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        if p + 1 < g.n:
+            stack.append(images(p + 1))
+            continue
+        yield tuple(image)
+
+
+def test_neighbour_driven_isomorphisms_match_the_full_scan():
+    """Taking each image from a mapped neighbour's image's neighbours finds the same maps
+    as scanning all of h, onto the graph itself and onto a relabelled copy, connected or
+    not."""
+    from strongdim.constructions import gn_family
+
+    rng = random.Random(7)
+    pairs = [
+        (Graph.from_edges([str(i) for i in range(6)],
+                          [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), cycle_graph(6)),
+        (path_graph(3), path_graph(4)),
+        (path_graph(4), star_graph(3)),
+        (Graph.from_edges([], []), Graph.from_edges([], [])),
+    ]
+    pairs += [(h, g) for g, h in pairs]
+    graphs = atlas_connected(7, min_n=1) + [cycle_graph(n) for n in range(3, 41)]
+    graphs += [gn_family(1), gn_family(2), complete_multipartite_graph([3, 3, 3])]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = Graph.from_edges(g.labels, [(perm[u], perm[v]) for u, v in g.edges()])
+        pairs += [(g, g), (g, shuffled)]
+    for g, h in pairs:
+        got = list(isomorphisms(g, h))
+        assert len(set(got)) == len(got)
+        assert set(got) == set(_scan_isomorphisms(g, h)), (g.label_edges(), h.label_edges())
+    assert len(list(isomorphisms(*pairs[-2]))) == 1296  # K3,3,3: 3! * (3!)^3
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

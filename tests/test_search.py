@@ -91,6 +91,15 @@ def _k7_with_hanging_anchors() -> Graph:
     return Graph.from_label_edges(list(itertools.combinations(cs, 2)) + hang)
 
 
+def _region_cap_of(side: int, a: int) -> dict:
+    """_region_cap(side, a) as a dict: each cell of the region -> its neighbours there."""
+    from strongdim.search import _grid, _region_cap
+
+    grid, cap = _grid(side, 2), _region_cap(side, a)
+    bits = {c: grid.bit(c) for c in itertools.product(range(side), repeat=2)}
+    return {c: sum(m >> b & 1 for m in cap[1:]) for c, b in bits.items() if cap[0] >> b & 1}
+
+
 def test_dim2_empty_pool_refutes():
     """An interior diagonal cell that no vertex can fill ends the search at the anchors.
 
@@ -98,7 +107,7 @@ def test_dim2_empty_pool_refutes():
     so the side is 4, and every non-anchor has degree >= 6, above the
     capacity of any interior diagonal cell.
     """
-    from strongdim.search import _Dim2Prune, _prepare, _region_cap
+    from strongdim.search import _Dim2Prune, _prepare
 
     g = _k7_with_hanging_anchors()
     ctx = _prepare(g)
@@ -106,7 +115,7 @@ def test_dim2_empty_pool_refutes():
     rest = [v for v in range(g.n) if v not in anchors]
     assert min(g.degree(v) for v in rest) == 6
     for a in (1, 2, 3):
-        cap = _region_cap(4, a)
+        cap = _region_cap_of(4, a)
         assert all(cap[c] >= 2 for c in ((0, a), (a, 0)))  # the anchors fit
         assert all(cap[(t, a - t)] < 6 for t in range(1, a))
         got = _Dim2Prune.open(ctx, anchors, rest, 4, ((0, a), (a, 0)))
@@ -474,38 +483,144 @@ def test_gap_experiment_row_and_budget():
 
 
 def test_shell_memo_matches_the_direct_gap_test():
-    """The per-placement shell answers each cell as the anchor-gap test does, hit or miss."""
+    """The ring masks, ANDed per placed anchor, answer each cell as the anchor-gap test does."""
     from strongdim import chebyshev
-    from strongdim.search import _Shell
+    from strongdim.search import _grid, _ring
 
     rng = random.Random(23)
     for k in range(1, 5):
         for side in range(2, 8):
+            grid = _grid(side, k)
             for t in range(4):
                 # as the DFS places them (anchor j on coordinate j = 0), then anywhere
                 anchor_cells = [
                     tuple(0 if i == j and t < 2 else rng.randrange(side) for i in range(k))
                     for j in range(k)
                 ]
-                shell = _Shell(anchor_cells)
-                grid = list(itertools.product(range(side), repeat=k))
-                for c in rng.sample(grid, len(grid)) * 2:
+                shell = grid.cells
+                for j, cw in enumerate(anchor_cells):
+                    shell &= _ring(grid, cw, j)
+                grid_cells = list(itertools.product(range(side), repeat=k))
+                for c in rng.sample(grid_cells, len(grid_cells)):
                     want = all(chebyshev(c, cw) == c[j] for j, cw in enumerate(anchor_cells))
-                    assert shell[c] == want, (anchor_cells, c)
-                assert len(shell) == len(grid)
+                    assert (shell >> grid.bit(c) & 1) == want, (anchor_cells, c)
+                assert not shell & ~grid.cells  # bits at cells only
 
 
 def test_two_anchor_shell_is_the_feasible_region():
     """With anchors at (0, a) and (a, 0) the shell on the grid is the two-anchor region,
     which is why the DFS needs no separate region test."""
     from strongdim import feasible_region
-    from strongdim.search import _Shell
+    from strongdim.search import _grid, _ring
 
     for side in range(1, 16):
-        grid = list(itertools.product(range(side), repeat=2))
+        grid = _grid(side, 2)
+        cells = list(itertools.product(range(side), repeat=2))
         for a in range(side):
-            shell = _Shell([(0, a), (a, 0)])
-            assert {c for c in grid if shell[c]} == set(feasible_region(side - 1, a).cells())
+            shell = _ring(grid, (0, a), 0) & _ring(grid, (a, 0), 1)
+            assert {c for c in cells if shell >> grid.bit(c) & 1} == set(
+                feasible_region(side - 1, a).cells())
+
+
+class _DictShell(dict):
+    """The anchor-gap test memoised per cell, as a dict (the reference for the ring masks)."""
+
+    def __init__(self, anchor_cells):
+        super().__init__()
+        self.anchor_cells = anchor_cells
+
+    def __missing__(self, c):
+        inside = self[c] = all(
+            max(abs(x - y) for x, y in zip(c, cw)) == x for cw, x in zip(self.anchor_cells, c)
+        )
+        return inside
+
+
+def _product_candidates(lows, highs, used, shell):
+    """A depth's candidates as the DFS listed them before its cells were bits: the box
+    by itertools.product, each cell looked up in used and the shell, then sorted."""
+    box = itertools.product(*map(range, lows, [h + 1 for h in highs]))
+    out = [c for c in box if c not in used and shell[c]]
+    out.sort(key=lambda c: (-sum(c), c))
+    return out
+
+
+def test_bit_candidates_match_the_product_box_and_sort():
+    """Shell AND free cells AND box, read highest bit first, is the old candidate list, in
+    order, for k 1-4 and side 1-8, with anchors placed as the DFS places them or anywhere."""
+    from strongdim.search import _grid, _ring
+
+    rng = random.Random(16)
+    checked = nonempty = 0
+    for k in range(1, 5):
+        for side in range(1, 9):
+            grid = _grid(side, k)
+            cells = list(itertools.product(range(side), repeat=k))
+            for t in range(6):
+                placed = rng.randrange(k + 1)  # anchors placed so far
+                anchor_cells = [
+                    tuple(0 if i == j and t % 2 else rng.randrange(side) for i in range(k))
+                    for j in range(placed)
+                ]
+                shell = grid.cells
+                for j, cw in enumerate(anchor_cells):
+                    shell &= _ring(grid, cw, j)
+                used = set(rng.sample(cells, rng.randrange(len(cells) + 1)))
+                used_bits = sum(1 << grid.bit(c) for c in used)
+                for _ in range(8):
+                    lows = [rng.randrange(side) for _ in range(k)]
+                    highs = [rng.randrange(lo, side) for lo in lows]
+                    want = _product_candidates(lows, highs, used, _DictShell(anchor_cells))
+                    got = [grid.cell[b] for b in grid.within(shell & ~used_bits, lows, highs)]
+                    assert got == want, (k, side, anchor_cells, lows, highs)
+                    checked += 1
+                    nonempty += bool(want)
+    assert checked == 4 * 8 * 6 * 8 and nonempty > checked // 3, nonempty
+
+
+def test_bit_near_matches_the_cell_trie():
+    """The neighbour mask shifted to a cell and ANDed with the occupied cells finds the
+    vertices CellIndex.near finds, for every cell of the grid."""
+    from strongdim.embedding import CellIndex
+    from strongdim.search import _grid
+
+    rng = random.Random(17)
+    for k in range(1, 5):
+        for side in range(1, 9):
+            grid = _grid(side, k)
+            cells = list(itertools.product(range(side), repeat=k))
+            for _ in range(3):
+                occupied = rng.sample(cells, rng.randrange(len(cells) + 1))
+                index, at, mask = CellIndex(), {}, 0
+                for v, c in enumerate(occupied):
+                    index.add(c, v)
+                    at[grid.bit(c)] = v
+                    mask |= 1 << grid.bit(c)
+                for c in cells:
+                    got = [at[b] for b in grid.near(mask, grid.bit(c))]
+                    assert sorted(got) == sorted(index.near(c)), (k, side, c)
+
+
+def test_grid_tables_stay_small_on_a_long_cycle():
+    """The placement DFS on C400 (side 201) keeps its tracemalloc peak within 1.25 times
+    that of the per-cell dicts and cell trie it replaced, both searches starting with
+    empty per-process caches (3.73 and 11.18 MB then, measured on one host)."""
+    import tracemalloc
+
+    import strongdim.search
+
+    g = cycle_graph(400)
+    for search, parent_mb in ((exists_supergraph_resolved_by, 3.73), (dim2_pruned_search, 11.18)):
+        for cache in (strongdim.search._grid, strongdim.search._cone, strongdim.search._region_cap):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            out = search(g, ["0", "199"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.status, out.nodes) == ("yes", 400)
+        assert peak < 1.25 * parent_mb * 1e6, (search.__name__, peak)
 
 
 def test_k3_orbit_reps_golden():
@@ -626,19 +741,22 @@ class _FrameStackDim2Prune:
 
     kills = {"pool": 0, "count": 0}
 
-    def __init__(self, cap, diag, admissible, pools, rest):
-        self.cap = cap
+    def __init__(self, cap, diag, admissible, pools, rest, grid):
+        self.cap = [  # per degree, the region cells with room for it, as the DFS reads them
+            sum(1 << grid.bit(c) for c, room in cap.items() if room >= deg) for deg in range(10)
+        ]
+        self.grid = grid
         self.admissible = admissible  # vertex -> the diagonal cells it could fill
         self.frames = [(pools, frozenset(diag))]  # (cell -> fillers left, unfilled cells)
         self.rest = rest
 
     @classmethod
     def open(cls, ctx, anchors, rest, side, cells):
-        from strongdim.search import _region_cap
+        from strongdim.search import _grid
 
         g, dG = ctx.g, ctx.dm.dist
         a = cells[0][1]
-        cap, diag = _region_cap(side, a), [(t, a - t) for t in range(1, a)]
+        cap, diag = _region_cap_of(side, a), [(t, a - t) for t in range(1, a)]
         if any(cap.get(c, 0) < g.degree(w) for c, w in zip(cells, anchors)):
             return None
         w0, w1 = anchors
@@ -656,7 +774,7 @@ class _FrameStackDim2Prune:
         if any(pools[r] <= 0 for r in diag):
             cls.kills["pool"] += 1
             return None
-        return cls(cap, diag, admissible, pools, rest)
+        return cls(cap, diag, admissible, pools, rest, _grid(side, 2))
 
     def push(self, v, c):
         pools, unfilled = self.frames[-1]
@@ -684,7 +802,7 @@ class _FrameStackDim2Prune:
         while len(self.frames) > p - 1:  # frames[j] follows depth j + 1; the DFS undid the rest
             self.pop()
         # the one unfilled cell of depth p - 1 that is used now is depth p's, if any
-        c = next((r for r in self.frames[-1][1] if r in used), None)
+        c = next((r for r in self.frames[-1][1] if used >> self.grid.bit(r) & 1), None)
         return self.push(self.rest[p - 2], c)
 
 
