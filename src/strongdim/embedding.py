@@ -107,16 +107,6 @@ class CellIndex:
             node = node.setdefault(x, {})
         node[i] = None
 
-    def remove(self, c: Coord, i: int) -> None:
-        path = [self.root]
-        for x in c:
-            path.append(path[-1][x])
-        del path[-1][i]
-        for node, x in zip(reversed(path[:-1]), reversed(c)):  # drop emptied subtries
-            if node[x]:
-                break
-            del node[x]
-
     def near(self, c: Coord) -> list[int]:
         """Indices of the cells at Chebyshev distance 1 from c (unordered)."""
         level, centre = [self.root], self.root  # centre: the subtrie of c's own prefix
@@ -203,10 +193,10 @@ def isometry_mismatch(
     length, as chebyshev_adjacency requires.
 
     Precondition: every edge of adj joins cells at Chebyshev distance at most
-    1, as chebyshev_adjacency and CellIndex.near build it. Graph distances
-    are then never below Chebyshev distances, so for k <= 2 a source's BFS row
-    is right iff it reaches every cell and its sum equals the cell's
-    Chebyshev sum. Each source costs one BFS; its Chebyshev row is built only
+    1, as chebyshev_adjacency and the placement DFS's _Grid.near build it.
+    Graph distances are then never below Chebyshev distances, so for k <= 2
+    a source's BFS row is right iff it reaches every cell and its sum equals
+    the cell's Chebyshev sum. Each source costs one BFS; its Chebyshev row is built only
     for k >= 3 or when the sum test fails. The first source to fail has
     every earlier row right, so its first mismatch lies at some j > i.
     """

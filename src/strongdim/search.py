@@ -31,7 +31,7 @@ counters do not depend on the worker count.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, islice, product
 from operator import lt, mul
@@ -49,14 +49,14 @@ from .graph import (
     require_connected,
 )
 
-MODE_RESOLVED = "resolved"
-MODE_STRONG = "strongly_resolved"
 _AUTOMORPHISM_CAP = 20000
 
 
 @dataclass(frozen=True)
 class PlacementSearchConfig:
-    mode: str = MODE_STRONG
+    """Limits of a placement search. Every search reads max_side and
+    node_budget; threshold_dimension alone reads symmetry_pruning and jobs."""
+
     max_side: int | None = None  # default diam(g)+1 at call time
     node_budget: int = 10_000_000
     symmetry_pruning: bool = True
@@ -69,8 +69,6 @@ class PlacementSearchConfig:
             raise GraphError(f"jobs must be at least 1, got {self.jobs}")
         if self.max_side is not None and self.max_side < 1:
             raise GraphError(f"max_side must be at least 1, got {self.max_side}")
-        if self.mode not in (MODE_RESOLVED, MODE_STRONG):
-            raise GraphError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -298,13 +296,13 @@ class _Dim2Prune:
     already keeps them in the region). Every interior cell of the diagonal
     between the anchors ends up occupied (the anchors need a geodesic), so a
     free one needs a filler below the current depth; the vertex order is
-    fixed, so that is one comparison per cell, with nothing to undo.
+    fixed, so their cells are one mask per depth, with nothing to undo.
     """
 
     cap: tuple[int, ...]  # _region_cap
     shift: int  # the diagonal's cells are the bits shift + i, i < a - 1
     diag: int  # the mask of those i
-    last: tuple[int, ...]  # per i, the deepest depth that could fill its cell
+    fill: tuple[int, ...]  # fill[p]: the diagonal cells some vertex below depth p can take
 
     @classmethod
     def open(cls, ctx: _SearchContext, anchors: list[int], rest: list[int], side: int,
@@ -319,29 +317,22 @@ class _Dim2Prune:
         w0, w1 = anchors
         shift = grid.bit((a - 1, 1))  # (t, a - t) is bit a*T - t, so i = a - 1 - t
         diag = (1 << a - 1) - 1
-        if not diag:
-            return cls(cap, shift, diag, ())
         room = [c >> shift & diag for c in cap]  # per degree, on the diagonal
-        last = [0] * (a - 1)
-        unfilled = diag
-        for p in range(len(rest) + 1, 1, -1):  # deepest first, so each cell keeps its deepest
+        fill = [diag] * (len(rest) + 1) + [0]  # no vertex is below the last depth
+        for p in range(len(rest) + 1, 1, -1):  # deepest first: a suffix OR
             v = rest[p - 2]
             # t <= d(v, w0) and a - t <= d(v, w1), with room for deg(v)
             span = (1 << dG[v][w1]) - (1 << max(a - 1 - dG[v][w0], 0))
-            new = unfilled & span & room[min(g.degree(v), 9)]
-            if new:
-                for i in _bits(new):
-                    last[i] = p
-                unfilled ^= new
-                if not unfilled:
-                    return cls(cap, shift, diag, tuple(last))
+            fill[p - 1] = fill[p] | span & room[min(g.degree(v), 9)]
+            if fill[p - 1] == diag:  # every mask above it is diag too
+                return cls(cap, shift, diag, tuple(fill))
         return None  # a cell has no filler
 
     def allows(self, p: int, used: int, n: int) -> bool:
         """Whether the n - 1 - p vertices below depth p can fill each free diagonal
         cell, used being the occupied cells."""
         free = self.diag & ~(used >> self.shift)
-        return free.bit_count() < n - p and all(self.last[i] > p for i in _bits(free))
+        return free.bit_count() < n - p and not free & ~self.fill[p]
 
 
 class _SearchContext:
@@ -410,23 +401,22 @@ def _prepare(g: Graph) -> _SearchContext:
     return _SearchContext(g, all_pairs_distances(g))
 
 
-def _try_fast_path(ctx: _SearchContext, anchors: list[str], mode: str) -> Embedding | None:
+def _try_fast_path(ctx: _SearchContext, anchors: list[str], strong: bool) -> Embedding | None:
     """If W, a nonempty set of g's labels, already (strongly) resolves g itself,
     its distance vectors work; None when it does not."""
     g, dm = ctx.g, ctx.dm
-    resolves = is_resolving_set if mode == MODE_RESOLVED else is_strong_resolving_set
+    resolves = is_strong_resolving_set if strong else is_resolving_set
     if not resolves(g, anchors, dm):
         return None
     emb = distance_vector_embedding(g, anchors, dm=dm)
-    check = certify(emb, g, mode == MODE_STRONG)  # independent of the resolving test
+    check = certify(emb, g, strong)  # independent of the resolving test
     if not check:
         raise AssertionError(f"fast path embedding fails {check.clause}: {check.detail}")
     return emb
 
 
-def _run_search(
-    ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSearchConfig, dim2_prunes: bool
-) -> SearchOutcome:
+def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSearchConfig,
+                strong: bool, dim2_prunes: bool) -> SearchOutcome:
     """Place the vertices one at a time, anchors first, each in a cell that can still work.
 
     A vertex's candidates are the free cells of its interval box (its graph
@@ -445,12 +435,11 @@ def _run_search(
     finds one step away. The shell keeps every placed cell at Chebyshev gap
     c[i] from anchor i's cell, so no placed subgraph, whose edges are single
     Chebyshev steps, brings a vertex nearer an anchor than its coordinate; a
-    complete placement is checked exactly, by a BFS from each anchor and, in
-    the strong mode, the isometry check. dim2_prunes adds the two-anchor
+    complete placement is checked exactly, by a BFS from each anchor and, if
+    strong, the isometry check. dim2_prunes adds the two-anchor
     prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
-    mode = cfg.mode
     if len(set(anchor_labels)) != len(anchor_labels):
         raise GraphError("anchor labels must be distinct")
     anchors = [g.index(lb) for lb in anchor_labels]  # an unknown label raises before any "no"
@@ -465,7 +454,7 @@ def _run_search(
     side = cfg.max_side if cfg.max_side is not None else D + 1
 
     if side >= D + 1:
-        fast = _try_fast_path(ctx, anchor_labels, mode)
+        fast = _try_fast_path(ctx, anchor_labels, strong)
         if fast is not None:
             return SearchOutcome("yes", fast, 0)
     if side**k < n:
@@ -541,7 +530,7 @@ def _run_search(
         for i, w in enumerate(anchors):
             if bfs_from(hadj, w) != [c[i] for c in coords]:
                 return False
-        return mode != MODE_STRONG or isometry_mismatch(coords, hadj) is None
+        return not strong or isometry_mismatch(coords, hadj) is None
 
     # One pending candidate iterator per depth, as in graph.isomorphisms;
     # depth p holds a placement while coords[order[p]] is set. shells[p + 1]
@@ -594,7 +583,7 @@ def _run_search(
         return SearchOutcome("no", None, nodes)
 
     emb = Embedding(k, side, tuple(anchor_labels), {g.labels[v]: coords[v] for v in range(n)})
-    check = certify(emb, g, mode == MODE_STRONG)  # independent of the DFS's own checks
+    check = certify(emb, g, strong)  # independent of the DFS's own checks
     if not check:
         raise AssertionError(f"search produced an invalid embedding: {check.clause}: "
                              f"{check.detail}")
@@ -602,24 +591,24 @@ def _run_search(
 
 
 def exists_supergraph_resolved_by(
-    g: Graph, anchors: list[str] | tuple[str, ...], cfg: PlacementSearchConfig | None = None
+    g: Graph, anchors: list[str] | tuple[str, ...], cfg: PlacementSearchConfig | None = None,
+    *, strong: bool = True,
 ) -> SearchOutcome:
-    """Search all placements for the given anchor set; exhaustive unless budgeted out."""
+    """Search all placements for the anchor set, isometric if strong; exhaustive unless
+    budgeted out."""
     cfg = cfg or PlacementSearchConfig()
-    return _run_search(_prepare(g), list(anchors), cfg, dim2_prunes=False)
+    return _run_search(_prepare(g), list(anchors), cfg, strong, dim2_prunes=False)
 
 
 def dim2_pruned_search(
-    g: Graph,
-    anchors: list[str] | tuple[str, ...],
-    mode: str = MODE_STRONG,
-    cfg: PlacementSearchConfig | None = None,
+    g: Graph, anchors: list[str] | tuple[str, ...], cfg: PlacementSearchConfig | None = None,
+    *, strong: bool = True,
 ) -> SearchOutcome:
     """Two-anchor specialization: anchor degree cap, cell capacities, forced diagonal."""
     if len(anchors) != 2:
         raise GraphError("dim2 pruned search needs exactly two anchors")
-    cfg = replace(cfg or PlacementSearchConfig(), mode=mode)
-    return _run_search(_prepare(g), list(anchors), cfg, dim2_prunes=True)
+    cfg = cfg or PlacementSearchConfig()
+    return _run_search(_prepare(g), list(anchors), cfg, strong, dim2_prunes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +616,8 @@ def dim2_pruned_search(
 
 
 def _search_task(args):
-    ctx, W, cfg = args
-    return _run_search(ctx, [ctx.g.labels[v] for v in W], cfg, dim2_prunes=True)
+    ctx, W, cfg, strong = args
+    return _run_search(ctx, [ctx.g.labels[v] for v in W], cfg, strong, dim2_prunes=True)
 
 
 def threshold_dimension(
@@ -652,10 +641,8 @@ def threshold_dimension(
         raise GraphError(f"mode must be 'metric' or 'strong', got {mode!r}")
     if max_k is not None and max_k < 1:
         raise GraphError(f"max_k must be at least 1, got {max_k}")
-    cfg = replace(
-        cfg or PlacementSearchConfig(),
-        mode=MODE_RESOLVED if mode == "metric" else MODE_STRONG,
-    )
+    strong = mode == "strong"
+    cfg = cfg or PlacementSearchConfig()
     ctx = _prepare(g)
     if cfg.max_side is not None and cfg.max_side <= ctx.dm.diameter:
         raise GraphError(f"max_side must exceed the diameter {ctx.dm.diameter}, "
@@ -702,13 +689,13 @@ def threshold_dimension(
                 "budget_exhausted": 0,
             }
             level_all_refuted = True
-            rep_results = run(_search_task, [(ctx, ms[0], cfg) for ms in orbits.values()])
+            rep_results = run(_search_task, [(ctx, ms[0], cfg, strong) for ms in orbits.values()])
             # Fold each orbit: a budget-exhausted member falls through to the
             # next one; a single exhaustive "no" refutes every isomorphic copy.
             for members, res in zip(orbits.values(), rep_results):
                 for i, W in enumerate(members):
                     if i:
-                        res = _search_task((ctx, W, cfg))
+                        res = _search_task((ctx, W, cfg, strong))
                     level["sets_searched"] += 1
                     total_nodes += res.nodes
                     if res.status != "budget_exhausted":
@@ -734,7 +721,7 @@ def threshold_dimension(
         basis = strong_dimension(g)
         hi = basis.value
         if lo == hi:  # a strong basis resolves g in either mode
-            witness, emb = basis.witness, _try_fast_path(ctx, list(basis.witness), cfg.mode)
+            witness, emb = basis.witness, _try_fast_path(ctx, list(basis.witness), strong)
     stats = {"nodes": total_nodes, "levels": levels}
     if lo == hi:  # size lo - 1 refuted, and so every smaller size
         return ThresholdResult("exact", lo, None, witness, emb, stats)

@@ -132,10 +132,7 @@ def test_criterion_05_characterization_equivalence():
         for k in range(1, g.n + 1):
             for W in itertools.combinations(g.labels, k):
                 for strong in (False, True):
-                    cfg = PlacementSearchConfig(
-                        mode="strongly_resolved" if strong else "resolved"
-                    )
-                    got = exists_supergraph_resolved_by(g, list(W), cfg)
+                    got = exists_supergraph_resolved_by(g, list(W), strong=strong)
                     assert got.status in ("yes", "no")
                     want = supergraph_oracle(g, list(W), strong)
                     assert (got.status == "yes") == want, (g.label_edges(), W, strong)
@@ -150,16 +147,14 @@ def test_criterion_06_corridor_separates_thresholds():
     t0 = time.time()
     g1 = gn_family(1)
     # metric threshold is 2, witnessed at the corner pair
-    yes = exists_supergraph_resolved_by(
-        g1, ["w1_1", "w2_1"], PlacementSearchConfig(mode="resolved")
-    )
+    yes = exists_supergraph_resolved_by(g1, ["w1_1", "w2_1"], strong=False)
     assert yes.status == "yes"
     tau = threshold_dimension(g1, "metric")
     assert (tau.status, tau.value) == ("exact", 2)
     # every 2-anchor strong search is exhaustively refuted
     refuted = 0
     for W in itertools.combinations(g1.labels, 2):
-        out = dim2_pruned_search(g1, list(W), "strongly_resolved")
+        out = dim2_pruned_search(g1, list(W), strong=True)
         assert out.status == "no", W
         refuted += 1
     assert refuted == 253
@@ -181,18 +176,16 @@ def test_criterion_07_double_corridor_stretch():
     assert g2.n == 44
     # required lower bound: exhaustive k=2 refutation
     for W in itertools.combinations(g2.labels, 2):
-        assert dim2_pruned_search(g2, list(W), "strongly_resolved").status == "no", W
+        assert dim2_pruned_search(g2, list(W), strong=True).status == "no", W
     # cross-check a few pairs with the generic (unpruned) engine
     for W in [("w1_1", "w2_2"), ("c5_1", "f3_2"), ("a1_1", "d2_2")]:
-        out = exists_supergraph_resolved_by(
-            g2, list(W), PlacementSearchConfig(mode="strongly_resolved")
-        )
+        out = exists_supergraph_resolved_by(g2, list(W), strong=True)
         assert out.status == "no", W
     # required upper bound (<= 4): a recorded 3-anchor witness, re-searched and
     # re-certified here; it also sharpens the literature value 4 down to 3
     witness = ["b3_1", "w1_1", "d3_1"]
     out = exists_supergraph_resolved_by(
-        g2, witness, PlacementSearchConfig(mode="strongly_resolved", node_budget=100_000)
+        g2, witness, PlacementSearchConfig(node_budget=100_000), strong=True
     )
     assert out.status == "yes"
     sup = induced_supergraph(out.embedding, g2)

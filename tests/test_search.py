@@ -27,18 +27,12 @@ from strongdim.graph import Graph
 from .conftest import atlas_connected, random_connected_graph, supergraph_oracle, to_nx
 
 
-def cfg_for(strong: bool, **kw) -> PlacementSearchConfig:
-    return PlacementSearchConfig(
-        mode="strongly_resolved" if strong else "resolved", **kw
-    )
-
-
 def test_oracle_equivalence_n4_exhaustive():
     for g in atlas_connected(4, min_n=2):
         for k in range(1, g.n + 1):
             for W in itertools.combinations(g.labels, k):
                 for strong in (False, True):
-                    got = exists_supergraph_resolved_by(g, list(W), cfg_for(strong))
+                    got = exists_supergraph_resolved_by(g, list(W), strong=strong)
                     want = supergraph_oracle(g, list(W), strong)
                     assert (got.status == "yes") == want, (g.label_edges(), W, strong)
 
@@ -49,7 +43,7 @@ def test_oracle_equivalence_n6_exhaustive():
         for k in range(1, g.n + 1):
             for W in itertools.combinations(g.labels, k):
                 for strong in (False, True):
-                    got = exists_supergraph_resolved_by(g, list(W), cfg_for(strong))
+                    got = exists_supergraph_resolved_by(g, list(W), strong=strong)
                     want = supergraph_oracle(g, list(W), strong)
                     assert (got.status == "yes") == want, (g.label_edges(), W, strong)
 
@@ -59,7 +53,7 @@ def test_yes_embeddings_strongly_resolve_their_supergraph(rng):
     while seen < 30:
         g = random_connected_graph(rng.randrange(3, 8), rng)
         W = rng.sample(list(g.labels), rng.randrange(1, g.n))
-        out = exists_supergraph_resolved_by(g, W, cfg_for(True))
+        out = exists_supergraph_resolved_by(g, W, strong=True)
         if out.status != "yes":
             continue
         sup = induced_supergraph(out.embedding, g)
@@ -73,15 +67,14 @@ def test_dim2_pruned_agrees_with_generic(rng):
         g = random_connected_graph(rng.randrange(3, 8), rng)
         W = rng.sample(list(g.labels), 2)
         for strong in (False, True):
-            mode = "strongly_resolved" if strong else "resolved"
-            a = exists_supergraph_resolved_by(g, W, cfg_for(strong))
-            b = dim2_pruned_search(g, W, mode)
-            assert a.status == b.status, (g.label_edges(), W, mode)
+            a = exists_supergraph_resolved_by(g, W, strong=strong)
+            b = dim2_pruned_search(g, W, strong=strong)
+            assert a.status == b.status, (g.label_edges(), W, strong)
 
 
 def test_dim2_degree_cap_immediate_no():
     g = star_graph(4)  # center has degree 4
-    out = dim2_pruned_search(g, ["0", "1"], "strongly_resolved")
+    out = dim2_pruned_search(g, ["0", "1"], strong=True)
     assert out.status == "no" and out.nodes == 0
 
 
@@ -120,11 +113,11 @@ def test_dim2_empty_pool_refutes():
         assert all(cap[(t, a - t)] < 6 for t in range(1, a))
         got = _Dim2Prune.open(ctx, anchors, rest, 4, ((0, a), (a, 0)))
         assert (got is None) == (a > 1), a  # a = 1 has no interior diagonal cell
-    for mode in ("resolved", "strongly_resolved"):
-        pruned = dim2_pruned_search(g, ["w0", "w1"], mode)
-        plain = exists_supergraph_resolved_by(g, ["w0", "w1"], cfg_for(mode == "strongly_resolved"))
-        assert (pruned.status, pruned.nodes) == ("no", 6), mode
-        assert (plain.status, plain.nodes) == ("no", 31), mode
+    for strong in (False, True):
+        pruned = dim2_pruned_search(g, ["w0", "w1"], strong=strong)
+        plain = exists_supergraph_resolved_by(g, ["w0", "w1"], strong=strong)
+        assert (pruned.status, pruned.nodes) == ("no", 6), strong
+        assert (plain.status, plain.nodes) == ("no", 31), strong
 
 
 def test_threshold_paths():
@@ -172,8 +165,8 @@ def test_threshold_invariant_under_relabeling(rng):
 
 def test_budget_exhaustion_surfaces():
     g1 = gn_family(1)
-    cfg = PlacementSearchConfig(mode="strongly_resolved", node_budget=5)
-    out = exists_supergraph_resolved_by(g1, ["a1_1", "b2_1", "c3_1"], cfg)
+    cfg = PlacementSearchConfig(node_budget=5)
+    out = exists_supergraph_resolved_by(g1, ["a1_1", "b2_1", "c3_1"], cfg, strong=True)
     assert out.status == "budget_exhausted"
     r = threshold_dimension(g1, "strong", PlacementSearchConfig(node_budget=3), max_k=2)
     assert r.status == "bounds"
@@ -181,7 +174,7 @@ def test_budget_exhaustion_surfaces():
 
 def test_fast_path_uses_distance_vectors():
     g = complete_graph(4)
-    out = exists_supergraph_resolved_by(g, ["0", "1", "2"], cfg_for(True))
+    out = exists_supergraph_resolved_by(g, ["0", "1", "2"], strong=True)
     assert out.status == "yes" and out.nodes == 0
 
 
@@ -200,22 +193,22 @@ def test_fast_path_embedding_that_fails_certify_is_an_error(monkeypatch):
 
 def test_g1_resolved_yes_strong_no():
     g1 = gn_family(1)
-    yes = exists_supergraph_resolved_by(g1, ["w1_1", "w2_1"], cfg_for(False))
+    yes = exists_supergraph_resolved_by(g1, ["w1_1", "w2_1"], strong=False)
     assert yes.status == "yes"
-    no = exists_supergraph_resolved_by(g1, ["w1_1", "w2_1"], cfg_for(True))
+    no = exists_supergraph_resolved_by(g1, ["w1_1", "w2_1"], strong=True)
     assert no.status == "no"
-    pruned = dim2_pruned_search(g1, ["w1_1", "w2_1"], "strongly_resolved")
+    pruned = dim2_pruned_search(g1, ["w1_1", "w2_1"], strong=True)
     assert pruned.status == "no"
     assert pruned.nodes <= no.nodes
 
 
 def test_k0_and_duplicate_anchor_validation():
     g = path_graph(3)
-    assert exists_supergraph_resolved_by(g, [], cfg_for(True)).status == "no"
+    assert exists_supergraph_resolved_by(g, [], strong=True).status == "no"
     with pytest.raises(GraphError):
-        exists_supergraph_resolved_by(g, ["0", "0"], cfg_for(True))
+        exists_supergraph_resolved_by(g, ["0", "0"], strong=True)
     with pytest.raises(GraphError):
-        dim2_pruned_search(g, ["0"], "resolved")
+        dim2_pruned_search(g, ["0"], strong=False)
 
 
 def test_unknown_anchor_label_raises_and_is_never_refuted():
@@ -404,7 +397,7 @@ def test_search_counters_golden():
          "budget_exhausted": 0},
     ]}
     W = ["w1_1", "w2_1"]
-    assert dim2_pruned_search(g, W, "strongly_resolved").nodes == 87
+    assert dim2_pruned_search(g, W, strong=True).nodes == 87
     assert exists_supergraph_resolved_by(g, W).nodes == 96
 
 
@@ -451,7 +444,7 @@ def test_limited_side_yes_is_still_a_certificate():
     D = all_pairs_distances(g).diameter
     assert emb.side == D  # the family embedding fits a grid smaller than D+1
     out = exists_supergraph_resolved_by(
-        g, list(emb.anchors), cfg_for(True, max_side=emb.side)
+        g, list(emb.anchors), PlacementSearchConfig(max_side=emb.side), strong=True
     )
     assert out.status == "yes"
     assert max(max(c) for c in out.embedding.placement.values()) < emb.side
@@ -461,11 +454,12 @@ def test_three_block_corridor_strong_threshold_three():
     """The chained corridor keeps strong threshold 3 at three blocks."""
     g3 = gn_family(3)
     for W in itertools.combinations(g3.labels, 2):
-        assert dim2_pruned_search(g3, list(W), "strongly_resolved").status == "no"
+        assert dim2_pruned_search(g3, list(W), strong=True).status == "no"
     out = exists_supergraph_resolved_by(
         g3,
         ["w1_1", "b4_1", "d3_1"],
-        PlacementSearchConfig(mode="strongly_resolved", max_side=6, node_budget=100_000),
+        PlacementSearchConfig(max_side=6, node_budget=100_000),
+        strong=True,
     )
     assert out.status == "yes"
     sup = induced_supergraph(out.embedding, g3)
@@ -651,10 +645,10 @@ def test_k3_orbit_reps_golden():
         metric[i] = ("yes", 0)  # the distance vectors already resolve G_2
     metric[15] = ("yes", 104)
     metric[28] = ("no", 66)
-    for mode, want in (("strongly_resolved", strong), ("resolved", metric)):
-        cfg = PlacementSearchConfig(mode=mode, node_budget=128)
-        got = [exists_supergraph_resolved_by(g, W, cfg) for W in reps_40]
-        assert [(r.status, r.nodes) for r in got] == want, mode
+    cfg = PlacementSearchConfig(node_budget=128)
+    for is_strong, want in ((True, strong), (False, metric)):
+        got = [exists_supergraph_resolved_by(g, W, cfg, strong=is_strong) for W in reps_40]
+        assert [(r.status, r.nodes) for r in got] == want, is_strong
     emb = got[15].embedding.to_json()
     assert emb["anchors"] == ["b4_1", "c5_1", "w2_2"]
     digest = hashlib.sha256(json.dumps(emb, sort_keys=True).encode()).hexdigest()[:16]
@@ -718,14 +712,14 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
     searched = 0
     for g, W, budget in cases:
         ctx = _prepare(g)
-        for mode in ("resolved", "strongly_resolved"):
-            cfg = PlacementSearchConfig(mode=mode, node_budget=budget)
+        cfg = PlacementSearchConfig(node_budget=budget)
+        for strong in (False, True):
             for dim2 in (False, True):
-                got = _run_search(ctx, W, cfg, dim2)
+                got = _run_search(ctx, W, cfg, strong, dim2)
                 with monkeypatch.context() as m:
                     m.setattr(strongdim.search, "_bounding_set", _every_placed_vertex)
-                    want = _run_search(ctx, W, cfg, dim2)
-                assert got == want, (g.label_edges(), W, mode, dim2)
+                    want = _run_search(ctx, W, cfg, strong, dim2)
+                assert got == want, (g.label_edges(), W, strong, dim2)
                 seen[got.status] += 1
                 searched += got.nodes > 0
     assert min(seen.values()) >= 40 and searched >= 400, (seen, searched)
@@ -807,8 +801,8 @@ class _FrameStackDim2Prune:
 
 
 def test_stateless_dim2_prune_matches_the_frame_stack(monkeypatch):
-    """Comparing each free diagonal cell's deepest filler with the depth, and the free
-    cells with the vertices left, prunes as the pool copies pushed and popped with the
+    """Testing the free diagonal cells against the depth's fill mask, and their count
+    against the vertices left, prunes as the pool copies pushed and popped with the
     DFS did: the whole search (status, nodes, embedding) is the same."""
     import strongdim.search
     from strongdim.search import _prepare, _run_search
@@ -818,14 +812,14 @@ def test_stateless_dim2_prune_matches_the_frame_stack(monkeypatch):
 
     def check(g, W):
         ctx = _prepare(g)
-        for mode in ("resolved", "strongly_resolved"):
+        for strong in (False, True):
             for budget in (30, 3000):
-                cfg = PlacementSearchConfig(mode=mode, node_budget=budget)
-                got = _run_search(ctx, W, cfg, True)
+                cfg = PlacementSearchConfig(node_budget=budget)
+                got = _run_search(ctx, W, cfg, strong, True)
                 with monkeypatch.context() as m:
                     m.setattr(strongdim.search, "_Dim2Prune", _FrameStackDim2Prune)
-                    want = _run_search(ctx, W, cfg, True)
-                assert got == want, (g.label_edges(), W, mode, budget)
+                    want = _run_search(ctx, W, cfg, strong, True)
+                assert got == want, (g.label_edges(), W, strong, budget)
 
     cases = [(cycle_graph(9), W) for W in (["0", "4"], ["0", "3"], ["2", "5"])]
     cases += [(gn_family(1), W) for W in (["w1_1", "w2_1"], ["w1_1", "c5_1"], ["c5_1", "f3_1"])]
@@ -842,6 +836,22 @@ def test_stateless_dim2_prune_matches_the_frame_stack(monkeypatch):
         check(g, rng.sample(list(g.labels), 2))
         searched += 1
     assert kills["pool"] >= 20 and kills["count"] >= 20, kills
+
+
+def test_diagonal_pool_cuts_an_antipodal_cycle(monkeypatch):
+    """On C24 with antipodal anchors the diagonal pool prune takes the two-anchor search
+    from the unpruned engine's 2,528 nodes to 81; the degree and capacity rules alone,
+    with allows always passing, leave all 2,528."""
+    import strongdim.search
+
+    g, W = cycle_graph(24), ["0", "12"]
+    plain = exists_supergraph_resolved_by(g, W)
+    assert (plain.status, plain.nodes) == ("yes", 2528)
+    pruned = dim2_pruned_search(g, W)
+    assert (pruned.status, pruned.nodes) == ("yes", 81)
+    monkeypatch.setattr(strongdim.search._Dim2Prune, "allows", lambda self, p, used, n: True)
+    unpooled = dim2_pruned_search(g, W)
+    assert (unpooled.status, unpooled.nodes) == ("yes", 2528)
 
 
 def test_exact_needs_only_the_level_below_refuted(monkeypatch):
@@ -881,12 +891,11 @@ def test_one_vertex_graph_is_resolved_by_no_anchor():
     "call, message",
     [
         (lambda: PlacementSearchConfig(node_budget=0), "node_budget must be positive"),
-        (lambda: PlacementSearchConfig(mode="x"), "unknown mode 'x'"),
         (lambda: threshold_dimension(cycle_graph(5), "resolved"), "mode must be"),
         (lambda: brute_force_dimension(cycle_graph(5), "x"), "mode must be"),
         (lambda: tau_gap_experiment(0), "need n >= 1"),
     ],
-    ids=["node_budget", "config_mode", "threshold_mode", "brute_force_mode", "gap_n"],
+    ids=["node_budget", "threshold_mode", "brute_force_mode", "gap_n"],
 )
 def test_search_input_checks(call, message):
     with pytest.raises(GraphError, match=message):
