@@ -148,7 +148,7 @@ def _cmd_certify(args) -> int:
 def _cmd_gen(args) -> int:
     params = _int_params(args.params) if args.params else []
     family = args.family
-    emb = None
+    embed = None  # builds the family's embedding, called only when one is asked for
     if family in ("path", "complete", "star"):
         g = generate(family, n=_one(params, family))
     elif family == "multipartite":
@@ -159,7 +159,7 @@ def _cmd_gen(args) -> int:
         n = _one(params, family)
         g = generate("cycle", n=n)
         if n >= 4:
-            emb = cons.cycle_embedding(n)
+            embed = lambda: cons.cycle_embedding(n)
     elif family == "type":
         if len(params) != 3:
             raise GraphError("type family needs params TYPE,M,N")
@@ -169,21 +169,25 @@ def _cmd_gen(args) -> int:
             raise GraphError("tree4 needs params K1,K2,K3,K4,K5")
         p4 = cons.FourLeafTreeParams(*params)
         g = cons.four_leaf_tree(p4)
-        emb = cons.tree_dim3_embedding(p4)
+        embed = lambda: cons.tree_dim3_embedding(p4)  # needs K2 >= K3 and K4 >= K5
     elif family == "tree5":
         if len(params) != 7:
             raise GraphError("tree5 needs params K1..K7")
         p5 = cons.FiveLeafTreeParams(*params)
         g = cons.five_leaf_tree(p5)
-        emb = cons.tree_dim4_embedding(p5)
+        embed = lambda: cons.tree_dim4_embedding(p5)  # as tree4, on its 4-leaf base
     elif family == "l3n":
-        g, emb = cons.l3n_family(_one(params, family))
+        g, built = cons.l3n_family(_one(params, family))  # the graph comes with its embedding
+        embed = lambda: built
     else:  # gn; argparse admits no other family
         g = cons.gn_family(_one(params, family))
     if g.n < 2:  # an edge list cannot carry an isolated vertex
         raise GraphError(f"{family} with params {args.params} has one vertex and no edge-list form")
-    if emb is None and (args.embedding_out or args.render):  # else a stale file or no grid passes
-        raise GraphError(f"{family} with params {args.params} builds no embedding")
+    emb = None
+    if args.embedding_out or args.render:
+        if embed is None:  # else a stale file or no grid passes
+            raise GraphError(f"{family} with params {args.params} builds no embedding")
+        emb = embed()
     if args.embedding_out:  # first, so a failed write prints nothing
         Path(args.embedding_out).write_text(json.dumps(emb.to_json(), indent=2, sort_keys=True) + "\n")
     _write(to_edge_list(g))

@@ -15,12 +15,12 @@ on the cell alone. The grid's cells are the bits of one integer, numbered
 in the DFS's candidate order (_Grid), so that test is one cached ring mask
 per anchor cell and slot, ANDed in as each anchor is placed (the "shell").
 A depth's candidates are then the free shell cells of its interval box,
-read off one mask, and the placed cells next to a new one are a fixed
-neighbour mask shifted to it and ANDed with the occupied cells. Every
-placed cell passes the shell, and adjacent cells are one Chebyshev step
-apart, so no partial placement puts a vertex nearer an anchor than its
-coordinate: the anchor distances can only go wrong upward, and are checked
-once per complete placement by a BFS from each anchor.
+read off one mask. Every placed cell passes the shell, so no placement
+puts a vertex nearer an anchor than its coordinate, and a complete one has
+its anchor distances right exactly when every placed cell but anchor i's
+has a placed neighbour one lower in coordinate i: a few shifts of the
+occupied mask per anchor (_Grid.supported). The DFS keeps no adjacency;
+only a strong leaf that passes builds one, for the isometry check.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -38,13 +38,18 @@ from operator import lt, mul
 
 from .constructions import gn_family
 from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimension
-from .embedding import Embedding, certify, distance_vector_embedding, isometry_mismatch
+from .embedding import (
+    Embedding,
+    certify,
+    chebyshev_adjacency,
+    distance_vector_embedding,
+    isometry_mismatch,
+)
 from .graph import (
     DistanceMatrix,
     Graph,
     GraphError,
     all_pairs_distances,
-    bfs_from,
     isomorphisms,
     require_connected,
 )
@@ -128,15 +133,15 @@ class _Grid:
     - bits descend in the DFS's candidate order (-sum(c), c);
     - the cells of a box are the products of one power of two per
       coordinate, so a box is k multiplications of geometric sums;
-    - no cell has a base side+1 digit equal to side, so a unit step in each
-      coordinate is a fixed bit offset that never carries into another cell:
-      the cells at Chebyshev distance 1 are one fixed mask, shifted.
-    A set of cells is a mask with bits at cells only. within() and near()
-    use masks that also cover bits holding no cell, so they read them
-    through such a set. A grid keeps no mask per cell: the mask of all
-    cells, the neighbour mask and per coordinate the sums of up to 16 powers
-    (wider boxes compute theirs), about 0.1 MB for the 601-side grid of a
-    1200-cycle.
+    - no cell has a base side+1 digit equal to side, so a unit step is a
+      fixed bit offset that never carries into another cell: two cells are
+      one step apart exactly when their bits are its offset apart, since no
+      nonzero difference within +-side per coordinate sits at bit 0.
+    A set of cells is a mask with bits at cells only. within() and
+    supported() use masks that also cover bits holding no cell, so they read
+    them through such a set. A grid keeps no mask per cell: the mask of all
+    cells and per coordinate the sums of up to 16 powers (wider boxes
+    compute theirs), about 0.1 MB for the 601-side grid of a 1200-cycle.
     """
 
     def __init__(self, side: int, k: int):
@@ -146,11 +151,9 @@ class _Grid:
         self.size = (side - 1) * sum(self.units) + 1  # the top cell's bit, plus one
         # reps[j][w]: bits 0, u_j, ..., (w-1) u_j: w values of c_j from c_j = 0
         self.reps = [[_geometric(u, w) for w in range(min(side, 16) + 1)] for u in self.units]
-        # the 3^k - 1 unit steps as bit offsets; ball has them shifted by reach
-        # to bits >= 0 (a set: at side 1, which has no steps, two coincide)
-        steps = {sum(map(mul, dc, self.units)) for dc in product((-1, 0, 1), repeat=k) if any(dc)}
-        self.reach = -min(steps)
-        self.ball = sum(1 << self.reach + o for o in steps)
+        # down[i]: the bit offsets of the 3^(k-1) unit steps with dc_i = -1
+        steps = list(product((-1, 0, 1), repeat=k))
+        self.down = [[self.bit(dc) for dc in steps if dc[i] == -1] for i in range(k)]
         self.cells = self.rows([])  # every cell
         self.cell = _CellOf(self)
 
@@ -167,15 +170,13 @@ class _Grid:
             base += lo * u
         return _bits(cells >> base & box, base)  # box also covers bits holding no cell
 
-    def near(self, cells: int, b: int) -> list[int]:
-        """The bits of cells at Chebyshev distance 1 from the cell at bit b."""
-        rel = b - self.reach
-        m = (cells >> rel if rel >= 0 else cells << -rel) & self.ball
-        out = []
-        while m:  # _bits, inlined: near runs once per search node
-            q = m.bit_length() - 1
-            out.append(rel + q)
-            m ^= 1 << q
+    def supported(self, cells: int, i: int) -> int:
+        """Each cell with a cell of cells one unit step away and one lower in
+        coordinate i, plus bits holding no cell: one shift per step, never a
+        chain (a partial shift could drop a bit below 0 that a later one needs)."""
+        out = 0
+        for o in self.down[i]:
+            out |= cells >> o if o > 0 else cells << -o
         return out
 
     def rows(self, ineqs: list[tuple[int, int, int, int]]) -> int:
@@ -281,7 +282,7 @@ def _region_cap(side: int, a: int) -> tuple[int, ...]:
     grid = _grid(side, 2)
     region = _ring(grid, (0, a), 0) & _ring(grid, (a, 0), 1)
     cap = [region] + [0] * 9
-    for o in _bits(grid.ball, -grid.reach):  # each unit step's bit offset
+    for o in (grid.bit(dc) for dc in product((-1, 0, 1), repeat=2) if any(dc)):
         nbr = (region >> o if o > 0 else region << -o) & region
         for d in range(8, 0, -1):  # cap[d] |= cells with d - 1 neighbours before this one
             cap[d] |= cap[d - 1] & nbr
@@ -431,13 +432,13 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     its ring (_ring), the cells whose Chebyshev gap to its cell equals their
     coordinate p. An anchor's coordinate for a placed anchor is pinned to
     that anchor's coordinate for it, as induced distances are symmetric.
-    Placing a vertex joins it to the placed vertices whose cells _Grid.near
-    finds one step away. The shell keeps every placed cell at Chebyshev gap
-    c[i] from anchor i's cell, so no placed subgraph, whose edges are single
-    Chebyshev steps, brings a vertex nearer an anchor than its coordinate; a
-    complete placement is checked exactly, by a BFS from each anchor and, if
-    strong, the isometry check. dim2_prunes adds the two-anchor
-    prunes when k == 2.
+    The shell keeps every placed cell at Chebyshev gap c[i] from anchor i's
+    cell, so no vertex is nearer anchor i than c[i] in the induced graph. A
+    complete placement is checked exactly on the occupied mask: each cell
+    but anchor i's needs an occupied neighbour one lower in coordinate i
+    (_Grid.supported; such steps reach the anchor in c[i], and a BFS parent
+    is one). If strong, a placement that passes gets an adjacency for the
+    isometry check. dim2_prunes adds the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     if len(set(anchor_labels)) != len(anchor_labels):
@@ -475,8 +476,6 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     coords: list[tuple[int, ...] | None] = [None] * n
     bits: list[int] = [0] * n  # each placed vertex's cell bit
     occupied = 0  # the placed cells
-    at: dict[int, int] = {}  # placed vertex by cell bit
-    hadj: list[list[int]] = [[] for _ in range(n)]  # placed-subgraph adjacency
     shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
     statics: list = [None] * n  # per depth, built on its first visit, in depth order
     before = [0]  # bitmask of the vertices placed above each depth built so far
@@ -528,9 +527,9 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
 
     def leaf_ok() -> bool:
         for i, w in enumerate(anchors):
-            if bfs_from(hadj, w) != [c[i] for c in coords]:
+            if (occupied ^ 1 << bits[w]) & ~grid.supported(occupied, i):
                 return False
-        return not strong or isometry_mismatch(coords, hadj) is None
+        return not strong or isometry_mismatch(coords, chebyshev_adjacency(coords)) is None
 
     # One pending candidate iterator per depth, as in graph.isomorphisms;
     # depth p holds a placement while coords[order[p]] is set. shells[p + 1]
@@ -543,10 +542,7 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         p = len(stack) - 1
         v = order[p]
         if coords[v] is not None:
-            for u in hadj[v]:  # v was placed last, so it is last in each neighbour's list
-                hadj[u].pop()
             occupied ^= 1 << bits[v]
-            del at[bits[v]]
             coords[v] = None
         b = next(stack[-1], None)
         if b is None:
@@ -559,13 +555,7 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
             return SearchOutcome("budget_exhausted", None, nodes)
         c = coords[v] = cell_of[b]
         bits[v] = b
-        # hadj joins only cells one grid step apart, at Chebyshev distance 1,
-        # as the leaf's isometry_mismatch requires of its adjacency
-        hadj[v] = near = [at[x] for x in grid.near(occupied, b)]
-        for u in near:
-            hadj[u].append(v)
         occupied |= 1 << b
-        at[b] = v
         if dim2 is not None and not dim2.allows(p, occupied, n):
             continue
         if p + 1 == n:

@@ -4,7 +4,13 @@ import pytest
 
 from strongdim import Graph, to_edge_list, complete_graph, cycle_graph, path_graph
 from strongdim.cli import main
-from strongdim.constructions import cycle_embedding
+from strongdim.constructions import (
+    FiveLeafTreeParams,
+    FourLeafTreeParams,
+    cycle_embedding,
+    five_leaf_tree,
+    four_leaf_tree,
+)
 
 
 @pytest.fixture
@@ -283,6 +289,23 @@ def test_gen_embedding_out_without_an_embedding_is_input_error(capsys, tmp_path,
     for flag in (["--embedding-out", str(stale)], ["--render"]):
         code, out, err = run(capsys, "gen", "--family", family, "--params", params, *flag)
         assert code == 2 and out == "" and "builds no embedding" in err, flag
+    assert stale.read_text() == "from an earlier run\n"
+
+
+@pytest.mark.parametrize(
+    "family, params, tree",
+    [("tree4", "1,1,2,1,1", four_leaf_tree(FourLeafTreeParams(1, 1, 2, 1, 1))),
+     ("tree5", "1,1,2,1,1,2,1", five_leaf_tree(FiveLeafTreeParams(1, 1, 2, 1, 1, 2, 1)))],
+)
+def test_gen_unnormalized_tree_prints_its_edges_but_builds_no_embedding(capsys, tmp_path, family,
+                                                                        params, tree):
+    """Only the embedding needs K2 >= K3 and K4 >= K5; the tree itself exists."""
+    assert run(capsys, "gen", "--family", family, "--params", params) == (0, to_edge_list(tree), "")
+    stale = tmp_path / "emb.json"
+    stale.write_text("from an earlier run\n")
+    code, out, err = run(capsys, "gen", "--family", family, "--params", params,
+                         "--embedding-out", str(stale))
+    assert code == 2 and out == "" and "params must be normalized" in err
     assert stale.read_text() == "from an earlier run\n"
 
 

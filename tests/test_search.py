@@ -226,12 +226,16 @@ def test_unknown_anchor_label_raises_and_is_never_refuted():
 def test_shell_cells_are_never_nearer_an_anchor_than_their_coordinate():
     """Cells at Chebyshev gap c[i] from anchor i's cell, as the DFS's shell keeps every
     placed cell: in the Chebyshev graph of any subset holding the anchors, no cell is
-    nearer anchor i than c[i]. So a partial placement needs no anchor-distance check."""
+    nearer anchor i than c[i]. So a partial placement needs no anchor-distance check,
+    and the leaf's mask rule (every cell but anchor i's has a neighbour one lower in
+    coordinate i) holds exactly when the BFS from anchor i reads the coordinates."""
     from strongdim import chebyshev, chebyshev_adjacency, distance_vector_embedding
     from strongdim.graph import UNREACHABLE, bfs_from
+    from strongdim.search import _grid
 
     rng = random.Random(17)
     placements = tight = 0
+    rule = {True: 0, False: 0}
     while placements < 300:
         g = random_connected_graph(rng.randrange(2, 11), rng, rng.choice((0.1, 0.3)))
         W = rng.sample(list(g.labels), rng.randrange(1, min(g.n, 3) + 1))
@@ -249,12 +253,19 @@ def test_shell_cells_are_never_nearer_an_anchor_than_their_coordinate():
         for pool in (sorted(set(emb.placement.values()) - set(anchor_cells)), others):
             cells = anchor_cells + rng.sample(pool, rng.randrange(len(pool) + 1))
             adj = chebyshev_adjacency(cells)
+            grid = _grid(emb.side, len(W))
+            mask = sum(1 << grid.bit(c) for c in cells)
             for i in range(len(W)):
-                for c, d in zip(cells, bfs_from(adj, i)):
+                row = bfs_from(adj, i)
+                for c, d in zip(cells, row):
                     assert d == UNREACHABLE or d >= c[i], (g.label_edges(), W, cells)
                     tight += d == c[i]
+                holds = not (mask ^ 1 << grid.bit(cells[i])) & ~grid.supported(mask, i)
+                assert holds == (row == [c[i] for c in cells]), (g.label_edges(), W, cells, i)
+                rule[holds] += 1
             placements += 1
     assert tight > 3 * placements  # not only the anchors meet the bound
+    assert min(rule.values()) > placements // 4, rule
 
 
 def test_automorphisms_against_networkx(rng):
@@ -572,27 +583,31 @@ def test_bit_candidates_match_the_product_box_and_sort():
     assert checked == 4 * 8 * 6 * 8 and nonempty > checked // 3, nonempty
 
 
-def test_bit_near_matches_the_cell_trie():
-    """The neighbour mask shifted to a cell and ANDed with the occupied cells finds the
-    vertices CellIndex.near finds, for every cell of the grid."""
-    from strongdim.embedding import CellIndex
+def test_supported_cells_match_a_pairwise_reference():
+    """_Grid.supported marks exactly the cells with an occupied cell at Chebyshev
+    distance 1 whose coordinate i is one lower, for every cell of the grid and each i."""
+    from operator import sub
+
     from strongdim.search import _grid
 
     rng = random.Random(17)
+    checked = hits = 0
     for k in range(1, 5):
         for side in range(1, 9):
             grid = _grid(side, k)
             cells = list(itertools.product(range(side), repeat=k))
             for _ in range(3):
                 occupied = rng.sample(cells, rng.randrange(len(cells) + 1))
-                index, at, mask = CellIndex(), {}, 0
-                for v, c in enumerate(occupied):
-                    index.add(c, v)
-                    at[grid.bit(c)] = v
-                    mask |= 1 << grid.bit(c)
-                for c in cells:
-                    got = [at[b] for b in grid.near(mask, grid.bit(c))]
-                    assert sorted(got) == sorted(index.near(c)), (k, side, c)
+                mask = sum(1 << grid.bit(c) for c in occupied)
+                for i in range(k):
+                    got = grid.supported(mask, i)
+                    layers = [[y for y in occupied if y[i] == r] for r in range(-1, side)]
+                    for c in cells:  # layers[c[i]]: the occupied cells with y_i = c_i - 1
+                        want = any(max(map(abs, map(sub, c, y))) == 1 for y in layers[c[i]])
+                        assert (got >> grid.bit(c) & 1) == want, (k, side, i, c)
+                        checked += 1
+                        hits += want
+    assert 0 < hits < checked
 
 
 def test_grid_tables_stay_small_on_a_long_cycle():
