@@ -33,8 +33,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, product
-from operator import lt, mul
+from itertools import accumulate, combinations, islice, product
+from operator import lt, mul, or_
 
 from .constructions import gn_family
 from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimension
@@ -137,38 +137,42 @@ class _Grid:
       fixed bit offset that never carries into another cell: two cells are
       one step apart exactly when their bits are its offset apart, since no
       nonzero difference within +-side per coordinate sits at bit 0.
-    A set of cells is a mask with bits at cells only. within() and
-    supported() use masks that also cover bits holding no cell, so they read
-    them through such a set. A grid keeps no mask per cell: the mask of all
-    cells and per coordinate the sums of up to 16 powers (wider boxes
-    compute theirs), about 0.1 MB for the 601-side grid of a 1200-cycle.
+    A set of cells is a mask with bits at cells only; supported() uses masks
+    that also cover bits holding no cell, so it reads them through such a
+    set. A grid keeps no mask per cell: every mask it builds is a union of
+    boxes (box()), from one full column of side powers per coordinate.
     """
 
     def __init__(self, side: int, k: int):
         self.side, self.k = side, k
         self.T = T = (side + 1) ** (k - 1)
         self.units = [T - (side + 1) ** (k - 2 - j) for j in range(k - 1)] + [T]
-        self.size = (side - 1) * sum(self.units) + 1  # the top cell's bit, plus one
-        # reps[j][w]: bits 0, u_j, ..., (w-1) u_j: w values of c_j from c_j = 0
-        self.reps = [[_geometric(u, w) for w in range(min(side, 16) + 1)] for u in self.units]
+        # full[j]: bits 0, u_j, ..., (side-1) u_j: every value of c_j from c_j = 0
+        self.full = [_geometric(u, side) for u in self.units]
         # down[i]: the bit offsets of the 3^(k-1) unit steps with dc_i = -1
         steps = list(product((-1, 0, 1), repeat=k))
         self.down = [[self.bit(dc) for dc in steps if dc[i] == -1] for i in range(k)]
-        self.cells = self.rows([])  # every cell
+        self.cells = self.box([0] * k, [side - 1] * k)[0]  # every cell
         self.cell = _CellOf(self)
 
     def bit(self, c: tuple[int, ...]) -> int:
         return sum(map(mul, c, self.units))
 
-    def within(self, cells: int, lows: list[int], highs: list[int]):
-        """The bits of cells with lows[i] <= c_i <= highs[i] for each i (each
-        range nonempty), highest first: in the DFS's candidate order."""
-        box, base = 1, 0
-        for reps, u, lo, hi in zip(self.reps, self.units, lows, highs):
-            w = hi - lo + 1
-            box *= reps[w] if w < len(reps) else _geometric(u, w)
+    def box(self, lows: list[int], highs: list[int]) -> tuple[int, int]:
+        """(mask, base): mask << base holds the cells with lows[i] <= c_i <= highs[i]
+        for each i, 0 <= lows[i] and highs[i] < side. Width w on coordinate j is
+        full[j] shifted down by side - w values, so an empty range gives mask 0."""
+        mask, base = 1, 0
+        for full, u, lo, hi in zip(self.full, self.units, lows, highs):
+            mask *= full >> (self.side - 1 - hi + lo) * u
             base += lo * u
-        return _bits(cells >> base & box, base)  # box also covers bits holding no cell
+        return mask, base
+
+    def within(self, cells: int, lows: list[int], highs: list[int]):
+        """The bits of cells with lows[i] <= c_i <= highs[i] for each i, highest
+        first: in the DFS's candidate order."""
+        mask, base = self.box(lows, highs)
+        return _bits(cells >> base & mask, base)
 
     def supported(self, cells: int, i: int) -> int:
         """Each cell with a cell of cells one unit step away and one lower in
@@ -178,38 +182,6 @@ class _Grid:
         for o in self.down[i]:
             out |= cells >> o if o > 0 else cells << -o
         return out
-
-    def rows(self, ineqs: list[tuple[int, int, int, int]]) -> int:
-        """The cells with |c_i - a| + e <= c_j for each (i, j, a, e) of ineqs.
-
-        Built one row at a time: a row fixes c_0..c_{k-3} and R = c_{k-2} +
-        c_{k-1}, and along it x = c_{k-2} takes one bit lower a step, so each
-        inequality is two linear ones in x and the row's cells that meet them
-        all are one run.
-        """
-        side, k, T = self.side, self.k, self.T
-        xmax = side - 1 if k > 1 else 0  # with k = 1 there is no c_{k-2}: x = 0
-        alpha = ([0] * (k - 2) + [1, -1])[-k:]  # c_i = alpha_i x + vals_i
-        buf = bytearray(b"0" * self.size)  # char b is bit b
-        ones = b"1" * side
-        for digits in product(range(side), repeat=max(k - 2, 0)):
-            start = sum(map(mul, digits, self.units))
-            for R in range(side + xmax):
-                vals = [*digits, 0, R][-k:]
-                lo, hi = max(0, R - side + 1), min(xmax, R)
-                for i, j, a, e in ineqs:
-                    ai, aj, bi, bj = alpha[i], alpha[j], vals[i], vals[j]
-                    for m, q in ((ai - aj, bj - bi + a - e), (-ai - aj, bj + bi - a - e)):
-                        if m > 0:
-                            hi = min(hi, q // m)
-                        elif m < 0:
-                            lo = max(lo, -(q // -m))
-                        elif q < 0:
-                            hi = -1
-                if lo <= hi:
-                    top = start + R * T  # the bit of x = 0
-                    buf[top - hi:top - lo + 1] = ones[:hi - lo + 1]
-        return int(buf[::-1], 2)
 
 
 class _CellOf(dict):
@@ -250,10 +222,27 @@ def _grid(side: int, k: int) -> _Grid:
     return _Grid(side, k)
 
 
-@lru_cache(maxsize=256)  # 256 masks of _Grid.size bits at most
+@lru_cache(maxsize=256)  # 256 masks of one grid's bits at most
 def _cone(side: int, k: int, i: int, j: int, a: int, e: int) -> int:
-    """The cells c of the grid with |c_i - a| + e <= c_j."""
-    return _grid(side, k).rows([(i, j, a, e)])
+    """The cells c of the grid with |c_i - a| + e <= c_j, a union of boxes.
+
+    For i != j, one box per value x of c_i, with c_j from |x - a| + e. For
+    i == j, c_j - a + e <= c_j needs e <= a, and then a - c_j + e <= c_j is
+    c_j >= ceil((a + e) / 2).
+    """
+    grid = _grid(side, k)
+    lows, highs = [0] * k, [side - 1] * k
+    if i == j:
+        lows[j] = (a + e + 1) // 2 if e <= a else side  # side: an empty range
+        mask, base = grid.box(lows, highs)
+        return mask << base
+    out = 0
+    for x in range(side):
+        lows[i] = highs[i] = x
+        lows[j] = abs(x - a) + e  # from side on, the box is empty
+        mask, base = grid.box(lows, highs)
+        out |= mask << base
+    return out
 
 
 def _ring(grid: _Grid, cell: tuple[int, ...], j: int) -> int:
@@ -388,13 +377,7 @@ def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
     for x in ctx.g.adj[v]:
         if placed >> x & 1:
             shadowed |= shadows[v, x]
-    out = []
-    rest = placed & ~shadowed
-    while rest:  # from the top bit down: cheaper on long masks than lowest-bit tricks
-        u = rest.bit_length() - 1
-        out.append(u)
-        rest ^= 1 << u
-    return out
+    return list(_bits(placed & ~shadowed))
 
 
 def _prepare(g: Graph) -> _SearchContext:
@@ -477,8 +460,8 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     bits: list[int] = [0] * n  # each placed vertex's cell bit
     occupied = 0  # the placed cells
     shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
-    statics: list = [None] * n  # per depth, built on its first visit, in depth order
-    before = [0]  # bitmask of the vertices placed above each depth built so far
+    statics: list = [None] * n  # per depth, built on its first visit
+    before = list(accumulate((1 << v for v in order), or_, initial=0))  # vertices above depth p
 
     def static(p: int):
         """Depth p's fixed data: each coordinate's anchor bounds (None when pinned),
@@ -492,7 +475,6 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
             else (1, min(row_v[w], side - 1))
             for i, w in enumerate(anchors)
         ]
-        before.append(before[p] | 1 << v)
         bounding = [(u, row_v[u]) for u in _bounding_set(ctx, v, before[p])]
         statics[p] = data = (slot, inits, bounding, g.degree(v))
         return data

@@ -610,6 +610,23 @@ def test_supported_cells_match_a_pairwise_reference():
     assert 0 < hits < checked
 
 
+def test_cones_match_their_inequality():
+    """_cone(side, k, i, j, a, e) holds exactly the cells with |c_i - a| + e <= c_j, for
+    every i, j and a, e in {0, 1}, k 1-4 and side 1-8, and sets no bit outside
+    grid.cells, which holds exactly the side^k cells."""
+    from strongdim.search import _cone, _grid
+
+    for k in range(1, 5):
+        for side in range(1, 9):
+            grid = _grid(side, k)
+            cells = list(itertools.product(range(side), repeat=k))
+            assert grid.cells == sum(1 << grid.bit(c) for c in cells)
+            for i, j, a, e in itertools.product(range(k), range(k), range(side), (0, 1)):
+                cone = _cone(side, k, i, j, a, e)
+                want = sum(1 << grid.bit(c) for c in cells if abs(c[i] - a) + e <= c[j])
+                assert cone == want, (k, side, i, j, a, e)
+
+
 def test_grid_tables_stay_small_on_a_long_cycle():
     """The placement DFS on C400 (side 201) keeps its tracemalloc peak within 1.25 times
     that of the per-cell dicts and cell trie it replaced, both searches starting with
