@@ -193,7 +193,8 @@ def isometry_mismatch(
     length, as chebyshev_adjacency requires.
 
     Precondition: every edge of adj joins cells at Chebyshev distance at most
-    1, as chebyshev_adjacency builds it.
+    1, as both builders of it do: chebyshev_adjacency, and the placement
+    search's _Grid.adjacency off its occupied mask.
     Graph distances are then never below Chebyshev distances, so for k <= 2
     a source's BFS row is right iff it reaches every cell and its sum equals
     the cell's Chebyshev sum. Each source costs one BFS; its Chebyshev row is built only

@@ -20,7 +20,8 @@ puts a vertex nearer an anchor than its coordinate, and a complete one has
 its anchor distances right exactly when every placed cell but anchor i's
 has a placed neighbour one lower in coordinate i: a few shifts of the
 occupied mask per anchor (_Grid.supported). The DFS keeps no adjacency;
-only a strong leaf that passes builds one, for the isometry check.
+only a strong leaf that passes reads one off the occupied mask, one shift
+per pair of opposite unit steps (_Grid.adjacency), for the isometry check.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -33,7 +34,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, islice, product
+from itertools import accumulate, combinations, count, islice, product
 from operator import lt, mul, or_
 
 from .constructions import gn_family
@@ -41,7 +42,6 @@ from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimensi
 from .embedding import (
     Embedding,
     certify,
-    chebyshev_adjacency,
     distance_vector_embedding,
     isometry_mismatch,
 )
@@ -141,6 +141,9 @@ class _Grid:
     that also cover bits holding no cell, so it reads them through such a
     set. A grid keeps no mask per cell: every mask it builds is a union of
     boxes (box()), from one full column of side powers per coordinate.
+    up holds one offset per opposite pair of unit steps, the positive one,
+    (3^k - 1)/2 in all: by the lemma above, the cells of a set one step
+    apart are the bits b and b + o of set & set >> o, o in up (adjacency()).
     """
 
     def __init__(self, side: int, k: int):
@@ -152,6 +155,7 @@ class _Grid:
         # down[i]: the bit offsets of the 3^(k-1) unit steps with dc_i = -1
         steps = list(product((-1, 0, 1), repeat=k))
         self.down = [[self.bit(dc) for dc in steps if dc[i] == -1] for i in range(k)]
+        self.up = [o for o in map(self.bit, steps) if o > 0]
         self.cells = self.box([0] * k, [side - 1] * k)[0]  # every cell
         self.cell = _CellOf(self)
 
@@ -173,6 +177,18 @@ class _Grid:
         first: in the DFS's candidate order."""
         mask, base = self.box(lows, highs)
         return _bits(cells >> base & mask, base)
+
+    def adjacency(self, cells: int, at: dict[int, int]) -> list[list[int]]:
+        """The strong-product adjacency of the cells in the mask cells, vertex
+        at[b] being the cell at bit b: the pairs one step apart are the bits b
+        and b + o of cells & cells >> o, for o in up."""
+        adj: list[list[int]] = [[] for _ in at]
+        for o in self.up:
+            for b in _bits(cells & cells >> o):
+                x, y = at[b], at[b + o]
+                adj[x].append(y)
+                adj[y].append(x)
+        return adj
 
     def supported(self, cells: int, i: int) -> int:
         """Each cell with a cell of cells one unit step away and one lower in
@@ -328,18 +344,30 @@ class _Dim2Prune:
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
-    shadows caches the W_xv masks that _bounding_set reads, per process.
+    shadows caches the W_xv masks that _bounding_set reads, per process: a
+    copy unpickled in a --jobs worker takes the worker's cache for the
+    context it was copied from (serial), kept across that worker's tasks.
     """
 
     def __init__(self, g: Graph, dm: DistanceMatrix):
         self.g = g
         self.dm = dm
+        self.serial = next(_context_serials)
         self.shadows = _Shadows(dm.dist)
 
     def __getstate__(self):
         # A pool pickles tasks in a feeder thread while the parent's own searches
         # fill the cache, so no cache is sent: each worker fills its own.
-        return {**self.__dict__, "shadows": _Shadows(self.dm.dist)}
+        state = dict(self.__dict__)
+        del state["shadows"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.shadows = _worker_shadows(self.serial, self.dm.dist)
+
+
+_context_serials = count()
 
 
 class _Shadows(dict):
@@ -362,6 +390,13 @@ class _Shadows(dict):
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+@lru_cache(maxsize=4)  # per process, so a --jobs worker keeps its masks across tasks
+def _worker_shadows(serial: int, dist: tuple[tuple[int, ...], ...]) -> _Shadows:
+    """One cache per context and worker; dist in the key, so an entry never
+    serves another graph."""
+    return _Shadows(dist)
 
 
 def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
@@ -420,8 +455,12 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     complete placement is checked exactly on the occupied mask: each cell
     but anchor i's needs an occupied neighbour one lower in coordinate i
     (_Grid.supported; such steps reach the anchor in c[i], and a BFS parent
-    is one). If strong, a placement that passes gets an adjacency for the
-    isometry check. dim2_prunes adds the two-anchor prunes when k == 2.
+    is one). If strong, a placement that passes gets its induced adjacency
+    off the occupied mask (_Grid.adjacency) for the isometry check, its
+    vertices numbered last placed first: a placement that fails does so
+    most often at a deep vertex's row, and whether the graph is isometric
+    does not depend on the order of its sources. dim2_prunes adds the
+    two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     if len(set(anchor_labels)) != len(anchor_labels):
@@ -511,7 +550,10 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         for i, w in enumerate(anchors):
             if (occupied ^ 1 << bits[w]) & ~grid.supported(occupied, i):
                 return False
-        return not strong or isometry_mismatch(coords, chebyshev_adjacency(coords)) is None
+        if not strong:
+            return True
+        adj = grid.adjacency(occupied, {bits[v]: n - 1 - p for p, v in enumerate(order)})
+        return isometry_mismatch([coords[v] for v in reversed(order)], adj) is None
 
     # One pending candidate iterator per depth, as in graph.isomorphisms;
     # depth p holds a placement while coords[order[p]] is set. shells[p + 1]

@@ -316,6 +316,42 @@ def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
         assert sizes == pools and got.to_json() == want
 
 
+def test_jobs_workers_keep_their_masks_across_tasks(monkeypatch):
+    """A --jobs worker builds each W_xv mask once, as a serial run does, though every
+    task carries a pickled copy of the context; symmetry pruning is off, so every
+    anchor set is a pool task."""
+    import concurrent.futures
+    import os
+    import pickle
+
+    import strongdim.search
+
+    builds = []
+    build = strongdim.search._Shadows.__missing__
+    monkeypatch.setattr(strongdim.search._Shadows, "__missing__",
+                        lambda self, key: builds.append(key) or build(self, key))
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(pickle.loads(pickle.dumps(item))) for item in items]
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    counts = []
+    for jobs in (1, 2):
+        builds.clear()
+        cfg = PlacementSearchConfig(node_budget=20, symmetry_pruning=False, jobs=jobs)
+        res = threshold_dimension(gn_family(1), "strong", cfg, max_k=3)
+        counts.append((len(builds), res.to_json()))
+    assert counts[0] == counts[1] and counts[0][0] > 0
+
+
 def test_max_side_must_be_positive():
     for side in (0, -3):
         with pytest.raises(GraphError, match="max_side"):
@@ -610,6 +646,33 @@ def test_supported_cells_match_a_pairwise_reference():
     assert 0 < hits < checked
 
 
+def test_up_offsets_give_the_chebyshev_adjacency():
+    """_Grid.adjacency, one positive offset per opposite pair of unit steps (up), equals
+    chebyshev_adjacency on random cell sets with a cell on every face of the grid, in
+    any vertex order, for k 1-4 and side 1-8."""
+    from strongdim import chebyshev_adjacency
+    from strongdim.search import _grid
+
+    rng = random.Random(29)
+    edges = 0
+    for k in range(1, 5):
+        for side in range(1, 9):
+            grid = _grid(side, k)
+            assert len(grid.up) == (3**k - 1) // 2
+            cells = list(itertools.product(range(side), repeat=k))
+            for _ in range(3):
+                placed = set(rng.sample(cells, rng.randrange(len(cells) + 1)))
+                for j, x in itertools.product(range(k), (0, side - 1)):
+                    placed.add(rng.choice([c for c in cells if c[j] == x]))
+                placed = sorted(placed)
+                rng.shuffle(placed)
+                at = {grid.bit(c): i for i, c in enumerate(placed)}
+                got = grid.adjacency(sum(1 << b for b in at), at)
+                assert [sorted(row) for row in got] == chebyshev_adjacency(placed), (k, side)
+                edges += sum(map(len, got))
+    assert edges
+
+
 def test_cones_match_their_inequality():
     """_cone(side, k, i, j, a, e) holds exactly the cells with |c_i - a| + e <= c_j, for
     every i, j and a, e in {0, 1}, k 1-4 and side 1-8, and sets no bit outside
@@ -755,6 +818,71 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
                 seen[got.status] += 1
                 searched += got.nodes > 0
     assert min(seen.values()) >= 40 and searched >= 400, (seen, searched)
+
+
+def test_strong_leaf_matches_the_trie_adjacency_in_vertex_order(monkeypatch):
+    """Every strong leaf that reaches the isometry check gets the Chebyshev adjacency of
+    its cells, and the verdict of the trie adjacency over the cells in vertex-index order
+    (the leaf's coords, read off its frame), with and without the dim2 prunes."""
+    import inspect
+
+    import strongdim.search
+    from strongdim import chebyshev_adjacency
+    from strongdim.embedding import isometry_mismatch
+    from strongdim.search import _prepare, _run_search
+
+    verdicts = {True: 0, False: 0}
+
+    def checked(cells, adj):
+        coords = inspect.currentframe().f_back.f_locals["coords"]
+        assert sorted(cells) == sorted(coords)
+        assert [sorted(row) for row in adj] == chebyshev_adjacency(cells), cells
+        got = isometry_mismatch(cells, adj)
+        assert (got is None) == (isometry_mismatch(coords, chebyshev_adjacency(coords)) is None)
+        verdicts[got is None] += 1
+        return got
+
+    monkeypatch.setattr(strongdim.search, "isometry_mismatch", checked)
+    rng = random.Random(13)
+    cases = [(cycle_graph(9), W) for W in (["0"], ["0", "4"], ["0", "1", "5"])]
+    g1 = gn_family(1)
+    cases += [(g1, W) for W in (["a1_1"], ["w1_1", "w2_1"], ["a3_1", "b4_1", "c5_1"],
+                                ["b1_1", "b3_1", "e2_1"])]  # the last, over 800 bad leaves
+    while len(cases) < 150:
+        g = random_connected_graph(rng.randrange(5, 13), rng, rng.choice((0.05, 0.1, 0.2, 0.35)))
+        cases.append((g, rng.sample(list(g.labels), rng.choice((1, 2, 3)))))
+    cfg = PlacementSearchConfig(node_budget=3000)
+    for g, W in cases:
+        ctx = _prepare(g)
+        for dim2 in (False, True):
+            _run_search(ctx, W, cfg, True, dim2)
+    assert verdicts[False] >= 200 and verdicts[True] >= 1, verdicts
+
+
+def test_strong_sweep_builds_chebyshev_adjacency_only_to_certify(monkeypatch):
+    """The placement search reads the isometry check's adjacency off the bit grid, so in
+    a strong sweep every chebyshev_adjacency call comes from certify."""
+    import strongdim.embedding
+    import strongdim.search
+
+    calls = {"adjacency": 0, "certify": 0, "leaf": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(strongdim.embedding, "chebyshev_adjacency",
+                        counting("adjacency", strongdim.embedding.chebyshev_adjacency))
+    monkeypatch.setattr(strongdim.search, "certify", counting("certify", strongdim.search.certify))
+    monkeypatch.setattr(strongdim.search, "isometry_mismatch",
+                        counting("leaf", strongdim.search.isometry_mismatch))
+    res = threshold_dimension(gn_family(1), "strong", PlacementSearchConfig(node_budget=1000))
+    assert (res.status, res.value, res.stats["nodes"]) == ("exact", 3, 164)
+    assert not hasattr(strongdim.search, "chebyshev_adjacency")
+    assert calls["leaf"] >= 2 and calls["adjacency"] == calls["certify"] >= 1, calls
 
 
 class _FrameStackDim2Prune:
