@@ -19,9 +19,11 @@ read off one mask. Every placed cell passes the shell, so no placement
 puts a vertex nearer an anchor than its coordinate, and a complete one has
 its anchor distances right exactly when every placed cell but anchor i's
 has a placed neighbour one lower in coordinate i: a few shifts of the
-occupied mask per anchor (_Grid.supported). The DFS keeps no adjacency;
-only a strong leaf that passes reads one off the occupied mask, one shift
-per pair of opposite unit steps (_Grid.adjacency), for the isometry check.
+occupied mask per anchor (_Grid.supported). So the last depth's passing
+cells are one mask, read off its parent's occupied mask. The DFS keeps no
+adjacency; only a strong search with passing last cells reads the parent's
+off the occupied mask, one shift per pair of opposite unit steps
+(_Grid.adjacency), and adds each cell's own steps for the isometry check.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -137,10 +139,10 @@ class _Grid:
       fixed bit offset that never carries into another cell: two cells are
       one step apart exactly when their bits are its offset apart, since no
       nonzero difference within +-side per coordinate sits at bit 0.
-    A set of cells is a mask with bits at cells only; supported() uses masks
-    that also cover bits holding no cell, so it reads them through such a
-    set. A grid keeps no mask per cell: every mask it builds is a union of
-    boxes (box()), from one full column of side powers per coordinate.
+    A set of cells is a mask with bits at cells only; supported() and below()
+    give masks that also cover bits holding no cell, read through such a set.
+    A grid keeps no mask per cell: every mask it builds is a union of boxes
+    (box()), from one full column of side powers per coordinate.
     up holds one offset per opposite pair of unit steps, the positive one,
     (3^k - 1)/2 in all: by the lemma above, the cells of a set one step
     apart are the bits b and b + o of set & set >> o, o in up (adjacency()).
@@ -172,17 +174,12 @@ class _Grid:
             base += lo * u
         return mask, base
 
-    def within(self, cells: int, lows: list[int], highs: list[int]):
-        """The bits of cells with lows[i] <= c_i <= highs[i] for each i, highest
-        first: in the DFS's candidate order."""
-        mask, base = self.box(lows, highs)
-        return _bits(cells >> base & mask, base)
-
     def adjacency(self, cells: int, at: dict[int, int]) -> list[list[int]]:
         """The strong-product adjacency of the cells in the mask cells, vertex
-        at[b] being the cell at bit b: the pairs one step apart are the bits b
-        and b + o of cells & cells >> o, for o in up."""
-        adj: list[list[int]] = [[] for _ in at]
+        at[b] being the cell at bit b, one list per number up to the largest in
+        at: the pairs one step apart are the bits b and b + o of cells & cells
+        >> o, for o in up."""
+        adj: list[list[int]] = [[] for _ in range(max(at.values()) + 1)]
         for o in self.up:
             for b in _bits(cells & cells >> o):
                 x, y = at[b], at[b + o]
@@ -197,6 +194,14 @@ class _Grid:
         out = 0
         for o in self.down[i]:
             out |= cells >> o if o > 0 else cells << -o
+        return out
+
+    def below(self, cells: int, i: int) -> int:
+        """Each bit one unit step from a cell of cells and one lower in coordinate
+        i, some holding no cell: supported()'s shifts the other way."""
+        out = 0
+        for o in self.down[i]:
+            out |= cells << o if o > 0 else cells >> -o
         return out
 
 
@@ -455,12 +460,14 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     complete placement is checked exactly on the occupied mask: each cell
     but anchor i's needs an occupied neighbour one lower in coordinate i
     (_Grid.supported; such steps reach the anchor in c[i], and a BFS parent
-    is one). If strong, a placement that passes gets its induced adjacency
-    off the occupied mask (_Grid.adjacency) for the isometry check, its
-    vertices numbered last placed first: a placement that fails does so
-    most often at a deep vertex's row, and whether the graph is isometric
-    does not depend on the order of its sources. dim2_prunes adds the
-    two-anchor prunes when k == 2.
+    is one). So placing depth n - 2 settles the last depth as one mask
+    (settle), counting its cells as if tried one by one. If strong, the
+    placed cells' induced adjacency comes off the occupied mask once per
+    parent (_Grid.adjacency), numbered last placed first, and each passing
+    last cell adds its own steps as vertex 0 for the isometry check: a
+    placement that fails does so most often at a deep vertex's row, and
+    whether the graph is isometric does not depend on the order of its
+    sources. dim2_prunes adds the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     if len(set(anchor_labels)) != len(anchor_labels):
@@ -494,13 +501,14 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     order = anchors + rest
 
     grid = _grid(side, k)
-    cell_of = grid.cell
+    cell_of, full, units = grid.cell, grid.full, grid.units
     coords: list[tuple[int, ...] | None] = [None] * n
     bits: list[int] = [0] * n  # each placed vertex's cell bit
     occupied = 0  # the placed cells
     shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
     statics: list = [None] * n  # per depth, built on its first visit
     before = list(accumulate((1 << v for v in order), or_, initial=0))  # vertices above depth p
+    last = order[-1]
 
     def static(p: int):
         """Depth p's fixed data: each coordinate's anchor bounds (None when pinned),
@@ -518,11 +526,11 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         statics[p] = data = (slot, inits, bounding, g.degree(v))
         return data
 
-    def candidates(p: int, dim2: _Dim2Prune | None):
+    def candidates(p: int, dim2: _Dim2Prune | None) -> tuple[int, int]:
+        """Depth p's candidates (mask, base): the bits of mask << base."""
         slot, inits, bounding, deg_v = statics[p] or static(p)
-        lows, highs = [], []
-        for i in range(k):
-            lohi = inits[i]
+        mask, base = 1, 0  # the box, one coordinate at a time as in _Grid.box
+        for i, lohi in enumerate(inits):
             if lohi is None:
                 lo = hi = coords[anchors[i]][slot]  # induced anchor distances are symmetric
             else:
@@ -534,9 +542,9 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
                 if ci + b < hi:
                     hi = ci + b
             if lo > hi:
-                return iter(())
-            lows.append(lo)
-            highs.append(hi)
+                return 0, 0
+            mask *= full[i] >> (side - 1 - hi + lo) * units[i]
+            base += lo * units[i]
         # the free cells of the box that pass the gap test to every anchor placed
         # so far, in bit order, which is nearest first to v's graph distances
         # capped at side-1 (these bound every coordinate from above, so the L1
@@ -544,21 +552,58 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         free = shells[min(p, k)] & ~occupied
         if dim2 is not None:
             free &= dim2.cap[min(deg_v, 9)]
-        return grid.within(free, lows, highs)
+        return free >> base & mask, base
 
-    def leaf_ok() -> bool:
+    def settle(dim2: _Dim2Prune | None, room: int) -> int:
+        """The last depth at once, from its parent: how many of its candidates the
+        DFS tries, highest bit first, up to the first that completes a placement
+        (coords[last] then holds it) or all of them; more than room ends the
+        search. A cell b passes anchor i when it lies in supported(occupied, i)
+        and one step below each other occupied cell that is not (_Grid.below),
+        as placing b adds only b's own steps; the last vertex's own cell needs no
+        support when it is anchor i (n == k)."""
+        m, base = candidates(n - 1, dim2)
+        cand = ok = m << base
+        if dim2 is not None:
+            for b in _bits(cand):
+                if not dim2.allows(n - 1, occupied | 1 << b, n):
+                    ok ^= 1 << b
         for i, w in enumerate(anchors):
-            if (occupied ^ 1 << bits[w]) & ~grid.supported(occupied, i):
-                return False
-        if not strong:
-            return True
-        adj = grid.adjacency(occupied, {bits[v]: n - 1 - p for p, v in enumerate(order)})
-        return isometry_mismatch([coords[v] for v in reversed(order)], adj) is None
+            held = grid.supported(occupied, i)
+            loose = occupied & ~held
+            if w != last:
+                ok &= held
+                loose &= ~(1 << bits[w])
+            for u in _bits(loose):
+                ok &= grid.below(1 << u, i)
+        if strong and ok:  # the placed cells' adjacency, vertex 0 left for b
+            at = {bits[v]: n - 1 - p for p, v in enumerate(order[:-1])}
+            adj = grid.adjacency(occupied, at)
+            cells = [coords[v] for v in reversed(order)]
+        for b in _bits(ok):
+            tried = (cand >> b).bit_count()
+            coords[last] = cell_of[b]
+            if not strong:
+                return tried
+            if tried > room:
+                break
+            row = adj[0] = [at[x] for o in grid.up for x in (b - o, b + o) if x in at]
+            for y in row:
+                adj[y].append(0)
+            cells[0] = coords[last]
+            mismatch = isometry_mismatch(cells, adj)
+            for y in row:
+                adj[y].pop()
+            if mismatch is None:
+                return tried
+        coords[last] = None
+        return cand.bit_count()
 
-    # One pending candidate iterator per depth, as in graph.isomorphisms;
+    # One pending candidate mask per depth below the last, highest bit next;
     # depth p holds a placement while coords[order[p]] is set. shells[p + 1]
-    # belongs to the placement held at anchor depth p; the dim2 prunes are
-    # open while depth 2 is on the stack.
+    # belongs to the placement held at anchor depth p, and the dim2 prunes to
+    # the one held at depth 1. The parent of the last depth settles it whole.
+    # n >= 2 here: one vertex is resolved on the fast path.
     stack = [candidates(0, None)]
     dim2: _Dim2Prune | None = None
     nodes = 0
@@ -568,12 +613,15 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         if coords[v] is not None:
             occupied ^= 1 << bits[v]
             coords[v] = None
-        b = next(stack[-1], None)
-        if b is None:
-            stack.pop()
-            if p == 2:
+            if p == 1:
                 dim2 = None
+        m, base = stack[-1]
+        if not m:
+            stack.pop()
             continue
+        b = m.bit_length() - 1
+        stack[-1] = m ^ 1 << b, base
+        b += base
         nodes += 1
         if nodes > cfg.node_budget:
             return SearchOutcome("budget_exhausted", None, nodes)
@@ -582,17 +630,20 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         occupied |= 1 << b
         if dim2 is not None and not dim2.allows(p, occupied, n):
             continue
-        if p + 1 == n:
-            if leaf_ok():
-                break
-            continue
         if p < k:
             shells[p + 1] = shells[p] & _ring(grid, c, p)
         if p == k - 1 and dim2_prunes:
             dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(coords[w] for w in anchors))
             if dim2 is None:
                 continue
-        stack.append(candidates(p + 1, dim2))
+        if p + 2 < n:
+            stack.append(candidates(p + 1, dim2))
+            continue
+        nodes += settle(dim2, cfg.node_budget - nodes)
+        if nodes > cfg.node_budget:
+            return SearchOutcome("budget_exhausted", None, cfg.node_budget + 1)
+        if coords[last] is not None:
+            break
     if not stack:
         return SearchOutcome("no", None, nodes)
 

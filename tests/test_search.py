@@ -589,7 +589,7 @@ def _product_candidates(lows, highs, used, shell):
 def test_bit_candidates_match_the_product_box_and_sort():
     """Shell AND free cells AND box, read highest bit first, is the old candidate list, in
     order, for k 1-4 and side 1-8, with anchors placed as the DFS places them or anywhere."""
-    from strongdim.search import _grid, _ring
+    from strongdim.search import _bits, _grid, _ring
 
     rng = random.Random(16)
     checked = nonempty = 0
@@ -612,7 +612,8 @@ def test_bit_candidates_match_the_product_box_and_sort():
                     lows = [rng.randrange(side) for _ in range(k)]
                     highs = [rng.randrange(lo, side) for lo in lows]
                     want = _product_candidates(lows, highs, used, _DictShell(anchor_cells))
-                    got = [grid.cell[b] for b in grid.within(shell & ~used_bits, lows, highs)]
+                    mask, base = grid.box(lows, highs)
+                    got = [grid.cell[b] for b in _bits((shell & ~used_bits) >> base & mask, base)]
                     assert got == want, (k, side, anchor_cells, lows, highs)
                     checked += 1
                     nonempty += bool(want)
@@ -644,6 +645,23 @@ def test_supported_cells_match_a_pairwise_reference():
                         checked += 1
                         hits += want
     assert 0 < hits < checked
+
+
+def test_below_is_supported_the_other_way():
+    """_Grid.below marks, among the cells, exactly those one unit step from the cell u
+    and one lower in coordinate i, for every cell u, each i, k 1-4 and side 1-6."""
+    from strongdim.search import _grid
+
+    for k in range(1, 5):
+        for side in range(1, 7):
+            grid = _grid(side, k)
+            steps = list(itertools.product((-1, 0, 1), repeat=k))
+            for u in itertools.product(range(side), repeat=k):
+                for i in range(k):
+                    got = grid.below(1 << grid.bit(u), i) & grid.cells
+                    below = {tuple(map(sum, zip(u, dc))) for dc in steps if dc[i] == -1}
+                    want = sum(1 << grid.bit(c) for c in below if 0 <= min(c) <= max(c) < side)
+                    assert got == want, (k, side, u, i)
 
 
 def test_up_offsets_give_the_chebyshev_adjacency():
@@ -1060,3 +1078,120 @@ def test_one_vertex_graph_is_resolved_by_no_anchor():
 def test_search_input_checks(call, message):
     with pytest.raises(GraphError, match=message):
         call()
+
+
+def _outcome_digest(outcomes):
+    """sha256 prefix of (status, nodes, embedding JSON) per search, in order."""
+    import hashlib
+    import json
+
+    rows = [(r.status, r.nodes, r.embedding.to_json() if r.embedding else None) for r in outcomes]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_small_graph_searches_golden():
+    """Every anchor set of every connected graph on 2-5 vertices, at every max_side up to
+    diameter + 1, in both modes: 4,900 searches, pinned before the last depth was one
+    mask. Anchor sets with k == n make the last vertex an anchor, whose own cell needs no
+    support; the (status, nodes) list alone has its own digest as a cross-check."""
+    import hashlib
+
+    from strongdim import all_pairs_distances
+
+    outcomes = []
+    for g in atlas_connected(5, min_n=2):
+        for side in range(1, all_pairs_distances(g).diameter + 2):
+            cfg = PlacementSearchConfig(max_side=side)
+            for k in range(1, g.n + 1):
+                for W in itertools.combinations(g.labels, k):
+                    for strong in (False, True):
+                        outcomes.append(exists_supergraph_resolved_by(g, W, cfg, strong=strong))
+    assert len(outcomes) == 4900
+    counts = repr([(r.status, r.nodes) for r in outcomes]).encode()
+    assert hashlib.sha256(counts).hexdigest()[:16] == "66beaefa2ba22e19"
+    assert _outcome_digest(outcomes) == "8f2b916646ffcbbd"
+
+
+def test_budget_boundaries_golden():
+    """Budgets 1, 2, 3 and N - 1, N, N + 1 around each search's unbounded node count N
+    give the outcomes pinned before the last depth was one mask: a budget that ends at
+    or inside the last depth stops there with node_budget + 1 nodes."""
+    from strongdim.search import _prepare, _run_search
+
+    rng = random.Random(21)
+    graphs = [gn_family(1)] + [
+        random_connected_graph(rng.randrange(5, 11), rng, rng.choice((0.05, 0.1, 0.2, 0.35)))
+        for _ in range(30)
+    ]
+    outcomes = []
+    for g in graphs:
+        ctx = _prepare(g)
+        for k in (1, 2, 3):
+            W = rng.sample(list(g.labels), k)
+            for strong, dim2 in itertools.product((False, True), repeat=2):
+                N = _run_search(ctx, W, PlacementSearchConfig(), strong, dim2).nodes
+                for budget in sorted({1, 2, 3, N - 1, N, N + 1} - {-1, 0}):
+                    cfg = PlacementSearchConfig(node_budget=budget)
+                    outcomes.append(_run_search(ctx, W, cfg, strong, dim2))
+    statuses = [r.status for r in outcomes]
+    assert len(outcomes) == 1562
+    assert min(map(statuses.count, ("yes", "no", "budget_exhausted"))) >= 400
+    assert _outcome_digest(outcomes) == "d0714bcf4605bfd5"
+
+
+def test_threshold_matches_the_definition_on_six_vertices(monkeypatch):
+    """tau_s(G) (tau(G)) is by definition the least strong (metric) dimension of a
+    spanning supergraph of G: threshold_dimension returns it exactly on every connected
+    graph with 2-6 vertices, in both modes, with symmetry pruning on and off, and
+    through a pool that pickles its tasks as --jobs 2 does. With max_k one below it,
+    the result is bounds from it to beta_s(G), exact when they meet. A superset of a
+    (strong) resolving set is one too, so a supergraph lowers the least dimension found
+    so far exactly when some set one smaller resolves it; n - 1 vertices resolve any
+    graph."""
+    import concurrent.futures
+    import os
+    import pickle
+
+    from strongdim import all_pairs_distances, is_resolving_set
+
+    class PicklingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(pickle.loads(pickle.dumps(item))) for item in items]
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    graphs = atlas_connected(6, min_n=2)
+    assert len(graphs) == 142
+    checks = {"metric": is_resolving_set, "strong": is_strong_resolving_set}
+    tails = {"exact": 0, "bounds": 0}  # the results with max_k one below
+    for g in graphs:
+        best = dict.fromkeys(checks, g.n - 1)
+        non_edges = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
+        for r in range(len(non_edges) + 1):
+            for extra in itertools.combinations(non_edges, r):
+                h = g.with_edges(list(extra))
+                dm = all_pairs_distances(h)
+                for mode, resolves in checks.items():
+                    while best[mode] > 1 and any(
+                        resolves(h, W, dm) for W in itertools.combinations(h.labels, best[mode] - 1)
+                    ):
+                        best[mode] -= 1
+        beta_s = strong_dimension(g).value
+        for mode, want in best.items():
+            for symmetry, jobs in ((True, 1), (False, 1), (True, 2)):
+                cfg = PlacementSearchConfig(symmetry_pruning=symmetry, jobs=jobs)
+                got = threshold_dimension(g, mode, cfg)
+                assert (got.status, got.value) == ("exact", want), (g.label_edges(), mode, cfg)
+            if want > 1:
+                got = threshold_dimension(g, mode, max_k=want - 1)
+                assert got.to_json()["value"] == (
+                    want if want == beta_s else {"lo": want, "hi": beta_s}
+                ), (g.label_edges(), mode)
+                tails[got.status] += 1
+    assert min(tails.values()) >= 20, tails
