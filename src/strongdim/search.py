@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, combinations, count, islice, product
+from functools import lru_cache, partial
+from itertools import accumulate, combinations, islice, product
 from operator import lt, mul, or_
 
 from .constructions import gn_family
@@ -278,6 +278,9 @@ def _ring(grid: _Grid, cell: tuple[int, ...], j: int) -> int:
     outer = inner = grid.cells
     for i, a in enumerate(cell):
         outer &= _cone(side, k, i, j, a, 0)
+    if cell[j] == 0:
+        return outer
+    for i, a in enumerate(cell):
         inner &= _cone(side, k, i, j, a, 1)
     return outer & ~inner
 
@@ -292,10 +295,10 @@ def _region_cap(side: int, a: int) -> tuple[int, ...]:
     grid = _grid(side, 2)
     region = _ring(grid, (0, a), 0) & _ring(grid, (a, 0), 1)
     cap = [region] + [0] * 9
-    for o in (grid.bit(dc) for dc in product((-1, 0, 1), repeat=2) if any(dc)):
-        nbr = (region >> o if o > 0 else region << -o) & region
-        for d in range(8, 0, -1):  # cap[d] |= cells with d - 1 neighbours before this one
-            cap[d] |= cap[d - 1] & nbr
+    for o in grid.up:
+        for nbr in (region >> o & region, region << o & region):  # a neighbour at b + o, b - o
+            for d in range(8, 0, -1):  # cap[d] |= cells with d - 1 neighbours before this one
+                cap[d] |= cap[d - 1] & nbr
     return tuple(cap)
 
 
@@ -349,30 +352,15 @@ class _Dim2Prune:
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
-    shadows caches the W_xv masks that _bounding_set reads, per process: a
-    copy unpickled in a --jobs worker takes the worker's cache for the
-    context it was copied from (serial), kept across that worker's tasks.
+    shadows caches the W_xv masks that _bounding_set reads. A --jobs worker
+    gets its own copy of the context once, when it starts, and keeps that
+    copy's masks across its tasks, as a serial run keeps the parent's.
     """
 
     def __init__(self, g: Graph, dm: DistanceMatrix):
         self.g = g
         self.dm = dm
-        self.serial = next(_context_serials)
         self.shadows = _Shadows(dm.dist)
-
-    def __getstate__(self):
-        # A pool pickles tasks in a feeder thread while the parent's own searches
-        # fill the cache, so no cache is sent: each worker fills its own.
-        state = dict(self.__dict__)
-        del state["shadows"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.shadows = _worker_shadows(self.serial, self.dm.dist)
-
-
-_context_serials = count()
 
 
 class _Shadows(dict):
@@ -395,13 +383,6 @@ class _Shadows(dict):
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-@lru_cache(maxsize=4)  # per process, so a --jobs worker keeps its masks across tasks
-def _worker_shadows(serial: int, dist: tuple[tuple[int, ...], ...]) -> _Shadows:
-    """One cache per context and worker; dist in the key, so an entry never
-    serves another graph."""
-    return _Shadows(dist)
 
 
 def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
@@ -680,9 +661,21 @@ def dim2_pruned_search(
 # threshold dimension
 
 
-def _search_task(args):
-    ctx, W, cfg, strong = args
+def _search_set(ctx: _SearchContext, cfg: PlacementSearchConfig, strong: bool,
+                W: tuple[int, ...]) -> SearchOutcome:
     return _run_search(ctx, [ctx.g.labels[v] for v in W], cfg, strong, dim2_prunes=True)
+
+
+_worker_search = None  # in a --jobs worker, _search_set bound to the sweep's context
+
+
+def _start_worker(ctx: _SearchContext, cfg: PlacementSearchConfig, strong: bool) -> None:
+    global _worker_search
+    _worker_search = partial(_search_set, ctx, cfg, strong)
+
+
+def _worker_task(W: tuple[int, ...]) -> SearchOutcome:
+    return _worker_search(W)
 
 
 def threshold_dimension(
@@ -722,14 +715,18 @@ def threshold_dimension(
     if auts is not None and len(auts) <= 1:
         auts = None
 
+    search = partial(_search_set, ctx, cfg, strong)
+    reps = partial(map, search)
     # at most one worker per CPU: a fork-started pool starts all of them at the first submit
     workers = min(cfg.jobs, os.cpu_count() or 1)
     pool = None
     if workers > 1:
         import concurrent.futures  # here, so that a serial run never loads multiprocessing
 
-        pool = concurrent.futures.ProcessPoolExecutor(workers)
-    run = map if pool is None else pool.map  # pool.map submits every task at once
+        # each worker gets the context once, as it starts; a task is a bare anchor set
+        pool = concurrent.futures.ProcessPoolExecutor(
+            workers, initializer=_start_worker, initargs=(ctx, cfg, strong))
+        reps = partial(pool.map, _worker_task)  # pool.map submits every task at once
     total_nodes = 0
     levels: list[dict] = []
     lo = 1
@@ -754,13 +751,13 @@ def threshold_dimension(
                 "budget_exhausted": 0,
             }
             level_all_refuted = True
-            rep_results = run(_search_task, [(ctx, ms[0], cfg, strong) for ms in orbits.values()])
+            rep_results = reps([ms[0] for ms in orbits.values()])
             # Fold each orbit: a budget-exhausted member falls through to the
             # next one; a single exhaustive "no" refutes every isomorphic copy.
             for members, res in zip(orbits.values(), rep_results):
                 for i, W in enumerate(members):
                     if i:
-                        res = _search_task((ctx, W, cfg, strong))
+                        res = search(W)
                     level["sets_searched"] += 1
                     total_nodes += res.nodes
                     if res.status != "budget_exhausted":

@@ -293,12 +293,14 @@ def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
     """A pool never gets more workers than CPUs, and one CPU runs serially."""
     import concurrent.futures
     import os
+    import pickle
 
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             sizes.append(max_workers)
+            initializer(*pickle.loads(pickle.dumps(initargs)))
 
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
@@ -317,9 +319,9 @@ def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
 
 
 def test_jobs_workers_keep_their_masks_across_tasks(monkeypatch):
-    """A --jobs worker builds each W_xv mask once, as a serial run does, though every
-    task carries a pickled copy of the context; symmetry pruning is off, so every
-    anchor set is a pool task."""
+    """A --jobs worker builds each W_xv mask once, as a serial run does, on the pickled
+    copy of the context it starts with; symmetry pruning is off, so every anchor set
+    is a pool task."""
     import concurrent.futures
     import os
     import pickle
@@ -332,8 +334,8 @@ def test_jobs_workers_keep_their_masks_across_tasks(monkeypatch):
                         lambda self, key: builds.append(key) or build(self, key))
 
     class PicklingPool:
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            initializer(*pickle.loads(pickle.dumps(initargs)))
 
         def map(self, fn, items, chunksize=1):
             return [fn(pickle.loads(pickle.dumps(item))) for item in items]
@@ -350,6 +352,77 @@ def test_jobs_workers_keep_their_masks_across_tasks(monkeypatch):
         res = threshold_dimension(gn_family(1), "strong", cfg, max_k=3)
         counts.append((len(builds), res.to_json()))
     assert counts[0] == counts[1] and counts[0][0] > 0
+
+
+def test_jobs_send_each_worker_the_context_once(monkeypatch):
+    """A pool gets the search context pickled once per worker, in its initializer's
+    arguments; each task is a bare anchor set, with no context in it."""
+    import concurrent.futures
+    import io
+    import os
+    import pickle
+
+    from strongdim.search import _SearchContext
+
+    sent = {"initargs": [], "task": []}  # per pickled object: the contexts it carried
+    tasks = []
+
+    class Recorder(pickle.Pickler):
+        contexts = 0
+
+        def reducer_override(self, x):
+            self.contexts += isinstance(x, _SearchContext)
+            return NotImplemented
+
+    def through_pickle(kind, obj):
+        buf = io.BytesIO()
+        recorder = Recorder(buf)
+        recorder.dump(obj)
+        sent[kind].append(recorder.contexts)
+        return pickle.loads(buf.getvalue())
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            for _ in range(max_workers):
+                args = through_pickle("initargs", initargs)
+                if initializer is not None:
+                    initializer(*args)
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            tasks.extend(items)
+            return [fn(through_pickle("task", item)) for item in items]
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = gn_family(1)
+    want = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=20), 3).to_json()
+    got = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=20, jobs=2), 3)
+    assert got.to_json() == want
+    assert sent["initargs"] == [1, 1]
+    assert tasks and not any(sent["task"])
+    assert all(type(W) is tuple and all(type(v) is int for v in W) for W in tasks)
+
+
+def test_jobs_results_do_not_depend_on_the_start_method(monkeypatch):
+    """A spawn-started pool, whose workers unpickle the context they start with, gives
+    the serial result."""
+    import concurrent.futures
+    import multiprocessing
+    import os
+    from functools import partial
+
+    spawn_pool = partial(concurrent.futures.ProcessPoolExecutor,
+                         mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    g = gn_family(1)
+    want = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=200), 2).to_json()
+    got = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=200, jobs=2), 2)
+    assert got.to_json() == want
 
 
 def test_max_side_must_be_positive():
@@ -730,6 +803,18 @@ def test_grid_tables_stay_small_on_a_long_cycle():
         assert peak < 1.25 * parent_mb * 1e6, (search.__name__, peak)
 
 
+def test_rings_of_placed_anchors_build_only_their_outer_cones():
+    """An anchor the DFS places has coordinate 0 for itself, so its ring needs only the
+    k cones of its outer set: two anchors on C400 build 4 cones from empty caches."""
+    import strongdim.search
+
+    for cache in (strongdim.search._grid, strongdim.search._cone):
+        cache.cache_clear()
+    out = exists_supergraph_resolved_by(cycle_graph(400), ["0", "199"])
+    assert (out.status, out.nodes) == ("yes", 400)
+    assert strongdim.search._cone.cache_info().misses == 4
+
+
 def test_k3_orbit_reps_golden():
     """Statuses and node counts of the first 40 k=3 orbit representatives of G_2, in
     threshold_dimension's enumeration order, at budget 128 (recorded before the shell)."""
@@ -802,9 +887,9 @@ def test_shadow_masks_and_bounding_sets_pair_by_pair():
                 assert set(got) == want, (g.label_edges(), v, placed)
                 assert placed & set(g.adj[v]) <= want
         assert len(ctx.shadows) <= 2 * g.m
-        # a pickled context (a --jobs task) starts with an empty cache that still works
+        # a pickled context (a --jobs worker's) still answers every key
         clone = pickle.loads(pickle.dumps(ctx))
-        assert not clone.shadows and all(clone.shadows[k] == m for k, m in ctx.shadows.items())
+        assert all(clone.shadows[k] == m for k, m in ctx.shadows.items())
 
 
 def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
@@ -1038,19 +1123,18 @@ def test_exact_needs_only_the_level_below_refuted(monkeypatch):
     import strongdim.search
     from strongdim.search import SearchOutcome
 
-    real = strongdim.search._search_task
+    real = strongdim.search._search_set
     undecided = []
 
-    def scripted(args):
-        W = args[1]
+    def scripted(ctx, cfg, strong, W):
         if len(W) == 4:
-            return real(args)
+            return real(ctx, cfg, strong, W)
         if len(W) == 2 and not undecided:
             undecided.append(W)
             return SearchOutcome("budget_exhausted", None, 1)
         return SearchOutcome("no", None, 1)
 
-    monkeypatch.setattr(strongdim.search, "_search_task", scripted)
+    monkeypatch.setattr(strongdim.search, "_search_set", scripted)
     g = cycle_graph(7)
     res = threshold_dimension(g, "strong", PlacementSearchConfig(symmetry_pruning=False), max_k=4)
     assert [lv["budget_exhausted"] for lv in res.stats["levels"]] == [0, 1, 0, 0]
@@ -1155,8 +1239,8 @@ def test_threshold_matches_the_definition_on_six_vertices(monkeypatch):
     from strongdim import all_pairs_distances, is_resolving_set
 
     class PicklingPool:
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            initializer(*pickle.loads(pickle.dumps(initargs)))
 
         def map(self, fn, items, chunksize=1):
             return [fn(pickle.loads(pickle.dumps(item))) for item in items]
