@@ -10,6 +10,9 @@ The size pass raises the target from a greedy set until the search fails;
 the returned cover is the lexicographically smallest minimum cover under
 string label order, found by a committed-greedy pass that asks the same
 search whether the uncommitted vertices minus one still hold a maximum set.
+When they do not, that vertex is in every maximum set of what is left: the
+pass commits it, drops it and its neighbours from later searches and asks
+them for one vertex fewer.
 """
 
 from __future__ import annotations
@@ -169,19 +172,26 @@ def min_vertex_cover(g: Graph) -> CoverResult:
     # committed greedy for the lex-min minimum cover, in string label order:
     # a vertex goes in iff the uncommitted vertices other than it still hold a
     # maximum independent set. The last set found answers yes for every vertex
-    # outside it, with no search.
+    # outside it, with no search. A no means every maximum set inside P holds
+    # the vertex, so it is kept out of the cover for good and its neighbours
+    # join the cover: later searches run without them for alpha - |kept|.
     label = [g.labels[v] for v in search.vertex]
-    P = everything
+    P, kept = everything, 0
     for p in sorted(range(g.n), key=label.__getitem__):
-        if P.bit_count() == alpha:
+        if P.bit_count() + kept.bit_count() == alpha:
             break
         bit = 1 << p
+        if not P & bit:
+            continue
         if witness & bit:
-            found = search.independent_set(P & ~bit, alpha)
+            found = search.independent_set(P & ~bit, alpha - kept.bit_count())
             if found is None:
-                continue  # every maximum set inside P contains this vertex
-            witness = found
+                kept |= bit
+                P &= ~(bit | search.nb[p])
+                continue
+            witness = found | kept
         P &= ~bit
+    P |= kept
     assert P == witness
     labels = tuple(sorted(label[p] for p in _bits(everything & ~P)))
     return CoverResult(g.n - alpha, labels, search.nodes)

@@ -1,9 +1,11 @@
 """Strong/metric dimension of connected graphs.
 
 The strong dimension is computed by reduction: build the graph on the same
-vertex set whose edges are the mutually-maximally-distant pairs, then take a
-minimum vertex cover of it. Brute-force subset enumeration is kept alongside
-as an independent oracle for small graphs.
+vertex set whose edges are the mutually-maximally-distant (MMD) pairs, then
+take a minimum vertex cover of it. The MMD pairs come from distance layers as
+bitsets, one pass over each source's distance row, not from one `is_mmd`
+call per pair; `is_mmd` stays as the definition. Brute-force subset
+enumeration is kept alongside as an independent oracle for small graphs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,15 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .cover import min_vertex_cover
-from .graph import DistanceMatrix, Graph, GraphError, all_pairs_distances, require_connected
+from .cover import _bits, min_vertex_cover
+from .graph import (
+    UNREACHABLE,
+    DistanceMatrix,
+    Graph,
+    GraphError,
+    all_pairs_distances,
+    require_connected,
+)
 
 
 @dataclass(frozen=True)
@@ -56,13 +65,36 @@ def _distances(g: Graph, dm: DistanceMatrix | None) -> DistanceMatrix:
 
 
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
-    """Graph on the same labels whose edges are exactly the MMD pairs."""
+    """Graph on the same labels whose edges are exactly the MMD pairs.
+
+    For each source u, layer[d] is the bitset of vertices at distance d from
+    u and reach[d] the union of their neighbourhoods. A vertex v at distance d
+    is maximally distant from u unless it has a neighbour one layer farther,
+    that is, unless it lies in layer[d] & reach[d + 1]. {u, v} is an edge iff
+    each is maximally distant from the other.
+    """
     dm = _distances(g, dm)
+    bit = [1 << v for v in range(g.n)]
+    nbr = [sum(bit[w] for w in a) for a in g.adj]
+    everyone = (1 << g.n) - 1
+    maximal = []
+    for row in dm.dist:
+        if UNREACHABLE in row:
+            raise GraphError("strong_resolving_graph requires a connected graph")
+        layer = [0] * (max(row) + 1)
+        reach = layer.copy()
+        for d, b, nb in zip(row, bit, nbr):
+            layer[d] |= b
+            reach[d] |= nb
+        inner = 0
+        for d in range(len(layer) - 1):
+            inner |= layer[d] & reach[d + 1]
+        maximal.append(everyone ^ inner)
     edges = [
         (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if is_mmd(g, dm, u, v)
+        for u, m in enumerate(maximal)
+        for v in _bits(m)
+        if v > u and maximal[v] >> u & 1
     ]
     return Graph.from_edges(g.labels, edges)
 

@@ -557,6 +557,8 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
                 loose &= ~(1 << bits[w])
             for u in _bits(loose):
                 ok &= grid.below(1 << u, i)
+            if not ok:
+                break
         if strong and ok:  # the placed cells' adjacency, vertex 0 left for b
             at = {bits[v]: n - 1 - p for p, v in enumerate(order[:-1])}
             adj = grid.adjacency(occupied, at)

@@ -231,6 +231,43 @@ def test_agrees_with_reference_on_mmd_graphs():
         _same_cover(strong_resolving_graph(g))
 
 
+def test_lex_min_pass_drops_forced_vertices(monkeypatch):
+    """Once a lex-min search finds that its vertex p lies in every maximum
+    independent set of what is left, no later search holds p or a neighbour of p."""
+    from strongdim.cover import _bits, _Search
+
+    calls = []
+    search = _Search.independent_set
+
+    def record(self, P, target):
+        found = search(self, P, target)
+        calls.append((self, P, found))
+        return found
+
+    monkeypatch.setattr(_Search, "independent_set", record)
+    rng = random.Random(58)
+    forced = 0
+    for _ in range(12):
+        g = random_connected_graph(rng.randrange(40, 59), rng, p=rng.choice([0.05, 0.08, 0.12]))
+        calls.clear()
+        sr = strong_resolving_graph(g)
+        min_vertex_cover(sr)
+        s = calls[0][0]
+        everything = (1 << sr.n) - 1
+        label = [sr.labels[v] for v in s.vertex]
+        gone = 0  # the forced vertices so far and their neighbours
+        for _, P, found in calls:
+            if P == everything:
+                continue  # the size pass
+            assert not P & gone
+            # the pass takes vertices in label order and drops each once decided
+            p = max(_bits(everything & ~P & ~gone), key=label.__getitem__)
+            if found is None:
+                forced += 1
+                gone |= 1 << p | s.nb[p]
+    assert forced
+
+
 @pytest.mark.parametrize("build, size", [
     (lambda: path_graph(2000), 1000),
     (lambda: cycle_graph(1001), 501),

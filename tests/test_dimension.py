@@ -77,6 +77,57 @@ def test_tree_sr_is_leaf_clique():
         assert sr.label_edges() == expected
 
 
+def test_sr_matches_is_mmd(monkeypatch):
+    """The MMD graph from distance layers has exactly the pairs is_mmd accepts, in
+    index order, and never asks is_mmd; a disconnected distance matrix is refused."""
+    from strongdim import dimension
+
+    mmd = dimension.is_mmd
+
+    def refuse(*args):
+        raise AssertionError("strong_resolving_graph called is_mmd")
+
+    monkeypatch.setattr(dimension, "is_mmd", refuse)
+    rng = random.Random(23)
+    graphs = atlas_connected(6, min_n=2) + [
+        random_connected_graph(rng.randrange(2, 61), rng, rng.choice((0.05, 0.1, 0.2, 0.35, 0.6)))
+        for _ in range(60)
+    ]
+    graphs += [complete_graph(n) for n in range(2, 13)]
+    graphs += [path_graph(n) for n in range(2, 41)] + [cycle_graph(n) for n in range(3, 41)]
+    for g in graphs:
+        dm = all_pairs_distances(g)
+        pairs = [
+            (u, v) for u, v in itertools.combinations(range(g.n), 2) if mmd(g, dm, u, v)
+        ]
+        sr = strong_resolving_graph(g, dm)
+        assert sr.labels == g.labels and sr.edges() == pairs
+        assert sr.label_edges() == sorted(
+            tuple(sorted((g.labels[u], g.labels[v]))) for u, v in pairs
+        )
+    split = Graph.from_label_edges([("a", "b"), ("b", "c"), ("d", "e")])
+    with pytest.raises(GraphError):
+        strong_resolving_graph(split, all_pairs_distances(split))
+    with pytest.raises(GraphError):
+        strong_resolving_graph(split)
+
+
+def test_strong_dimension_golden():
+    """Dimensions, witnesses and MMD graphs of 40 random graphs on 20-60 vertices,
+    plus P2000's MMD graph, pinned while the MMD graph was built one is_mmd call
+    per pair and the lex-min cover pass kept its forced vertices in every search."""
+    import hashlib
+    import json
+
+    rng = random.Random(23)
+    out = []
+    for _ in range(40):
+        g = random_connected_graph(rng.randrange(20, 61), rng, rng.choice((0.05, 0.1, 0.2, 0.35)))
+        out.append((strong_dimension(g).to_json(), strong_resolving_graph(g).label_edges()))
+    out.append(strong_resolving_graph(path_graph(2000)).label_edges())
+    assert hashlib.sha256(json.dumps(out).encode()).hexdigest()[:16] == "ece2daf9c06aec3e"
+
+
 def test_strongly_resolves_examples():
     p4 = path_graph(4)
     dm = all_pairs_distances(p4)
