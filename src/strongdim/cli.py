@@ -124,7 +124,6 @@ def _search_config(args) -> PlacementSearchConfig:
     return PlacementSearchConfig(
         node_budget=args.budget,
         symmetry_pruning=not args.no_symmetry,
-        jobs=args.jobs,
     )
 
 
@@ -258,7 +257,6 @@ def build_parser() -> _Parser:
     t.add_argument("--mode", choices=("metric", "strong"), default="strong")
     t.add_argument("--budget", type=int, default=10_000_000, help="search nodes per anchor set")
     t.add_argument("--max-k", type=int, default=None)
-    t.add_argument("--jobs", type=int, default=1)
     t.add_argument("--no-symmetry", action="store_true")
     t.set_defaults(func=_cmd_threshold)
 
@@ -290,7 +288,6 @@ def build_parser() -> _Parser:
     ga.add_argument("--n", type=int, required=True)
     ga.add_argument("--budget", type=int, default=2_000_000)
     ga.add_argument("--max-k", type=int, default=None)
-    ga.add_argument("--jobs", type=int, default=1)
     ga.add_argument("--no-symmetry", action="store_true")
     ga.add_argument("--json", action="store_true")
     ga.set_defaults(func=_cmd_gap)

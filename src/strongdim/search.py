@@ -27,13 +27,11 @@ off the occupied mask, one shift per pair of opposite unit steps
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
-under graph automorphisms so a refuted orbit is searched once; outcomes and
-counters do not depend on the worker count.
+under graph automorphisms so a refuted orbit is searched once.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, combinations, islice, product
@@ -62,18 +60,15 @@ _AUTOMORPHISM_CAP = 20000
 @dataclass(frozen=True)
 class PlacementSearchConfig:
     """Limits of a placement search. Every search reads max_side and
-    node_budget; threshold_dimension alone reads symmetry_pruning and jobs."""
+    node_budget; threshold_dimension alone reads symmetry_pruning."""
 
     max_side: int | None = None  # default diam(g)+1 at call time
     node_budget: int = 10_000_000
     symmetry_pruning: bool = True
-    jobs: int = 1
 
     def __post_init__(self):
         if self.node_budget <= 0:
             raise GraphError("node_budget must be positive")
-        if self.jobs < 1:
-            raise GraphError(f"jobs must be at least 1, got {self.jobs}")
         if self.max_side is not None and self.max_side < 1:
             raise GraphError(f"max_side must be at least 1, got {self.max_side}")
 
@@ -238,7 +233,7 @@ def _bits(m: int, base: int = 0):
         m ^= 1 << b
 
 
-@lru_cache(maxsize=16)  # per process, so --jobs workers reuse it too
+@lru_cache(maxsize=16)  # per process, so every search of a sweep reuses it
 def _grid(side: int, k: int) -> _Grid:
     return _Grid(side, k)
 
@@ -285,7 +280,7 @@ def _ring(grid: _Grid, cell: tuple[int, ...], j: int) -> int:
     return outer & ~inner
 
 
-@lru_cache(maxsize=64)  # per process, so --jobs workers reuse it too
+@lru_cache(maxsize=64)  # per process, so every search of a sweep reuses it
 def _region_cap(side: int, a: int) -> tuple[int, ...]:
     """cap[d]: the cells of the two-anchor feasible region for anchor distance
     a with at least d neighbours there, which bounds the degree of a vertex
@@ -352,9 +347,8 @@ class _Dim2Prune:
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
-    shadows caches the W_xv masks that _bounding_set reads. A --jobs worker
-    gets its own copy of the context once, when it starts, and keeps that
-    copy's masks across its tasks, as a serial run keeps the parent's.
+    shadows caches the W_xv masks that _bounding_set reads, and keeps them
+    across the searches of one sweep.
     """
 
     def __init__(self, g: Graph, dm: DistanceMatrix):
@@ -668,18 +662,6 @@ def _search_set(ctx: _SearchContext, cfg: PlacementSearchConfig, strong: bool,
     return _run_search(ctx, [ctx.g.labels[v] for v in W], cfg, strong, dim2_prunes=True)
 
 
-_worker_search = None  # in a --jobs worker, _search_set bound to the sweep's context
-
-
-def _start_worker(ctx: _SearchContext, cfg: PlacementSearchConfig, strong: bool) -> None:
-    global _worker_search
-    _worker_search = partial(_search_set, ctx, cfg, strong)
-
-
-def _worker_task(W: tuple[int, ...]) -> SearchOutcome:
-    return _worker_search(W)
-
-
 def threshold_dimension(
     g: Graph,
     mode: str = "strong",
@@ -718,68 +700,51 @@ def threshold_dimension(
         auts = None
 
     search = partial(_search_set, ctx, cfg, strong)
-    reps = partial(map, search)
-    # at most one worker per CPU: a fork-started pool starts all of them at the first submit
-    workers = min(cfg.jobs, os.cpu_count() or 1)
-    pool = None
-    if workers > 1:
-        import concurrent.futures  # here, so that a serial run never loads multiprocessing
-
-        # each worker gets the context once, as it starts; a task is a bare anchor set
-        pool = concurrent.futures.ProcessPoolExecutor(
-            workers, initializer=_start_worker, initargs=(ctx, cfg, strong))
-        reps = partial(pool.map, _worker_task)  # pool.map submits every task at once
     total_nodes = 0
     levels: list[dict] = []
     lo = 1
     hi = witness = emb = None
-    try:
-        top = max_k if max_k is not None else n - 1
-        for k in range(1, top + 1):
-            sets = sorted(
-                combinations(range(n), k),
-                key=lambda W: (-sum(ecc[v] for v in W), tuple(g.labels[v] for v in W)),
-            )
-            # orbit grouping: search one representative, first in enumeration order
-            orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for W in sets:
-                orbits.setdefault(_canonical_set(W, auts) if auts is not None else W, []).append(W)
-            level = {
-                "k": k,
-                "sets_total": len(sets),
-                "orbits": len(orbits),
-                "sets_searched": 0,
-                "refuted": 0,
-                "budget_exhausted": 0,
-            }
-            level_all_refuted = True
-            rep_results = reps([ms[0] for ms in orbits.values()])
-            # Fold each orbit: a budget-exhausted member falls through to the
-            # next one; a single exhaustive "no" refutes every isomorphic copy.
-            for members, res in zip(orbits.values(), rep_results):
-                for i, W in enumerate(members):
-                    if i:
-                        res = search(W)
-                    level["sets_searched"] += 1
-                    total_nodes += res.nodes
-                    if res.status != "budget_exhausted":
-                        break
-                    level["budget_exhausted"] += 1
-                if res.status == "yes":
-                    hi, witness, emb = k, tuple(g.labels[v] for v in W), res.embedding
+    top = max_k if max_k is not None else n - 1
+    for k in range(1, top + 1):
+        sets = sorted(
+            combinations(range(n), k),
+            key=lambda W: (-sum(ecc[v] for v in W), tuple(g.labels[v] for v in W)),
+        )
+        # orbit grouping: each orbit's members in enumeration order, the first its representative
+        orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for W in sets:
+            orbits.setdefault(_canonical_set(W, auts) if auts is not None else W, []).append(W)
+        level = {
+            "k": k,
+            "sets_total": len(sets),
+            "orbits": len(orbits),
+            "sets_searched": 0,
+            "refuted": 0,
+            "budget_exhausted": 0,
+        }
+        level_all_refuted = True
+        # Fold each orbit: a budget-exhausted member falls through to the
+        # next one; a single exhaustive "no" refutes every isomorphic copy.
+        for members in orbits.values():
+            for i, W in enumerate(members):
+                res = search(W)
+                level["sets_searched"] += 1
+                total_nodes += res.nodes
+                if res.status != "budget_exhausted":
                     break
-                if res.status == "no":
-                    level["refuted"] += len(members) - i
-                else:
-                    level_all_refuted = False
-            levels.append(level)
-            if hi is not None:
+                level["budget_exhausted"] += 1
+            if res.status == "yes":
+                hi, witness, emb = k, tuple(g.labels[v] for v in W), res.embedding
                 break
-            if level_all_refuted:
-                lo = k + 1
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            if res.status == "no":
+                level["refuted"] += len(members) - i
+            else:
+                level_all_refuted = False
+        levels.append(level)
+        if hi is not None:
+            break
+        if level_all_refuted:
+            lo = k + 1
 
     if hi is None:  # max_k ended the sweep; a strong basis always works
         basis = strong_dimension(g)

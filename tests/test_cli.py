@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from strongdim import Graph, to_edge_list, complete_graph, cycle_graph, path_graph
+from strongdim import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    distance_vector_embedding,
+    path_graph,
+    to_edge_list,
+)
 from strongdim.cli import main
 from strongdim.constructions import (
     FiveLeafTreeParams,
@@ -176,6 +183,21 @@ def test_certify_render_is_bounded_by_the_placement(capsys, tmp_path, c7_file):
     assert len(grid) == 7 and max(map(len, grid)) < 20
 
 
+def test_certify_render_draws_no_grid_when_k_is_not_2(capsys, tmp_path):
+    """--render draws a k = 2 grid only: with a k = 3 embedding (K4's strong basis)
+    certify prints the verdict JSON alone, as without --render, and exits 0."""
+    g = complete_graph(4)
+    emb = distance_vector_embedding(g, g.labels[:3])
+    gp, ep = tmp_path / "k4.txt", tmp_path / "emb.json"
+    gp.write_text(to_edge_list(g))
+    ep.write_text(json.dumps(emb.to_json()))
+    argv = ("certify", "--input", str(gp), "--embedding", str(ep))
+    _, plain, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--render")
+    assert code == 0 and err == "" and out == plain
+    assert json.loads(out)["verdict"] is True
+
+
 def test_certify_malformed_embedding_is_input_error(capsys, tmp_path, c7_file):
     good = cycle_embedding(7).to_json()
     bad_coordinate = json.loads(json.dumps(good))
@@ -187,10 +209,11 @@ def test_certify_malformed_embedding_is_input_error(capsys, tmp_path, c7_file):
         assert code == 2 and out == "" and err.startswith("input error: embedding")
 
 
-def test_threshold_rejects_nonpositive_jobs(capsys, c7_file):
-    for jobs in ("0", "-3"):
-        code, out, err = run(capsys, "threshold", "--input", c7_file, "--jobs", jobs)
-        assert code == 2 and out == "" and "jobs" in err
+def test_jobs_is_not_an_option(capsys, c7_file):
+    """The anchor-set sweep runs in one process: --jobs is an unknown option."""
+    for argv in (("threshold", "--input", c7_file), ("gap-experiment", "--n", "1")):
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+        assert code == 1 and out == "" and err.startswith("usage error: ") and "--jobs" in err
 
 
 def test_gen_families(capsys, tmp_path):
@@ -501,8 +524,9 @@ def test_main_module_exits_with_the_cli_code(capsys, monkeypatch):
     assert exc.value.code == 2 and capsys.readouterr().err.startswith("input error: ")
 
 
-def test_cli_import_loads_no_process_pool():
-    """A serial run never needs a process pool, so importing the CLI loads none."""
+def test_cli_import_loads_no_process_pool(c7_file):
+    """No strongdim code path loads concurrent.futures.process or multiprocessing:
+    neither importing the CLI nor running a threshold sweep in process loads them."""
     import os
     import subprocess
     import sys
@@ -512,8 +536,11 @@ def test_cli_import_loads_no_process_pool():
 
     src = str(Path(strongdim.__file__).resolve().parents[1])
     probe = (
-        "import sys, strongdim.cli; "
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "import contextlib, io, sys, strongdim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = strongdim.cli.main(['threshold', '--input', {c7_file!r}])\n"
+        "print(code, '\"status\": \"exact\"' in out.getvalue(), "
+        "sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
         "if m in sys.modules))"
     )
     proc = subprocess.run(
@@ -521,7 +548,7 @@ def test_cli_import_loads_no_process_pool():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "0 True []"
 
 
 def _gen_into_a_pipe_closed_after_one_line(unbuffered: bool) -> tuple[int, bytes]:

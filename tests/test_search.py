@@ -279,152 +279,6 @@ def test_automorphisms_against_networkx(rng):
         assert auts is not None and len(auts) == want
 
 
-def test_jobs_do_not_change_results():
-    # gn_family(1) at budget 20 has refuted and budget-exhausted sets at k=2 and k=3
-    for g, budget, max_k in ((cycle_graph(8), 10_000_000, None), (gn_family(1), 20, 3)):
-        seq = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=budget), max_k)
-        par = threshold_dimension(
-            g, "strong", PlacementSearchConfig(node_budget=budget, jobs=2), max_k
-        )
-        assert seq.to_json() == par.to_json()
-
-
-def test_jobs_pool_is_capped_at_cpu_count(monkeypatch):
-    """A pool never gets more workers than CPUs, and one CPU runs serially."""
-    import concurrent.futures
-    import os
-    import pickle
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            sizes.append(max_workers)
-            initializer(*pickle.loads(pickle.dumps(initargs)))
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    g = cycle_graph(7)
-    want = threshold_dimension(g, "strong").to_json()
-    for cpus, pools in ((3, [3]), (1, []), (None, [])):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        sizes.clear()
-        got = threshold_dimension(g, "strong", PlacementSearchConfig(jobs=5000))
-        assert sizes == pools and got.to_json() == want
-
-
-def test_jobs_workers_keep_their_masks_across_tasks(monkeypatch):
-    """A --jobs worker builds each W_xv mask once, as a serial run does, on the pickled
-    copy of the context it starts with; symmetry pruning is off, so every anchor set
-    is a pool task."""
-    import concurrent.futures
-    import os
-    import pickle
-
-    import strongdim.search
-
-    builds = []
-    build = strongdim.search._Shadows.__missing__
-    monkeypatch.setattr(strongdim.search._Shadows, "__missing__",
-                        lambda self, key: builds.append(key) or build(self, key))
-
-    class PicklingPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            initializer(*pickle.loads(pickle.dumps(initargs)))
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(pickle.loads(pickle.dumps(item))) for item in items]
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    counts = []
-    for jobs in (1, 2):
-        builds.clear()
-        cfg = PlacementSearchConfig(node_budget=20, symmetry_pruning=False, jobs=jobs)
-        res = threshold_dimension(gn_family(1), "strong", cfg, max_k=3)
-        counts.append((len(builds), res.to_json()))
-    assert counts[0] == counts[1] and counts[0][0] > 0
-
-
-def test_jobs_send_each_worker_the_context_once(monkeypatch):
-    """A pool gets the search context pickled once per worker, in its initializer's
-    arguments; each task is a bare anchor set, with no context in it."""
-    import concurrent.futures
-    import io
-    import os
-    import pickle
-
-    from strongdim.search import _SearchContext
-
-    sent = {"initargs": [], "task": []}  # per pickled object: the contexts it carried
-    tasks = []
-
-    class Recorder(pickle.Pickler):
-        contexts = 0
-
-        def reducer_override(self, x):
-            self.contexts += isinstance(x, _SearchContext)
-            return NotImplemented
-
-    def through_pickle(kind, obj):
-        buf = io.BytesIO()
-        recorder = Recorder(buf)
-        recorder.dump(obj)
-        sent[kind].append(recorder.contexts)
-        return pickle.loads(buf.getvalue())
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            for _ in range(max_workers):
-                args = through_pickle("initargs", initargs)
-                if initializer is not None:
-                    initializer(*args)
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            tasks.extend(items)
-            return [fn(through_pickle("task", item)) for item in items]
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    g = gn_family(1)
-    want = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=20), 3).to_json()
-    got = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=20, jobs=2), 3)
-    assert got.to_json() == want
-    assert sent["initargs"] == [1, 1]
-    assert tasks and not any(sent["task"])
-    assert all(type(W) is tuple and all(type(v) is int for v in W) for W in tasks)
-
-
-def test_jobs_results_do_not_depend_on_the_start_method(monkeypatch):
-    """A spawn-started pool, whose workers unpickle the context they start with, gives
-    the serial result."""
-    import concurrent.futures
-    import multiprocessing
-    import os
-    from functools import partial
-
-    spawn_pool = partial(concurrent.futures.ProcessPoolExecutor,
-                         mp_context=multiprocessing.get_context("spawn"))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    g = gn_family(1)
-    want = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=200), 2).to_json()
-    got = threshold_dimension(g, "strong", PlacementSearchConfig(node_budget=200, jobs=2), 2)
-    assert got.to_json() == want
-
-
 def test_max_side_must_be_positive():
     for side in (0, -3):
         with pytest.raises(GraphError, match="max_side"):
@@ -447,12 +301,6 @@ def test_max_k_must_be_positive():
     for max_k in (0, -1):
         with pytest.raises(GraphError, match="max_k"):
             threshold_dimension(path_graph(3), "strong", max_k=max_k)
-
-
-def test_jobs_must_be_positive():
-    for jobs in (0, -3):
-        with pytest.raises(GraphError):
-            PlacementSearchConfig(jobs=jobs)
 
 
 def test_distances_computed_once_per_graph(monkeypatch):
@@ -861,8 +709,6 @@ def _every_placed_vertex(ctx, v, placed):
 def test_shadow_masks_and_bounding_sets_pair_by_pair():
     """Each cached shadow is W_xv = {u : d(x,u) < d(v,u)} less x; the bounding set drops
     exactly the placed vertices some placed neighbour shadows, and never a neighbour."""
-    import pickle
-
     from strongdim.search import _bounding_set, _prepare
 
     rng = random.Random(41)
@@ -887,9 +733,6 @@ def test_shadow_masks_and_bounding_sets_pair_by_pair():
                 assert set(got) == want, (g.label_edges(), v, placed)
                 assert placed & set(g.adj[v]) <= want
         assert len(ctx.shadows) <= 2 * g.m
-        # a pickled context (a --jobs worker's) still answers every key
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert all(clone.shadows[k] == m for k, m in ctx.shadows.items())
 
 
 def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
@@ -1223,33 +1066,16 @@ def test_budget_boundaries_golden():
     assert _outcome_digest(outcomes) == "d0714bcf4605bfd5"
 
 
-def test_threshold_matches_the_definition_on_six_vertices(monkeypatch):
+def test_threshold_matches_the_definition_on_six_vertices():
     """tau_s(G) (tau(G)) is by definition the least strong (metric) dimension of a
     spanning supergraph of G: threshold_dimension returns it exactly on every connected
-    graph with 2-6 vertices, in both modes, with symmetry pruning on and off, and
-    through a pool that pickles its tasks as --jobs 2 does. With max_k one below it,
-    the result is bounds from it to beta_s(G), exact when they meet. A superset of a
-    (strong) resolving set is one too, so a supergraph lowers the least dimension found
-    so far exactly when some set one smaller resolves it; n - 1 vertices resolve any
-    graph."""
-    import concurrent.futures
-    import os
-    import pickle
-
+    graph with 2-6 vertices, in both modes, with symmetry pruning on and off. With
+    max_k one below it, the result is bounds from it to beta_s(G), exact when they
+    meet. A superset of a (strong) resolving set is one too, so a supergraph lowers
+    the least dimension found so far exactly when some set one smaller resolves it;
+    n - 1 vertices resolve any graph."""
     from strongdim import all_pairs_distances, is_resolving_set
 
-    class PicklingPool:
-        def __init__(self, max_workers, initializer=None, initargs=()):
-            initializer(*pickle.loads(pickle.dumps(initargs)))
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(pickle.loads(pickle.dumps(item))) for item in items]
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     graphs = atlas_connected(6, min_n=2)
     assert len(graphs) == 142
     checks = {"metric": is_resolving_set, "strong": is_strong_resolving_set}
@@ -1268,8 +1094,8 @@ def test_threshold_matches_the_definition_on_six_vertices(monkeypatch):
                         best[mode] -= 1
         beta_s = strong_dimension(g).value
         for mode, want in best.items():
-            for symmetry, jobs in ((True, 1), (False, 1), (True, 2)):
-                cfg = PlacementSearchConfig(symmetry_pruning=symmetry, jobs=jobs)
+            for symmetry in (True, False):
+                cfg = PlacementSearchConfig(symmetry_pruning=symmetry)
                 got = threshold_dimension(g, mode, cfg)
                 assert (got.status, got.value) == ("exact", want), (g.label_edges(), mode, cfg)
             if want > 1:
