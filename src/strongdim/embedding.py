@@ -9,9 +9,10 @@ Certification operations return the first violated clause for testability.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
@@ -200,6 +201,10 @@ def isometry_mismatch(
     the cell's Chebyshev sum. Each source costs one BFS; its Chebyshev row is built only
     for k >= 3 or when the sum test fails. The first source to fail has
     every earlier row right, so its first mismatch lies at some j > i.
+
+    is_isometric_in_product decides with isometric_by_cones and runs this only
+    to name a failing image's first pair; the placement DFS's strong leaf,
+    on at most a few dozen cells, runs it to decide.
     """
     n = len(cells)
     cols = [list(col) for col in zip(*cells)]
@@ -214,6 +219,111 @@ def isometry_mismatch(
             j = next(j for j, (d, x) in enumerate(zip(dist, cheb)) if d != x)
             return i, i + 1 + j, dist[j], cheb[j]
     return None
+
+
+# Images with at least this many cells per coordinate are decided by cones.
+# Timed on cycles, king-graph boxes and diagonal paths with k = 2-8, the cones
+# overtook the BFS at 7-37 cells per coordinate (boxes, of high degree, last).
+_CONE_CELLS_PER_COORDINATE = 16
+
+
+def _form_masks(values: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The distinct values ascending, and per rank r the mask of the indices valued >= the r-th.
+
+    One more mask, 0, ends the list, so ge[bisect_left(keys, t)] is the mask of
+    the values >= t for any t. Indexed by rank, never by the range of the
+    values: n + 1 masks of n bits at most, however far apart the values lie.
+    """
+    by_value: dict[int, int] = {}
+    for v, x in enumerate(values):
+        by_value[x] = by_value.get(x, 0) | 1 << v
+    keys = sorted(by_value)
+    ge = [0] * (len(keys) + 1)
+    for r in range(len(keys) - 1, -1, -1):
+        ge[r] = ge[r + 1] | by_value[keys[r]]
+    return keys, ge
+
+
+def isometric_by_cones(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> bool:
+    """Whether adj's graph is isometric in the product, decided on vertex bitmasks without BFS.
+
+    Same precondition as isometry_mismatch: every edge of adj joins cells at
+    Chebyshev distance at most 1. Then the graph is isometric iff for every
+    vertex v and every other vertex u some neighbour w of v has
+    cheb(u, w) = cheb(u, v) - 1. (Only if: take w one step along a
+    shortest v-u path. If: by induction on cheb(u, v), since the
+    precondition gives graph distance >= Chebyshev distance.) Duplicate
+    cells and adjacencies that are not induced come out right: a duplicate
+    u of v is served by no w.
+
+    Cone form: with v at cell x and w at x + s, the vertices u that w serves
+    are the union, over the j with s_j = sigma != 0, of the intersection over
+    i != j of {sigma(u_j - x_j) - (u_i - x_i) >= 1 - s_i} and
+    {sigma(u_j - x_j) + (u_i - x_i) >= 1 + s_i}; for k = 1 it is
+    {sigma(u - x) >= 1}. Each set is a half-space of one pair form u_i + u_j
+    or u_j - u_i (i < j; for k = 1 the form u_0), read off that form's
+    _form_masks table. The tables take O(#forms * n^2 / 8) bytes, #forms =
+    k(k - 1) (1 for k = 1). The half-spaces of each step s are listed once,
+    and a cone costs at most k ANDs of 2(k - 1) masks. A vertex passes when
+    the OR of its neighbours' cones holds every other vertex.
+
+    The work is O(k^2) mask operations per edge against isometry_mismatch's
+    O(n) per source, so on images of fewer than _CONE_CELLS_PER_COORDINATE * k
+    cells the BFS is the cheaper check, and is_isometric_in_product runs it.
+    """
+    n = len(cells)
+    full = (1 << n) - 1
+    cols = list(zip(*cells))
+    k = len(cols)
+    # form[p, q, tau]: each vertex's value of u_p + u_q (tau = 1) or u_q - u_p (tau = -1),
+    # p < q, then that form's _form_masks; for k = 1 the one form u_0
+    form: dict[tuple[int, int, int], tuple[Sequence[int], list[int], list[int]]] = {}
+    for p, q in combinations(range(k), 2):
+        for tau, op in ((1, add), (-1, sub)):
+            vals = tuple(map(op, cols[q], cols[p]))
+            form[p, q, tau] = (vals, *_form_masks(vals))
+    if k == 1:
+        form[0, 0, 1] = (cols[0], *_form_masks(cols[0]))
+
+    def half_spaces(s: Coord) -> list[list[tuple]]:
+        """Per j with s_j = sigma != 0, the half-spaces of the cone's part for j, each
+        (values, keys, ge, sign, delta) for {u : sign * F(u) >= sign * (F(x) + delta)}."""
+        if k == 1:
+            return [[(*form[0, 0, 1], s[0], s[0])]] if s[0] else []
+        parts = []
+        for j, sigma in enumerate(s):
+            if not sigma:
+                continue
+            part = []
+            for i in range(k):
+                if i == j:
+                    continue
+                for tau in (1, -1):  # sigma * u_j + tau * u_i: +-sigma times the sum or difference
+                    sign = sigma if tau == sigma or j > i else -sigma
+                    f = form[min(i, j), max(i, j), 1 if tau == sigma else -1]
+                    part.append((*f, sign, sign * (1 + tau * s[i])))
+            parts.append(part)
+        return parts
+
+    plans: dict[Coord, list[list[tuple]]] = {}
+    for v, x in enumerate(cells):
+        cover = 1 << v
+        for w in adj[v]:
+            s = tuple(map(sub, cells[w], x))
+            plan = plans.get(s)
+            if plan is None:
+                plan = plans[s] = half_spaces(s)
+            for part in plan:
+                cone = full
+                for vals, keys, ge, sign, delta in part:
+                    t = vals[v] + delta
+                    cone &= ge[bisect_left(keys, t)] if sign > 0 else full ^ ge[bisect_right(keys, t)]
+                cover |= cone
+            if cover == full:
+                break
+        if cover != full:
+            return False
+    return True
 
 
 def induced_supergraph(e: Embedding, host: Graph) -> Graph:
@@ -325,9 +435,15 @@ def is_w_resolved(e: Embedding, g: Graph, induced: _Induced | None = None) -> Ch
 def is_isometric_in_product(e: Embedding, induced: _Induced | None = None) -> CheckResult:
     """True iff induced-graph distances equal Chebyshev distances for all pairs.
 
+    isometric_by_cones decides on images of at least _CONE_CELLS_PER_COORDINATE
+    cells per coordinate; isometry_mismatch, one BFS per source up to the
+    first wrong pair, decides smaller ones and names the failing pair.
     induced is as for is_w_resolved.
     """
     labels, cells, adj = induced() if induced is not None else _induced_adjacency(e)
+    k = len(cells[0]) if cells else 0
+    if len(cells) >= _CONE_CELLS_PER_COORDINATE * k and isometric_by_cones(cells, adj):
+        return CheckResult(True)
     bad = isometry_mismatch(cells, adj)
     if bad is None:
         return CheckResult(True)

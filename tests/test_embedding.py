@@ -1,5 +1,8 @@
+import hashlib
 import random
 import time
+import tracemalloc
+from functools import partial
 
 import pytest
 
@@ -266,6 +269,72 @@ def test_chebyshev_sums_match_brute_force_rows():
     assert _chebyshev_sums([[0], [0], [0]], 1) is None  # k >= 3 keeps the row compare
 
 
+def test_strong_certify_runs_the_bfs_check_only_on_small_or_failing_images(monkeypatch):
+    """Cones decide; isometry_mismatch runs only to name a failing pair."""
+    from strongdim import constructions as cons
+
+    calls = []
+    real = embedding.isometry_mismatch
+    monkeypatch.setattr(embedding, "isometry_mismatch", lambda *a: calls.append(1) or real(*a))
+    p4 = cons.FourLeafTreeParams(10, 94, 13, 181, 2)
+    p5 = cons.FiveLeafTreeParams(11, 60, 11, 121, 70, 27, 6)
+    built = [  # the seed-0 certify-families embeddings
+        (cycle_graph(398), cycle_embedding(398)),
+        cons.l3n_family(132),
+        (cons.four_leaf_tree(p4), cons.tree_dim3_embedding(p4)),
+        (cons.five_leaf_tree(p5), cons.tree_dim4_embedding(p5)),
+    ]
+    for g, e in built:
+        assert certify(e, g, True)
+    assert calls == []
+    g1 = gn_family(1)
+    res = certify(distance_vector_embedding(g1, ["w1_1", "w2_1"]), g1, True)
+    assert res.clause == "isometric" and calls == [1]
+    # an image of fewer than 16 cells per coordinate is decided by the BFS alone
+    small, large = cycle_embedding(31), cycle_embedding(32)
+    calls.clear()
+    cones = []
+    real_cones = embedding.isometric_by_cones
+    monkeypatch.setattr(embedding, "isometric_by_cones", lambda *a: cones.append(1) or real_cones(*a))
+    assert certify(small, cycle_graph(31), True) and calls == [1] and cones == []
+    assert certify(large, cycle_graph(32), True) and calls == [1] and cones == [1]
+
+
+def _traced_peak(fn) -> tuple[object, int]:
+    """fn's result and the peak of the memory it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_isometry_check_memory_does_not_grow_with_the_coordinates():
+    def two_paths(gap: int) -> Embedding:
+        placement = {f"p{i}": (i, 0) for i in range(40)}
+        placement.update({f"q{i}": (gap + i, 3 - gap) for i in range(40)})
+        return Embedding(2, gap + 50, (), placement)
+
+    peaks = []
+    for gap in (10, 10**18):
+        e = two_paths(gap)
+        got, peak = _traced_peak(partial(is_isometric_in_product, e))
+        assert got == _pairwise_is_isometric_in_product(e)
+        assert got.detail == "'p0' and 'q0' are in different components"
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+    shifted = {lb: (x + 10**18, y - 10**18) for lb, (x, y) in cycle_embedding(40).placement.items()}
+    assert is_isometric_in_product(Embedding(2, 10**18 + 40, (), shifted))
+
+
+def test_certify_of_a_long_cycle_stays_small():
+    # two forms, so the mask tables hold at most 2 * 2001 masks of 2000 bits: about 1.1 MB
+    g, e = cycle_graph(2000), cycle_embedding(2000)
+    got, peak = _traced_peak(partial(certify, e, g, True))
+    assert got and peak < 4_000_000, peak
+
+
 def test_passing_plane_embeddings_build_no_chebyshev_row(monkeypatch):
     from strongdim.constructions import l3n_family
 
@@ -306,6 +375,59 @@ def test_isometry_mismatch_matches_the_row_scan_on_subgraphs():
         split += want is not None and want[2] < 0
         wrong_gap += want is not None and want[2] >= 0
     assert min(passing, split, wrong_gap) > 200, (passing, split, wrong_gap)
+
+
+def _seeded_cells(rng, k: int, side: int, n: int) -> list:
+    """Distinct random cells of {0..side-1}^k, or the first visits of a lazy walk."""
+    if rng.random() < 0.5:
+        cells = {tuple(rng.randrange(side) for _ in range(k)) for _ in range(n)}
+        return rng.sample(sorted(cells), len(cells))
+    c, cells = [rng.randrange(side) for _ in range(k)], []
+    for _ in range(n):
+        cells.append(tuple(c))
+        c = [min(side - 1, max(0, x + rng.choice((-1, 0, 1)))) for x in c]
+    return list(dict.fromkeys(cells))
+
+
+def test_cones_decide_isometry_as_isometry_mismatch_does():
+    """induced adjacencies, induced ones with edges dropped, and one duplicated cell"""
+    rng = random.Random(19)
+    outcomes: dict = {}
+    for t in range(21_000):
+        kind, k = t % 3, 1 + t // 3 % 3
+        cells = _seeded_cells(rng, k, rng.randint(1, 6), rng.randint(1, 14))
+        if kind == 2:
+            cells.insert(rng.randrange(len(cells) + 1), rng.choice(cells))
+        adj = chebyshev_adjacency(cells)
+        if kind == 1:
+            drop = rng.choice((0.05, 0.2, 0.5))
+            kept = [(u, v) for u in range(len(cells)) for v in adj[u] if u < v and rng.random() >= drop]
+            adj = [[] for _ in cells]
+            for u, v in kept:
+                adj[u].append(v)
+                adj[v].append(u)
+        elif kind == 2 and rng.random() < 0.5:  # join the two copies: an edge of Chebyshev length 0
+            u, v = (i for i, c in enumerate(cells) if cells.count(c) > 1)
+            adj[u].append(v)
+            adj[v].append(u)
+        want = isometry_mismatch(cells, adj) is None
+        assert embedding.isometric_by_cones(cells, adj) == want, (cells, adj)
+        outcomes[kind, want] = outcomes.get((kind, want), 0) + 1
+    for want in (True, False):
+        assert sum(outcomes.get((kind, want), 0) for kind in range(3)) >= 3000, outcomes
+    assert min(outcomes.get((kind, False), 0) for kind in range(3)) >= 1000, outcomes
+    assert min(outcomes.get((kind, True), 0) for kind in range(2)) >= 1000, outcomes
+
+
+def test_cones_on_small_and_far_apart_cells():
+    cones = embedding.isometric_by_cones
+    assert cones([], []) and cones([(5, 5)], [[]]) and cones([()], [[]])
+    assert not cones([(), ()], [[], []]) and not cones([(), ()], [[1], [0]])
+    assert cones([(0,), (1,), (2,)], [[1], [0, 2], [1]])
+    assert not cones([(0,), (1,), (2,)], [[1], [0], []])
+    far = 10**18
+    assert cones([(far, -far), (far + 1, -far), (far + 2, 1 - far)], [[1], [0, 2], [1]])
+    assert not cones([(0, 0), (far, 0)], [[], []])
 
 
 def test_isometric_examples():
@@ -495,6 +617,26 @@ def test_certify_matches_the_separate_checks_on_corrupted_family_embeddings():
             seen[got.clause] = seen.get(got.clause, 0) + 1
     clauses = (None, "range", "W-resolved(a)", "W-resolved(b)", "W-resolved(c)", "isometric")
     assert min(seen.get(c, 0) for c in clauses) >= 10, seen
+
+
+def _certify_digest(seed: int) -> tuple[str, dict]:
+    """sha256 of (ok, clause, detail) of certify in both modes over seeded family
+    embeddings and their corruptions, with the count of each strong clause."""
+    rng = random.Random(seed)
+    h, seen = hashlib.sha256(), {}
+    for g, built in _family_embeddings(rng):
+        for e in [built] + [_corrupted(rng, built) for _ in range(8)]:
+            for strong in (False, True):
+                res = certify(e, g, strong)
+                h.update(repr((res.ok, res.clause, res.detail)).encode() + b"\n")
+            seen[res.clause] = seen.get(res.clause, 0) + 1
+    return h.hexdigest()[:16], seen
+
+
+def test_certify_verdicts_and_failure_texts_are_frozen():
+    digest, seen = _certify_digest(41)
+    assert seen["isometric"] >= 20 and seen[None] >= 20, seen
+    assert digest == "0d7959e30359a7c2", seen
 
 
 def test_certify_builds_the_induced_adjacency_once(monkeypatch):
