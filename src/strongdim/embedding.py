@@ -202,9 +202,10 @@ def isometry_mismatch(
     for k >= 3 or when the sum test fails. The first source to fail has
     every earlier row right, so its first mismatch lies at some j > i.
 
-    is_isometric_in_product decides with isometric_by_cones and runs this only
-    to name a failing image's first pair; the placement DFS's strong leaf,
-    on at most a few dozen cells, runs it to decide.
+    is_isometric_in_product runs this to decide images too small for
+    isometric_by_cones, and on larger ones only to name the first pair of an
+    image the cones fail; the placement DFS's strong leaf, on at most a few
+    dozen cells, runs it to decide.
     """
     n = len(cells)
     cols = [list(col) for col in zip(*cells)]
@@ -268,8 +269,9 @@ def isometric_by_cones(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> 
     the OR of its neighbours' cones holds every other vertex.
 
     The work is O(k^2) mask operations per edge against isometry_mismatch's
-    O(n) per source, so on images of fewer than _CONE_CELLS_PER_COORDINATE * k
-    cells the BFS is the cheaper check, and is_isometric_in_product runs it.
+    O(n + m) steps per source, so on images of fewer than
+    _CONE_CELLS_PER_COORDINATE * k cells the BFS is the cheaper check, and
+    is_isometric_in_product runs it.
     """
     n = len(cells)
     full = (1 << n) - 1
