@@ -619,24 +619,43 @@ def test_certify_matches_the_separate_checks_on_corrupted_family_embeddings():
     assert min(seen.get(c, 0) for c in clauses) >= 10, seen
 
 
+def _large_embeddings(rng):
+    """Images of 40-64 cells, over 16 per coordinate: cycles and l3n graphs with their
+    embeddings, and cycles with distance-vector ones, W-resolved and isometric only sometimes."""
+    from strongdim.constructions import l3n_family
+
+    for n in (40, 49, 64):
+        g = cycle_graph(n)
+        yield g, cycle_embedding(n)
+        for _ in range(3):
+            W = rng.sample(list(g.labels), 2)
+            if is_resolving_set(g, W):
+                yield g, distance_vector_embedding(g, W)
+    for n in (14, 21):
+        yield l3n_family(n)
+
+
 def _certify_digest(seed: int) -> tuple[str, dict]:
     """sha256 of (ok, clause, detail) of certify in both modes over seeded family
-    embeddings and their corruptions, with the count of each strong clause."""
+    embeddings and their corruptions, with the count of each strong clause, apart
+    for the large images."""
     rng = random.Random(seed)
     h, seen = hashlib.sha256(), {}
-    for g, built in _family_embeddings(rng):
-        for e in [built] + [_corrupted(rng, built) for _ in range(8)]:
-            for strong in (False, True):
-                res = certify(e, g, strong)
-                h.update(repr((res.ok, res.clause, res.detail)).encode() + b"\n")
-            seen[res.clause] = seen.get(res.clause, 0) + 1
+    for size, embeddings in (("small", _family_embeddings), ("large", _large_embeddings)):
+        for g, built in embeddings(rng):
+            for e in [built] + [_corrupted(rng, built) for _ in range(8)]:
+                for strong in (False, True):
+                    res = certify(e, g, strong)
+                    h.update(repr((res.ok, res.clause, res.detail)).encode() + b"\n")
+                seen[size, res.clause] = seen.get((size, res.clause), 0) + 1
     return h.hexdigest()[:16], seen
 
 
 def test_certify_verdicts_and_failure_texts_are_frozen():
     digest, seen = _certify_digest(41)
-    assert seen["isometric"] >= 20 and seen[None] >= 20, seen
-    assert digest == "0d7959e30359a7c2", seen
+    for key in (("small", "isometric"), ("small", None), ("large", "isometric"), ("large", None)):
+        assert seen.get(key, 0) >= 5, seen
+    assert digest == "5916495b34135bfc", seen
 
 
 def test_certify_builds_the_induced_adjacency_once(monkeypatch):
