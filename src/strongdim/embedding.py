@@ -89,54 +89,47 @@ def chebyshev(x: Sequence[int], y: Sequence[int]) -> int:
     return max((abs(a - b) for a, b in zip(x, y)), default=0)
 
 
-class CellIndex:
-    """Cells of Z^k in a trie of their coordinates, for strong-product adjacency.
-
-    Two cells are adjacent in the strong product of paths when they are at
-    Chebyshev distance 1. near() walks the trie one coordinate at a time and
-    extends a prefix by -1, 0 or +1 only where an indexed cell has that
-    prefix, so a query costs O(k * indexed cells) at worst, never 3^k.
-    Each cell may carry several indices (duplicate cells).
-    """
-
-    def __init__(self) -> None:
-        self.root: dict = {}  # depth < k: coordinate -> subtrie; depth k: index -> None
-
-    def add(self, c: Coord, i: int) -> None:
-        node = self.root
-        for x in c:
-            node = node.setdefault(x, {})
-        node[i] = None
-
-    def near(self, c: Coord) -> list[int]:
-        """Indices of the cells at Chebyshev distance 1 from c (unordered)."""
-        level, centre = [self.root], self.root  # centre: the subtrie of c's own prefix
-        for x in c:
-            nxt, ys = [], (x - 1, x, x + 1)
-            for node in level:
-                for y in ys:
-                    child = node.get(y)
-                    if child is not None:
-                        nxt.append(child)
-            level = nxt
-            if centre is not None:
-                centre = centre.get(x)
-        return [i for node in level if node is not centre for i in node]
+def _by_value(values: Sequence[int]) -> dict[int, int]:
+    """Each distinct value of values, mapped to the mask of the indices that hold it."""
+    by_value: dict[int, int] = {}
+    for v, x in enumerate(values):
+        by_value[x] = by_value.get(x, 0) | 1 << v
+    return by_value
 
 
 def chebyshev_adjacency(cells: Sequence[Coord]) -> list[list[int]]:
     """For each cell, the sorted indices of the cells at Chebyshev distance 1.
 
     Duplicate cells are kept (not adjacent to each other); cells of
-    different lengths raise GraphError, as chebyshev does.
+    different lengths raise GraphError, as chebyshev does. Per coordinate,
+    one mask per value (_by_value): a cell's neighbours are the AND over
+    coordinates of the masks of x - 1, x and x + 1, less the AND of the masks
+    of x, its equal cells. O(n^2 k / 64) word operations, never 3^k.
     """
+    n = len(cells)
     k = len(cells[0]) if cells else 0
-    index = CellIndex()
-    for i, c in enumerate(cells):
+    for c in cells:
         if len(c) != k:
             raise GraphError(f"tuple length mismatch: {k} vs {len(c)}")
-        index.add(c, i)
-    return [sorted(index.near(c)) for c in cells]
+    full = (1 << n) - 1
+    near, same = [full] * n, [full] * n
+    for col in zip(*cells):
+        by_value = _by_value(col)
+        get = by_value.get
+        for i, x in enumerate(col):
+            m = by_value[x]
+            same[i] &= m
+            near[i] &= m | get(x - 1, 0) | get(x + 1, 0)
+    out = []
+    for m, eq in zip(near, same):
+        m ^= eq
+        row = []
+        while m:
+            low = m & -m
+            row.append(low.bit_length() - 1)
+            m ^= low
+        out.append(row)
+    return out
 
 
 def _chebyshev_row(cols: Sequence[Sequence[int]], c: Coord, start: int, n: int) -> list[int]:
@@ -149,40 +142,6 @@ def _chebyshev_row(cols: Sequence[Sequence[int]], c: Coord, start: int, n: int) 
     return [0] * (n - start)  # k = 0: every cell is the empty tuple
 
 
-def _gap_sums(xs: Sequence[int]) -> list[int]:
-    """For each value of xs, the sum of its absolute gaps to all values of xs.
-
-    One sort and a running prefix sum: a value at sorted rank r, with the
-    values ranked before it summing to below, is total - 2*below + x*(2r - n).
-    """
-    n, total, below = len(xs), sum(xs), 0
-    out = [0] * n
-    for r, i in enumerate(sorted(range(n), key=xs.__getitem__)):
-        x = xs[i]
-        out[i] = total - 2 * below + x * (2 * r - n)
-        below += x
-    return out
-
-
-def _chebyshev_sums(cols: Sequence[Sequence[int]], n: int) -> list[int] | None:
-    """Each cell's sum of Chebyshev distances to all n cells, given their coordinate columns.
-
-    O(n log n) for k <= 2: zeros for k = 0, the gap sums of the one column for
-    k = 1, and for k = 2 half the gap sums along x+y plus those along x-y
-    (max(|dx|, |dy|) = (|dx + dy| + |dx - dy|) / 2). None for k >= 3.
-    """
-    if not cols:
-        return [0] * n
-    if len(cols) == 1:
-        return _gap_sums(cols[0])
-    if len(cols) == 2:
-        xs, ys = cols
-        diag = _gap_sums(list(map(add, xs, ys)))
-        anti = _gap_sums(list(map(sub, xs, ys)))
-        return [(a + b) // 2 for a, b in zip(diag, anti)]
-    return None
-
-
 def isometry_mismatch(
     cells: Sequence[Coord], adj: Sequence[Sequence[int]]
 ) -> tuple[int, int, int, int] | None:
@@ -191,30 +150,18 @@ def isometry_mismatch(
     Pairs are taken i < j, by i and then j. Returns (i, j, graph distance,
     Chebyshev distance), the graph distance UNREACHABLE for split pairs, or
     None when the graph is isometric in the product. The cells share one
-    length, as chebyshev_adjacency requires.
+    length, as chebyshev_adjacency requires. Each source costs one BFS and
+    one Chebyshev row to the later cells; the first source to fail has every
+    earlier row right, so its first mismatch lies at some j > i.
 
-    Precondition: every edge of adj joins cells at Chebyshev distance at most
-    1, as both builders of it do: chebyshev_adjacency, and the placement
-    search's _Grid.adjacency off its occupied mask.
-    Graph distances are then never below Chebyshev distances, so for k <= 2
-    a source's BFS row is right iff it reaches every cell and its sum equals
-    the cell's Chebyshev sum. Each source costs one BFS; its Chebyshev row is built only
-    for k >= 3 or when the sum test fails. The first source to fail has
-    every earlier row right, so its first mismatch lies at some j > i.
-
-    is_isometric_in_product runs this to decide images too small for
-    isometric_by_cones, and on larger ones only to name the first pair of an
-    image the cones fail; the placement DFS's strong leaf, on at most a few
-    dozen cells, runs it to decide.
+    is_isometric runs this to decide images too small for
+    isometric_by_cones, and is_isometric_in_product to name the first pair
+    of an image that fails.
     """
     n = len(cells)
     cols = [list(col) for col in zip(*cells)]
-    sums = _chebyshev_sums(cols, n)
     for i in range(n - 1):
-        dist = bfs_from(adj, i)
-        if sums is not None and UNREACHABLE not in dist and sum(dist) == sums[i]:
-            continue
-        dist = dist[i + 1:]
+        dist = bfs_from(adj, i)[i + 1:]
         cheb = _chebyshev_row(cols, cells[i], i + 1, n)
         if dist != cheb:
             j = next(j for j, (d, x) in enumerate(zip(dist, cheb)) if d != x)
@@ -235,9 +182,7 @@ def _form_masks(values: Sequence[int]) -> tuple[list[int], list[int]]:
     the values >= t for any t. Indexed by rank, never by the range of the
     values: n + 1 masks of n bits at most, however far apart the values lie.
     """
-    by_value: dict[int, int] = {}
-    for v, x in enumerate(values):
-        by_value[x] = by_value.get(x, 0) | 1 << v
+    by_value = _by_value(values)
     keys = sorted(by_value)
     ge = [0] * (len(keys) + 1)
     for r in range(len(keys) - 1, -1, -1):
@@ -248,8 +193,10 @@ def _form_masks(values: Sequence[int]) -> tuple[list[int], list[int]]:
 def isometric_by_cones(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> bool:
     """Whether adj's graph is isometric in the product, decided on vertex bitmasks without BFS.
 
-    Same precondition as isometry_mismatch: every edge of adj joins cells at
-    Chebyshev distance at most 1. Then the graph is isometric iff for every
+    Precondition: every edge of adj joins cells at Chebyshev distance at most
+    1, as both builders of adj do: chebyshev_adjacency for certify, and the
+    placement search's _Grid.adjacency off its occupied mask. Then the
+    graph is isometric iff for every
     vertex v and every other vertex u some neighbour w of v has
     cheb(u, w) = cheb(u, v) - 1. (Only if: take w one step along a
     shortest v-u path. If: by induction on cheb(u, v), since the
@@ -269,9 +216,8 @@ def isometric_by_cones(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> 
     the OR of its neighbours' cones holds every other vertex.
 
     The work is O(k^2) mask operations per edge against isometry_mismatch's
-    O(n + m) steps per source, so on images of fewer than
-    _CONE_CELLS_PER_COORDINATE * k cells the BFS is the cheaper check, and
-    is_isometric_in_product runs it.
+    O(n + m) steps per source, so is_isometric runs this only on images of
+    at least _CONE_CELLS_PER_COORDINATE * k cells.
     """
     n = len(cells)
     full = (1 << n) - 1
@@ -326,6 +272,23 @@ def isometric_by_cones(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> 
         if cover != full:
             return False
     return True
+
+
+def _by_cones(cells: Sequence[Coord]) -> bool:
+    """Whether isometric_by_cones, not isometry_mismatch, decides the image of cells."""
+    return len(cells) >= _CONE_CELLS_PER_COORDINATE * (len(cells[0]) if cells else 0)
+
+
+def is_isometric(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> bool:
+    """Whether adj's graph is isometric in the product: by cones on large images, by BFS on small.
+
+    The placement search's strong leaf decides by this, and certify's
+    is_isometric_in_product makes the same decision through the same cut
+    (_by_cones). adj keeps isometric_by_cones' precondition.
+    """
+    if _by_cones(cells):
+        return isometric_by_cones(cells, adj)
+    return isometry_mismatch(cells, adj) is None
 
 
 def induced_supergraph(e: Embedding, host: Graph) -> Graph:
@@ -437,14 +400,13 @@ def is_w_resolved(e: Embedding, g: Graph, induced: _Induced | None = None) -> Ch
 def is_isometric_in_product(e: Embedding, induced: _Induced | None = None) -> CheckResult:
     """True iff induced-graph distances equal Chebyshev distances for all pairs.
 
-    isometric_by_cones decides on images of at least _CONE_CELLS_PER_COORDINATE
-    cells per coordinate; isometry_mismatch, one BFS per source up to the
-    first wrong pair, decides smaller ones and names the failing pair.
-    induced is as for is_w_resolved.
+    Decided as is_isometric decides: by isometric_by_cones on large images,
+    and otherwise by isometry_mismatch, which also names the failing pair.
+    isometry_mismatch runs at most once: on a large image only when the
+    cones fail it. induced is as for is_w_resolved.
     """
     labels, cells, adj = induced() if induced is not None else _induced_adjacency(e)
-    k = len(cells[0]) if cells else 0
-    if len(cells) >= _CONE_CELLS_PER_COORDINATE * k and isometric_by_cones(cells, adj):
+    if _by_cones(cells) and isometric_by_cones(cells, adj):
         return CheckResult(True)
     bad = isometry_mismatch(cells, adj)
     if bad is None:

@@ -23,7 +23,8 @@ occupied mask per anchor (_Grid.supported). So the last depth's passing
 cells are one mask, read off its parent's occupied mask. The DFS keeps no
 adjacency; only a strong search with passing last cells reads the parent's
 off the occupied mask, one shift per pair of opposite unit steps
-(_Grid.adjacency), and adds each cell's own steps for the isometry check.
+(_Grid.adjacency), and adds each cell's own steps for embedding.is_isometric,
+the same isometry decision that certify makes.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
@@ -43,7 +44,7 @@ from .embedding import (
     Embedding,
     certify,
     distance_vector_embedding,
-    isometry_mismatch,
+    is_isometric,
 )
 from .graph import (
     DistanceMatrix,
@@ -439,10 +440,11 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     (settle), counting its cells as if tried one by one. If strong, the
     placed cells' induced adjacency comes off the occupied mask once per
     parent (_Grid.adjacency), numbered last placed first, and each passing
-    last cell adds its own steps as vertex 0 for the isometry check: a
-    placement that fails does so most often at a deep vertex's row, and
-    whether the graph is isometric does not depend on the order of its
-    sources. dim2_prunes adds the two-anchor prunes when k == 2.
+    last cell adds its own steps as vertex 0 for is_isometric. That decides
+    large images by cones and small ones by BFS rows, where a placement
+    that fails does so most often at a deep vertex's row; the verdict does
+    not depend on the vertex order.
+    dim2_prunes adds the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
     if len(set(anchor_labels)) != len(anchor_labels):
@@ -568,10 +570,10 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
             for y in row:
                 adj[y].append(0)
             cells[0] = coords[last]
-            mismatch = isometry_mismatch(cells, adj)
+            isometric = is_isometric(cells, adj)
             for y in row:
                 adj[y].pop()
-            if mismatch is None:
+            if isometric:
                 return tried
         coords[last] = None
         return cand.bit_count()

@@ -57,17 +57,26 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.35) -> Graph
     return Graph.from_edges([str(i) for i in range(n)], sorted(edges))
 
 
+@lru_cache(maxsize=1)  # the exhaustive tests ask about one graph at a time
+def _supersets(g: Graph) -> list:
+    """Every edge-superset of g with its distance matrix, fewest extra edges first."""
+    from strongdim import all_pairs_distances
+
+    non_edges = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
+    out = []
+    for r in range(len(non_edges) + 1):
+        for extra in itertools.combinations(non_edges, r):
+            h = g.with_edges(list(extra))
+            out.append((h, all_pairs_distances(h)))
+    return out
+
+
 def supergraph_oracle(g: Graph, witness, strong: bool) -> bool:
     """Enumerate every edge-superset of g and test the witness on each."""
     from strongdim import is_resolving_set, is_strong_resolving_set
 
     pred = is_strong_resolving_set if strong else is_resolving_set
-    non_edges = [e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)]
-    for r in range(len(non_edges) + 1):
-        for extra in itertools.combinations(non_edges, r):
-            if pred(g.with_edges(list(extra)), witness):
-                return True
-    return False
+    return any(pred(h, witness, dm) for h, dm in _supersets(g))
 
 
 @pytest.fixture

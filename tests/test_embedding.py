@@ -3,11 +3,11 @@ import random
 import time
 import tracemalloc
 from functools import partial
+from operator import add
 
 import pytest
 
 from strongdim import (
-    CellIndex,
     CheckResult,
     Embedding,
     GraphError,
@@ -33,7 +33,7 @@ from strongdim import (
 )
 from strongdim.constructions import cycle_embedding, gn_family, g1_placement
 from strongdim import embedding
-from strongdim.embedding import _anchor_distance_rows, _chebyshev_sums, isometry_mismatch
+from strongdim.embedding import _anchor_distance_rows, isometry_mismatch
 from strongdim.graph import bfs_from
 
 from .conftest import random_connected_graph, to_nx
@@ -60,16 +60,6 @@ def _pairwise_adjacency(cells):
     return [[j for j, y in enumerate(cells) if chebyshev(x, y) == 1] for x in cells]
 
 
-def test_cell_index_add_remove_near(rng):
-    for k in (1, 2, 3, 5):
-        cells = [tuple(rng.randrange(3) for _ in range(k)) for _ in range(40)]
-        index = CellIndex()
-        for i, c in enumerate(cells):
-            index.add(c, i)
-        for c in cells:
-            assert sorted(index.near(c)) == [j for j, y in enumerate(cells) if chebyshev(c, y) == 1]
-
-
 def test_chebyshev_adjacency_matches_pairwise(rng):
     for k in (1, 2, 3):
         for _ in range(30):
@@ -77,6 +67,15 @@ def test_chebyshev_adjacency_matches_pairwise(rng):
             cells += rng.sample(cells, rng.randrange(len(cells) + 1))  # duplicate cells
             rng.shuffle(cells)
             assert chebyshev_adjacency(cells) == _pairwise_adjacency(cells)
+    for k in range(6):  # k = 0-5, each also with every coordinate moved 10**18 either way
+        for _ in range(20):
+            cells = [tuple(rng.randrange(3) for _ in range(k)) for _ in range(rng.randrange(1, 41))]
+            cells += rng.sample(cells, rng.randrange(len(cells) + 1))
+            rng.shuffle(cells)
+            assert chebyshev_adjacency(cells) == _pairwise_adjacency(cells)
+            shift = [rng.choice((10**18, -10**18)) for _ in range(k)]
+            far = [tuple(map(add, c, shift)) for c in cells]
+            assert chebyshev_adjacency(far) == _pairwise_adjacency(far)
     assert chebyshev_adjacency([]) == []
     assert chebyshev_adjacency([(2, 2), (2, 2), (3, 1)]) == [[2], [2], [0, 1]]
     with pytest.raises(GraphError):
@@ -254,19 +253,6 @@ def test_isometry_mismatch_reports_the_first_pair():
     assert isometry_mismatch([(), ()], [[], []]) == (0, 1, -1, 0)
     assert isometry_mismatch([(5, 5)], [[]]) is None
     assert isometry_mismatch([], []) is None
-
-
-def test_chebyshev_sums_match_brute_force_rows():
-    rng = random.Random(13)
-    for t in range(600):
-        k, n = t % 3, rng.randrange(0, 25)
-        cells = [tuple(rng.randrange(-2, 6) for _ in range(k)) for _ in range(n)]
-        if cells and rng.random() < 0.3:
-            cells += rng.sample(cells, rng.randrange(1, len(cells) + 1))
-        cols = [list(col) for col in zip(*cells)]
-        want = [sum(chebyshev(c, d) for d in cells) for c in cells]
-        assert _chebyshev_sums(cols, len(cells)) == want, cells
-    assert _chebyshev_sums([[0], [0], [0]], 1) is None  # k >= 3 keeps the row compare
 
 
 def test_strong_certify_runs_the_bfs_check_only_on_small_or_failing_images(monkeypatch):

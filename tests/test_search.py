@@ -768,27 +768,35 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
 
 def test_strong_leaf_matches_the_trie_adjacency_in_vertex_order(monkeypatch):
     """Every strong leaf that reaches the isometry check gets the Chebyshev adjacency of
-    its cells, and the verdict of the trie adjacency over the cells in vertex-index order
-    (the leaf's coords, read off its frame), with and without the dim2 prunes."""
+    its cells, and the verdict of chebyshev_adjacency over the cells in vertex-index order
+    (the leaf's coords, read off its frame), with and without the dim2 prunes; cones
+    decide the leaves of the two 40-cycle cases."""
     import inspect
 
+    import strongdim.embedding
     import strongdim.search
     from strongdim import chebyshev_adjacency
-    from strongdim.embedding import isometry_mismatch
+    from strongdim.embedding import is_isometric, isometry_mismatch
     from strongdim.search import _prepare, _run_search
 
     verdicts = {True: 0, False: 0}
+    cones, by_cones = [], []
 
     def checked(cells, adj):
         coords = inspect.currentframe().f_back.f_locals["coords"]
         assert sorted(cells) == sorted(coords)
         assert [sorted(row) for row in adj] == chebyshev_adjacency(cells), cells
-        got = isometry_mismatch(cells, adj)
-        assert (got is None) == (isometry_mismatch(coords, chebyshev_adjacency(coords)) is None)
-        verdicts[got is None] += 1
+        before = len(cones)
+        got = is_isometric(cells, adj)
+        assert got == (isometry_mismatch(coords, chebyshev_adjacency(coords)) is None)
+        verdicts[got] += 1
+        by_cones.append(len(cones) > before)
         return got
 
-    monkeypatch.setattr(strongdim.search, "isometry_mismatch", checked)
+    real_cones = strongdim.embedding.isometric_by_cones
+    monkeypatch.setattr(strongdim.embedding, "isometric_by_cones",
+                        lambda *a: cones.append(1) or real_cones(*a))
+    monkeypatch.setattr(strongdim.search, "is_isometric", checked)
     rng = random.Random(13)
     cases = [(cycle_graph(9), W) for W in (["0"], ["0", "4"], ["0", "1", "5"])]
     g1 = gn_family(1)
@@ -797,12 +805,14 @@ def test_strong_leaf_matches_the_trie_adjacency_in_vertex_order(monkeypatch):
     while len(cases) < 150:
         g = random_connected_graph(rng.randrange(5, 13), rng, rng.choice((0.05, 0.1, 0.2, 0.35)))
         cases.append((g, rng.sample(list(g.labels), rng.choice((1, 2, 3)))))
+    cases += [(cycle_graph(40), W) for W in (["0", "19"], ["0", "10"])]  # leaves of 40 cells: cones
     cfg = PlacementSearchConfig(node_budget=3000)
     for g, W in cases:
         ctx = _prepare(g)
         for dim2 in (False, True):
             _run_search(ctx, W, cfg, True, dim2)
     assert verdicts[False] >= 200 and verdicts[True] >= 1, verdicts
+    assert any(by_cones), len(by_cones)
 
 
 def test_strong_sweep_builds_chebyshev_adjacency_only_to_certify(monkeypatch):
@@ -823,8 +833,8 @@ def test_strong_sweep_builds_chebyshev_adjacency_only_to_certify(monkeypatch):
     monkeypatch.setattr(strongdim.embedding, "chebyshev_adjacency",
                         counting("adjacency", strongdim.embedding.chebyshev_adjacency))
     monkeypatch.setattr(strongdim.search, "certify", counting("certify", strongdim.search.certify))
-    monkeypatch.setattr(strongdim.search, "isometry_mismatch",
-                        counting("leaf", strongdim.search.isometry_mismatch))
+    monkeypatch.setattr(strongdim.search, "is_isometric",
+                        counting("leaf", strongdim.search.is_isometric))
     res = threshold_dimension(gn_family(1), "strong", PlacementSearchConfig(node_budget=1000))
     assert (res.status, res.value, res.stats["nodes"]) == ("exact", 3, 164)
     assert not hasattr(strongdim.search, "chebyshev_adjacency")
