@@ -6,6 +6,11 @@ take a minimum vertex cover of it. The MMD pairs come from distance layers as
 bitsets, one pass over each source's distance row, not from one `is_mmd`
 call per pair; `is_mmd` stays as the definition. Brute-force subset
 enumeration is kept alongside as an independent oracle for small graphs.
+
+A witness vertex w resolves every pair {w, v} by the definition alone
+(strongly as d(v,w) = d(v,w) + d(w,w), metrically as d(w,w) = 0 < d(v,w)),
+so the resolving checks read only pairs outside the witness and stay
+independent of the cover theorem.
 """
 
 from __future__ import annotations
@@ -111,13 +116,20 @@ def _is_set(dm: DistanceMatrix, witness_idx: Sequence[int], n: int, strong: bool
     """True iff some anchor (strongly) resolves every pair of vertices.
 
     The strong test is that of strongly_resolves, read from the anchors'
-    distance rows: the matrix is symmetric, so row w holds d[u][w].
+    distance rows: the matrix is symmetric, so row w holds d[u][w]. A pair
+    with an endpoint w in the witness is resolved by w itself (module
+    docstring), so only pairs of non-witness vertices are read.
     """
     d = dm.dist
     rows = [d[w] for w in witness_idx]
+    inside = set(witness_idx)
     for u in range(n):
+        if u in inside:
+            continue
         du = d[u]
         for v in range(u + 1, n):
+            if v in inside:
+                continue
             duv = du[v]
             if strong:
                 for r in rows:

@@ -551,6 +551,49 @@ def test_cli_import_loads_no_process_pool(c7_file):
     assert proc.stdout.strip() == "0 True []"
 
 
+def test_help_returns_zero_instead_of_exiting(capsys):
+    """-h/--help prints the help to stdout and main returns 0: an in-process caller
+    that catches only Exception gets a code, not a SystemExit."""
+    for argv in (["--help"], ["-h"], ["dim", "--help"], ["gen", "-h"], ["dim", "--input", "x", "-h"]):
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 0 and out.err == "" and out.out.startswith("usage: strongdim"), argv
+    assert "--mode" in run(capsys, "dim", "--help")[1]
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, k5_file):
+    """Importing the CLI builds no parser; main builds one on its first call and
+    keeps it through a usage error; each call's stdout and exit code equal a
+    fresh `python -m strongdim` run of the same argv."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import strongdim
+    from strongdim import cli
+
+    src = str(Path(strongdim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import strongdim.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    jobs = [(["cover", "--input", k5_file], 0), (["dim", "--mode", "strong"], 1),
+            (["gen", "--family", "cycle", "--params", "5"], 0)]
+    for argv, expected in jobs:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "strongdim", *argv], capture_output=True,
+                               text=True, env=env, timeout=60)
+        assert code == expected == fresh.returncode and out == fresh.stdout, argv
+    assert len(builds) == 1
+
+
 def _gen_into_a_pipe_closed_after_one_line(unbuffered: bool) -> tuple[int, bytes]:
     """Run gen with about 200 KB of edges, far more than a pipe holds, read one line,
     close the pipe; the exit code and stderr."""

@@ -221,3 +221,48 @@ def test_witness_is_deterministic_and_valid(rng):
         assert a == b
         assert is_strong_resolving_set(g, a.witness)
         assert len(a.witness) == a.value
+
+
+def test_resolving_checks_match_the_definition_on_random_graphs():
+    """is_strong_resolving_set and is_resolving_set agree with the definition on
+    seeded random connected graphs of 1 to 30 vertices: some anchor strongly
+    resolves every pair, or the anchors' distance vectors are distinct."""
+    rng = random.Random(2027)
+    verdicts = {(strong, ok): 0 for strong in (True, False) for ok in (True, False)}
+    for n in range(1, 31):
+        for p in (0.1, 0.3):
+            g = random_connected_graph(n, rng, p)
+            dm = all_pairs_distances(g)
+            labels = list(g.labels)
+            pick = rng.choice(labels)
+            sets = [[], labels, [pick, pick] + rng.sample(labels, n // 3),
+                    list(strong_dimension(g).witness)]
+            sets += [[lb] for lb in labels]
+            sets += [[lb for lb in labels if rng.random() < q] for q in (0.1, 0.2, 0.4, 0.6)]
+            for W in sets:
+                idx = [g.index(lb) for lb in W]
+                strong = all(
+                    any(strongly_resolves(dm, w, u, v) for w in idx)
+                    for u, v in itertools.combinations(range(n), 2)
+                )
+                metric = len({tuple(dm.dist[u][w] for w in idx) for u in range(n)}) == n
+                assert is_strong_resolving_set(g, W, dm) == strong, (g.label_edges(), W)
+                assert is_resolving_set(g, W, dm) == metric, (g.label_edges(), W)
+                verdicts[True, strong] += 1
+                verdicts[False, metric] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_resolving_check_of_a_large_complete_graph_is_fast():
+    """Any n - 1 vertices of K_n (strongly) resolve it and n - 2 do not; the
+    check reads no pair with an endpoint in the witness, so K_400's basis
+    is settled at once (about 1 s when every pair was read)."""
+    import time
+
+    g = complete_graph(400)
+    dm = all_pairs_distances(g)
+    for check in (is_strong_resolving_set, is_resolving_set):
+        t0 = time.perf_counter()
+        assert check(g, g.labels[:-1], dm)
+        assert not check(g, g.labels[:-2], dm)
+        assert time.perf_counter() - t0 < 0.2
