@@ -1,7 +1,8 @@
 """Command-line front end.
 
-`main(argv)` can be called many times in one process: it keeps the parser
-it builds on its first call, and returns an exit code for every argv.
+`main(argv)` can be called many times in one process: it builds its parser
+on each call and returns an exit code for every argv, never raising
+SystemExit.
 
 Exit codes: 0 success (also after -h/--help), 1 usage error, 2 input error
 (parse failure, a file that cannot be read, decoded or written,
@@ -14,7 +15,6 @@ no wall-clock values are emitted.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import os
@@ -55,16 +55,9 @@ class _UsageError(Exception):
     pass
 
 
-class _HelpShown(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
-
-    def exit(self, status=0, message=None):  # argparse calls it after -h/--help; errors raise above
-        raise _HelpShown
 
 
 def _write(text: str) -> None:
@@ -305,18 +298,14 @@ def build_parser() -> _Parser:
     return p
 
 
-@functools.cache  # built on the first main() call, not at import
-def _parser() -> _Parser:
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _HelpShown:  # the help is already on stdout
+    except SystemExit:  # only -h/--help exits (error() raises above); the help is on stdout
         return EXIT_OK
     try:
         return args.func(args)
