@@ -2,9 +2,10 @@
 
 The strong dimension is computed by reduction: build the graph on the same
 vertex set whose edges are the mutually-maximally-distant (MMD) pairs, then
-take a minimum vertex cover of it. The MMD pairs come from distance layers as
-bitsets, one pass over each source's distance row, not from one `is_mmd`
-call per pair; `is_mmd` stays as the definition. Brute-force subset
+take a minimum vertex cover of it. The MMD pairs come from the bitsets of
+maximally distant vertices that `all_pairs_distances` records while it runs
+each source's BFS, not from one `is_mmd` call per pair; `is_mmd` stays as the
+definition. Brute-force subset
 enumeration is kept alongside as an independent oracle for small graphs.
 
 A witness vertex w resolves every pair {w, v} by the definition alone
@@ -72,29 +73,15 @@ def _distances(g: Graph, dm: DistanceMatrix | None) -> DistanceMatrix:
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
     """Graph on the same labels whose edges are exactly the MMD pairs.
 
-    For each source u, layer[d] is the bitset of vertices at distance d from
-    u and reach[d] the union of their neighbourhoods. A vertex v at distance d
-    is maximally distant from u unless it has a neighbour one layer farther,
-    that is, unless it lies in layer[d] & reach[d + 1]. {u, v} is an edge iff
-    each is maximally distant from the other.
+    dm.maximal[u], found by the BFS that computed u's distance row, is the
+    bitset of the vertices maximally distant from u. {u, v} is an edge iff
+    each is maximally distant from the other. A vertex that reaches every
+    other shows that g is connected, so one distance row is checked.
     """
     dm = _distances(g, dm)
-    bit = [1 << v for v in range(g.n)]
-    nbr = [sum(bit[w] for w in a) for a in g.adj]
-    everyone = (1 << g.n) - 1
-    maximal = []
-    for row in dm.dist:
-        if UNREACHABLE in row:
-            raise GraphError("strong_resolving_graph requires a connected graph")
-        layer = [0] * (max(row) + 1)
-        reach = layer.copy()
-        for d, b, nb in zip(row, bit, nbr):
-            layer[d] |= b
-            reach[d] |= nb
-        inner = 0
-        for d in range(len(layer) - 1):
-            inner |= layer[d] & reach[d + 1]
-        maximal.append(everyone ^ inner)
+    if g.n and UNREACHABLE in dm.dist[0]:
+        raise GraphError("strong_resolving_graph requires a connected graph")
+    maximal = dm.maximal
     edges = [
         (u, v)
         for u, m in enumerate(maximal)
@@ -158,12 +145,14 @@ def is_resolving_set(g: Graph, witness: Iterable[str],
     return _is_set(dm, [g.index(lb) for lb in witness], g.n, strong=False)
 
 
-def strong_dimension(g: Graph) -> DimensionResult:
-    """Strong dimension via the MMD-pair graph's minimum vertex cover."""
-    require_connected(g)
+def strong_dimension(g: Graph, dm: DistanceMatrix | None = None) -> DimensionResult:
+    """Strong dimension via the MMD-pair graph's minimum vertex cover.
+
+    A given dm is g's distance matrix and vouches that g is connected.
+    """
+    dm = _distances(g, dm)
     if g.n == 1:
         return DimensionResult(0, (), "reduction")
-    dm = all_pairs_distances(g)
     sr = strong_resolving_graph(g, dm)
     cov = min_vertex_cover(sr)
     if not is_strong_resolving_set(g, cov.cover, dm):

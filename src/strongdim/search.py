@@ -749,7 +749,7 @@ def threshold_dimension(
             lo = k + 1
 
     if hi is None:  # max_k ended the sweep; a strong basis always works
-        basis = strong_dimension(g)
+        basis = strong_dimension(g, ctx.dm)
         hi = basis.value
         if lo == hi:  # a strong basis resolves g in either mode
             witness, emb = basis.witness, _try_fast_path(ctx, list(basis.witness), strong)
