@@ -5,8 +5,10 @@ vertex set whose edges are the mutually-maximally-distant (MMD) pairs, then
 take a minimum vertex cover of it. The MMD pairs come from the bitsets of
 maximally distant vertices that `all_pairs_distances` records while it runs
 each source's BFS, not from one `is_mmd` call per pair; `is_mmd` stays as the
-definition. Brute-force subset
-enumeration is kept alongside as an independent oracle for small graphs.
+definition. Every solver reads the graph's own cached matrix
+(`Graph.distances`), which refuses split and empty graphs. Brute-force subset
+enumeration is kept alongside as an independent oracle for small graphs, on a
+matrix of its own.
 
 A witness vertex w resolves every pair {w, v} by the definition alone
 (strongly as d(v,w) = d(v,w) + d(w,w), metrically as d(w,w) = 0 < d(v,w)),
@@ -21,14 +23,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cover import _bits, min_vertex_cover
-from .graph import (
-    UNREACHABLE,
-    DistanceMatrix,
-    Graph,
-    GraphError,
-    all_pairs_distances,
-    require_connected,
-)
+from .graph import DistanceMatrix, Graph, GraphError, all_pairs_distances, require_connected
 
 
 @dataclass(frozen=True)
@@ -62,26 +57,14 @@ def is_mmd(g: Graph, dm: DistanceMatrix, u: int, v: int) -> bool:
     return all(d[v][y] <= duv for y in g.adj[u])
 
 
-def _distances(g: Graph, dm: DistanceMatrix | None) -> DistanceMatrix:
-    """dm when the caller already has it (it vouches that g is connected)."""
-    if dm is None:
-        require_connected(g)
-        dm = all_pairs_distances(g)
-    return dm
-
-
-def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> Graph:
+def strong_resolving_graph(g: Graph) -> Graph:
     """Graph on the same labels whose edges are exactly the MMD pairs.
 
-    dm.maximal[u], found by the BFS that computed u's distance row, is the
-    bitset of the vertices maximally distant from u. {u, v} is an edge iff
-    each is maximally distant from the other. A vertex that reaches every
-    other shows that g is connected, so one distance row is checked.
+    maximal[u] of g's distance matrix, found by the BFS that computed u's
+    distance row, is the bitset of the vertices maximally distant from u. {u, v} is an edge iff
+    each is maximally distant from the other.
     """
-    dm = _distances(g, dm)
-    if g.n and UNREACHABLE in dm.dist[0]:
-        raise GraphError("strong_resolving_graph requires a connected graph")
-    maximal = dm.maximal
+    maximal = g.distances().maximal
     edges = [
         (u, v)
         for u, m in enumerate(maximal)
@@ -133,29 +116,18 @@ def _is_set(dm: DistanceMatrix, witness_idx: Sequence[int], n: int, strong: bool
     return True
 
 
-def is_strong_resolving_set(g: Graph, witness: Iterable[str],
-                            dm: DistanceMatrix | None = None) -> bool:
-    dm = _distances(g, dm)
-    return _is_set(dm, [g.index(lb) for lb in witness], g.n, strong=True)
+def is_strong_resolving_set(g: Graph, witness: Iterable[str]) -> bool:
+    return _is_set(g.distances(), [g.index(lb) for lb in witness], g.n, strong=True)
 
 
-def is_resolving_set(g: Graph, witness: Iterable[str],
-                     dm: DistanceMatrix | None = None) -> bool:
-    dm = _distances(g, dm)
-    return _is_set(dm, [g.index(lb) for lb in witness], g.n, strong=False)
+def is_resolving_set(g: Graph, witness: Iterable[str]) -> bool:
+    return _is_set(g.distances(), [g.index(lb) for lb in witness], g.n, strong=False)
 
 
-def strong_dimension(g: Graph, dm: DistanceMatrix | None = None) -> DimensionResult:
-    """Strong dimension via the MMD-pair graph's minimum vertex cover.
-
-    A given dm is g's distance matrix and vouches that g is connected.
-    """
-    dm = _distances(g, dm)
-    if g.n == 1:
-        return DimensionResult(0, (), "reduction")
-    sr = strong_resolving_graph(g, dm)
-    cov = min_vertex_cover(sr)
-    if not is_strong_resolving_set(g, cov.cover, dm):
+def strong_dimension(g: Graph) -> DimensionResult:
+    """Strong dimension via the MMD-pair graph's minimum vertex cover."""
+    cov = min_vertex_cover(strong_resolving_graph(g))
+    if not is_strong_resolving_set(g, cov.cover):
         raise AssertionError("cover of the MMD graph failed the strong-resolving check")
     return DimensionResult(cov.size, cov.cover, "reduction")
 

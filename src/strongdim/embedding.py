@@ -16,15 +16,7 @@ from itertools import combinations, repeat
 from operator import add, sub
 from typing import Callable, Iterator, Sequence
 
-from .graph import (
-    UNREACHABLE,
-    DistanceMatrix,
-    Graph,
-    GraphError,
-    all_pairs_distances,
-    bfs_from,
-    require_connected,
-)
+from .graph import UNREACHABLE, Graph, GraphError, bfs_from
 
 Coord = tuple[int, ...]
 
@@ -297,17 +289,13 @@ def induced_supergraph(e: Embedding, host: Graph) -> Graph:
     return Graph.from_edges(host.labels, [(u, v) for u in range(host.n) for v in adj[u] if u < v])
 
 
-def distance_vector_embedding(h: Graph, anchors: Sequence[str],
-                              dm: DistanceMatrix | None = None) -> Embedding:
+def distance_vector_embedding(h: Graph, anchors: Sequence[str]) -> Embedding:
     """Map each vertex to its vector of graph distances to the anchors.
 
     Raises UnresolvedPairError when two vertices get the same vector, i.e.
-    the anchors do not resolve h. A caller that already holds h's distance
-    matrix passes it as dm, which also vouches that h is connected.
+    the anchors do not resolve h.
     """
-    if dm is None:
-        require_connected(h)
-        dm = all_pairs_distances(h)
+    dm = h.distances()
     if not anchors:
         raise GraphError("at least one anchor is required")
     a_idx = [h.index(lb) for lb in anchors]
@@ -529,9 +517,8 @@ def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
     """Run the two-anchor structure checks; anchors must resolve h."""
     if len(anchors) != 2:
         raise GraphError("dim2 diagnostics needs exactly two anchors")
-    require_connected(h)
-    dm = all_pairs_distances(h)
-    distance_vector_embedding(h, anchors, dm=dm)  # raises UnresolvedPairError
+    distance_vector_embedding(h, anchors)  # raises UnresolvedPairError
+    dm = h.distances()
     w = [h.index(lb) for lb in anchors]
 
     failures: list[str] = []

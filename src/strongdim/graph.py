@@ -2,8 +2,9 @@
 
 Vertices carry stable string labels externally and dense 0-based indices
 internally; everything downstream (dimension solvers, embeddings, searches)
-works on indices and reports labels. Graphs are immutable after construction
-so they can be shared freely across workers.
+works on indices and reports labels. Graphs are immutable after construction;
+a graph caches its label index and its distance matrix on first use, so the
+solvers asked about one graph object share one all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -61,6 +62,19 @@ class Graph:
             return idx[label]
         except KeyError:
             raise GraphError(f"unknown vertex label {label!r}") from None
+
+    def distances(self) -> "DistanceMatrix":
+        """The all-pairs distance matrix, computed on the first call and kept.
+
+        Raises GraphError on the empty graph and DisconnectedError on a split
+        one, so a matrix from here always belongs to a connected graph.
+        """
+        dm = getattr(self, "_distances", None)
+        if dm is None:
+            require_connected(self)
+            dm = all_pairs_distances(self)
+            object.__setattr__(self, "_distances", dm)
+        return dm
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]

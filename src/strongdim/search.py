@@ -46,14 +46,7 @@ from .embedding import (
     distance_vector_embedding,
     is_isometric,
 )
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    GraphError,
-    all_pairs_distances,
-    isomorphisms,
-    require_connected,
-)
+from .graph import Graph, GraphError, isomorphisms
 
 _AUTOMORPHISM_CAP = 20000
 
@@ -352,10 +345,10 @@ class _SearchContext:
     across the searches of one sweep.
     """
 
-    def __init__(self, g: Graph, dm: DistanceMatrix):
+    def __init__(self, g: Graph):
         self.g = g
-        self.dm = dm
-        self.shadows = _Shadows(dm.dist)
+        self.dm = g.distances()
+        self.shadows = _Shadows(self.dm.dist)
 
 
 class _Shadows(dict):
@@ -396,19 +389,14 @@ def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
     return list(_bits(placed & ~shadowed))
 
 
-def _prepare(g: Graph) -> _SearchContext:
-    require_connected(g)
-    return _SearchContext(g, all_pairs_distances(g))
-
-
 def _try_fast_path(ctx: _SearchContext, anchors: list[str], strong: bool) -> Embedding | None:
     """If W, a nonempty set of g's labels, already (strongly) resolves g itself,
     its distance vectors work; None when it does not."""
-    g, dm = ctx.g, ctx.dm
+    g = ctx.g
     resolves = is_strong_resolving_set if strong else is_resolving_set
-    if not resolves(g, anchors, dm):
+    if not resolves(g, anchors):
         return None
-    emb = distance_vector_embedding(g, anchors, dm=dm)
+    emb = distance_vector_embedding(g, anchors)
     check = certify(emb, g, strong)  # independent of the resolving test
     if not check:
         raise AssertionError(f"fast path embedding fails {check.clause}: {check.detail}")
@@ -641,7 +629,7 @@ def exists_supergraph_resolved_by(
     """Search all placements for the anchor set, isometric if strong; exhaustive unless
     budgeted out."""
     cfg = cfg or PlacementSearchConfig()
-    return _run_search(_prepare(g), list(anchors), cfg, strong, dim2_prunes=False)
+    return _run_search(_SearchContext(g), list(anchors), cfg, strong, dim2_prunes=False)
 
 
 def dim2_pruned_search(
@@ -652,7 +640,7 @@ def dim2_pruned_search(
     if len(anchors) != 2:
         raise GraphError("dim2 pruned search needs exactly two anchors")
     cfg = cfg or PlacementSearchConfig()
-    return _run_search(_prepare(g), list(anchors), cfg, strong, dim2_prunes=True)
+    return _run_search(_SearchContext(g), list(anchors), cfg, strong, dim2_prunes=True)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +675,7 @@ def threshold_dimension(
         raise GraphError(f"max_k must be at least 1, got {max_k}")
     strong = mode == "strong"
     cfg = cfg or PlacementSearchConfig()
-    ctx = _prepare(g)
+    ctx = _SearchContext(g)
     if cfg.max_side is not None and cfg.max_side <= ctx.dm.diameter:
         raise GraphError(f"max_side must exceed the diameter {ctx.dm.diameter}, "
                          f"got {cfg.max_side}")
@@ -749,7 +737,7 @@ def threshold_dimension(
             lo = k + 1
 
     if hi is None:  # max_k ended the sweep; a strong basis always works
-        basis = strong_dimension(g, ctx.dm)
+        basis = strong_dimension(g)
         hi = basis.value
         if lo == hi:  # a strong basis resolves g in either mode
             witness, emb = basis.witness, _try_fast_path(ctx, list(basis.witness), strong)

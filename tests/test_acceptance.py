@@ -310,7 +310,7 @@ def test_criterion_12_structure_properties():
         if metric.value == 2:
             beta2 += 1
             for W in itertools.combinations(sorted(g.labels), 2):
-                if not is_resolving_set(g, W, dm):
+                if not is_resolving_set(g, W):
                     continue
                 a = dm.dist[g.index(W[0])][g.index(W[1])]
                 region = feasible_region(dm.diameter, a)

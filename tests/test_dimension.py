@@ -79,7 +79,7 @@ def test_tree_sr_is_leaf_clique():
 
 def test_sr_matches_is_mmd(monkeypatch):
     """The MMD graph from distance layers has exactly the pairs is_mmd accepts, in
-    index order, and never asks is_mmd; a disconnected distance matrix is refused."""
+    index order, and never asks is_mmd; a disconnected graph is refused."""
     from strongdim import dimension
 
     mmd = dimension.is_mmd
@@ -100,14 +100,12 @@ def test_sr_matches_is_mmd(monkeypatch):
         pairs = [
             (u, v) for u, v in itertools.combinations(range(g.n), 2) if mmd(g, dm, u, v)
         ]
-        sr = strong_resolving_graph(g, dm)
+        sr = strong_resolving_graph(g)
         assert sr.labels == g.labels and sr.edges() == pairs
         assert sr.label_edges() == sorted(
             tuple(sorted((g.labels[u], g.labels[v]))) for u, v in pairs
         )
     split = Graph.from_label_edges([("a", "b"), ("b", "c"), ("d", "e")])
-    with pytest.raises(GraphError):
-        strong_resolving_graph(split, all_pairs_distances(split))
     with pytest.raises(GraphError):
         strong_resolving_graph(split)
 
@@ -246,8 +244,8 @@ def test_resolving_checks_match_the_definition_on_random_graphs():
                     for u, v in itertools.combinations(range(n), 2)
                 )
                 metric = len({tuple(dm.dist[u][w] for w in idx) for u in range(n)}) == n
-                assert is_strong_resolving_set(g, W, dm) == strong, (g.label_edges(), W)
-                assert is_resolving_set(g, W, dm) == metric, (g.label_edges(), W)
+                assert is_strong_resolving_set(g, W) == strong, (g.label_edges(), W)
+                assert is_resolving_set(g, W) == metric, (g.label_edges(), W)
                 verdicts[True, strong] += 1
                 verdicts[False, metric] += 1
     assert min(verdicts.values()) >= 100, verdicts
@@ -260,9 +258,9 @@ def test_resolving_check_of_a_large_complete_graph_is_fast():
     import time
 
     g = complete_graph(400)
-    dm = all_pairs_distances(g)
+    g.distances()  # kept on g, so the timed checks do not include APSP
     for check in (is_strong_resolving_set, is_resolving_set):
         t0 = time.perf_counter()
-        assert check(g, g.labels[:-1], dm)
-        assert not check(g, g.labels[:-2], dm)
+        assert check(g, g.labels[:-1])
+        assert not check(g, g.labels[:-2])
         assert time.perf_counter() - t0 < 0.2

@@ -233,6 +233,33 @@ def test_all_pairs_distances_of_a_large_complete_graph_is_fast():
     assert dm.maximal[7] == (1 << 400) - 1 ^ 1 << 7
 
 
+def test_graph_distances_is_the_kept_matrix_of_a_connected_graph():
+    """Graph.distances() equals all_pairs_distances and a repeat call returns
+    the same object; a split graph raises require_connected's error, the
+    empty graph "empty graph"; a supergraph from with_edges has its own."""
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_connected_graph(rng.randrange(1, 30), rng, rng.choice((0.05, 0.2, 0.5)))
+        dm = g.distances()
+        assert dm == all_pairs_distances(g)
+        assert g.distances() is dm
+    split = Graph.from_label_edges([("a", "b"), ("c", "d")])
+    with pytest.raises(DisconnectedError) as want:
+        require_connected(split)
+    for _ in range(2):  # a refusal is not kept either
+        with pytest.raises(DisconnectedError) as got:
+            split.distances()
+        assert str(got.value) == str(want.value) and got.value.pair == want.value.pair
+    with pytest.raises(GraphError) as exc:
+        Graph.from_edges([], []).distances()
+    assert type(exc.value) is GraphError and str(exc.value) == "empty graph"
+    p4 = path_graph(4)
+    assert p4.distances().diameter == 3
+    c4 = p4.with_edges([(0, 3)])
+    assert c4.distances() == all_pairs_distances(c4) and c4.distances().diameter == 2
+    assert p4.distances().diameter == 3
+
+
 def _is_isomorphism(g: Graph, h: Graph, image: tuple[int, ...]) -> bool:
     return sorted(image) == list(range(h.n)) and all(
         h.has_edge(image[u], image[v]) == g.has_edge(u, v)

@@ -10,7 +10,9 @@ from strongdim import (
     certify,
     complete_graph,
     cycle_graph,
+    dim2_diagnostics,
     dim2_pruned_search,
+    distance_vector_embedding,
     exists_supergraph_resolved_by,
     graph_automorphisms,
     is_strong_resolving_set,
@@ -37,7 +39,6 @@ def test_oracle_equivalence_n4_exhaustive():
                     assert (got.status == "yes") == want, (g.label_edges(), W, strong)
 
 
-@pytest.mark.slow
 def test_oracle_equivalence_n6_exhaustive():
     for g in atlas_connected(6, min_n=6):
         for k in range(1, g.n + 1):
@@ -100,10 +101,10 @@ def test_dim2_empty_pool_refutes():
     so the side is 4, and every non-anchor has degree >= 6, above the
     capacity of any interior diagonal cell.
     """
-    from strongdim.search import _Dim2Prune, _prepare
+    from strongdim.search import _Dim2Prune, _SearchContext
 
     g = _k7_with_hanging_anchors()
-    ctx = _prepare(g)
+    ctx = _SearchContext(g)
     anchors = [g.index("w0"), g.index("w1")]
     rest = [v for v in range(g.n) if v not in anchors]
     assert min(g.degree(v) for v in rest) == 6
@@ -307,8 +308,7 @@ def test_distances_computed_once_per_graph(monkeypatch):
     """APSP and the connectivity check run once per call, however many anchor
     sets are searched (946 at k=2 for gn_family(2)), and the strong basis
     that settles hi after max_k reuses the search's distance matrix."""
-    import strongdim.dimension
-    import strongdim.search
+    import strongdim.graph
 
     calls = {"apsp": 0, "connected": 0}
 
@@ -319,13 +319,8 @@ def test_distances_computed_once_per_graph(monkeypatch):
 
         return wrapper
 
-    for module in (strongdim.search, strongdim.dimension):
-        monkeypatch.setattr(
-            module, "all_pairs_distances", counting("apsp", module.all_pairs_distances)
-        )
-        monkeypatch.setattr(
-            module, "require_connected", counting("connected", module.require_connected)
-        )
+    for name, key in (("all_pairs_distances", "apsp"), ("require_connected", "connected")):
+        monkeypatch.setattr(strongdim.graph, name, counting(key, getattr(strongdim.graph, name)))
     seen = []
     for n in (1, 2):
         calls.update(apsp=0, connected=0)
@@ -334,6 +329,24 @@ def test_distances_computed_once_per_graph(monkeypatch):
         seen.append(dict(calls))
     assert seen[0] == seen[1]
     assert seen[1] == {"apsp": 1, "connected": 1}
+
+
+def test_solvers_share_one_distance_matrix_per_graph(monkeypatch):
+    """strong_dimension, distance_vector_embedding, dim2_diagnostics and a
+    max_k=1 threshold sweep, asked about one graph object, run APSP once
+    between them: each reads the matrix the graph keeps."""
+    import strongdim.graph
+
+    calls = []
+    real = strongdim.graph.all_pairs_distances
+    monkeypatch.setattr(strongdim.graph, "all_pairs_distances",
+                        lambda g: calls.append(g) or real(g))
+    g = cycle_graph(7)
+    assert strong_dimension(g).value == 4
+    assert distance_vector_embedding(g, ["0", "1"]).side == 4
+    assert dim2_diagnostics(g, ["0", "1"]).all_ok
+    assert threshold_dimension(g, "strong", max_k=1).bounds == (2, 4)
+    assert calls == [g]
 
 
 def test_search_counters_golden():
@@ -710,13 +723,13 @@ def _every_placed_vertex(ctx, v, placed):
 def test_shadow_masks_and_bounding_sets_pair_by_pair():
     """Each cached shadow is W_xv = {u : d(x,u) < d(v,u)} less x; the bounding set drops
     exactly the placed vertices some placed neighbour shadows, and never a neighbour."""
-    from strongdim.search import _bounding_set, _prepare
+    from strongdim.search import _bounding_set, _SearchContext
 
     rng = random.Random(41)
     graphs = [cycle_graph(9), gn_family(1), path_graph(6)]
     graphs += [random_connected_graph(rng.randrange(2, 13), rng) for _ in range(30)]
     for g in graphs:
-        ctx = _prepare(g)
+        ctx = _SearchContext(g)
         d = ctx.dm.dist
         for v in range(g.n):
             for x in g.adj[v]:
@@ -740,7 +753,7 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
     """The shadow rule leaves every box as bounding by all placed vertices does, so the
     whole search (status, nodes, embedding) is the same, with and without the dim2 prunes."""
     import strongdim.search
-    from strongdim.search import _prepare, _run_search
+    from strongdim.search import _SearchContext, _run_search
 
     rng = random.Random(5)
     cases = [(cycle_graph(9), W, 3000) for W in (["0", "4"], ["0", "1", "5"], ["3"])]
@@ -753,7 +766,7 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
     seen = {"yes": 0, "no": 0, "budget_exhausted": 0}
     searched = 0
     for g, W, budget in cases:
-        ctx = _prepare(g)
+        ctx = _SearchContext(g)
         cfg = PlacementSearchConfig(node_budget=budget)
         for strong in (False, True):
             for dim2 in (False, True):
@@ -778,7 +791,7 @@ def test_strong_leaf_matches_the_trie_adjacency_in_vertex_order(monkeypatch):
     import strongdim.search
     from strongdim import chebyshev_adjacency
     from strongdim.embedding import is_isometric, isometry_mismatch
-    from strongdim.search import _prepare, _run_search
+    from strongdim.search import _SearchContext, _run_search
 
     verdicts = {True: 0, False: 0}
     cones, by_cones = [], []
@@ -809,7 +822,7 @@ def test_strong_leaf_matches_the_trie_adjacency_in_vertex_order(monkeypatch):
     cases += [(cycle_graph(40), W) for W in (["0", "19"], ["0", "10"])]  # leaves of 40 cells: cones
     cfg = PlacementSearchConfig(node_budget=3000)
     for g, W in cases:
-        ctx = _prepare(g)
+        ctx = _SearchContext(g)
         for dim2 in (False, True):
             _run_search(ctx, W, cfg, True, dim2)
     assert verdicts[False] >= 200 and verdicts[True] >= 1, verdicts
@@ -922,13 +935,13 @@ def test_stateless_dim2_prune_matches_the_frame_stack(monkeypatch):
     against the vertices left, prunes as the pool copies pushed and popped with the
     DFS did: the whole search (status, nodes, embedding) is the same."""
     import strongdim.search
-    from strongdim.search import _prepare, _run_search
+    from strongdim.search import _SearchContext, _run_search
 
     kills = _FrameStackDim2Prune.kills
     kills.update(pool=0, count=0)
 
     def check(g, W):
-        ctx = _prepare(g)
+        ctx = _SearchContext(g)
         for strong in (False, True):
             for budget in (30, 3000):
                 cfg = PlacementSearchConfig(node_budget=budget)
@@ -1054,7 +1067,7 @@ def test_budget_boundaries_golden():
     """Budgets 1, 2, 3 and N - 1, N, N + 1 around each search's unbounded node count N
     give the outcomes pinned before the last depth was one mask: a budget that ends at
     or inside the last depth stops there with node_budget + 1 nodes."""
-    from strongdim.search import _prepare, _run_search
+    from strongdim.search import _SearchContext, _run_search
 
     rng = random.Random(21)
     graphs = [gn_family(1)] + [
@@ -1063,7 +1076,7 @@ def test_budget_boundaries_golden():
     ]
     outcomes = []
     for g in graphs:
-        ctx = _prepare(g)
+        ctx = _SearchContext(g)
         for k in (1, 2, 3):
             W = rng.sample(list(g.labels), k)
             for strong, dim2 in itertools.product((False, True), repeat=2):
@@ -1085,7 +1098,7 @@ def test_threshold_matches_the_definition_on_six_vertices():
     meet. A superset of a (strong) resolving set is one too, so a supergraph lowers
     the least dimension found so far exactly when some set one smaller resolves it;
     n - 1 vertices resolve any graph."""
-    from strongdim import all_pairs_distances, is_resolving_set
+    from strongdim import is_resolving_set
 
     graphs = atlas_connected(6, min_n=2)
     assert len(graphs) == 142
@@ -1097,10 +1110,9 @@ def test_threshold_matches_the_definition_on_six_vertices():
         for r in range(len(non_edges) + 1):
             for extra in itertools.combinations(non_edges, r):
                 h = g.with_edges(list(extra))
-                dm = all_pairs_distances(h)
                 for mode, resolves in checks.items():
                     while best[mode] > 1 and any(
-                        resolves(h, W, dm) for W in itertools.combinations(h.labels, best[mode] - 1)
+                        resolves(h, W) for W in itertools.combinations(h.labels, best[mode] - 1)
                     ):
                         best[mode] -= 1
         beta_s = strong_dimension(g).value
