@@ -1,6 +1,6 @@
 """Strong metric dimension and threshold strong dimension toolkit."""
 
-from .cover import CoverResult, is_vertex_cover, min_vertex_cover
+from .cover import CoverResult, min_vertex_cover
 from .dimension import (
     DimensionResult,
     brute_force_dimension,
@@ -14,16 +14,11 @@ from .dimension import (
 from .embedding import (
     CheckResult,
     Embedding,
-    FeasibleRegion,
     UnresolvedPairError,
-    anchor_distances_collapse,
     certify,
     chebyshev,
     chebyshev_adjacency,
-    dim2_diagnostics,
     distance_vector_embedding,
-    feasible_region,
-    induced_supergraph,
     is_isometric_in_product,
     is_w_resolved,
     render_grid,
@@ -51,12 +46,10 @@ from .constructions import (
     FourLeafTreeParams,
     ProperColoring,
     StarPairSpec,
-    canonical_tree_params,
     chromatic_bound_supergraph,
     cycle_embedding,
     five_leaf_tree,
     four_leaf_tree,
-    g1_placement,
     gn_family,
     greedy_coloring,
     l3n_family,
@@ -64,7 +57,6 @@ from .constructions import (
     tree_dim3_embedding,
     tree_dim4_embedding,
     type_graph,
-    verify_type_sr,
 )
 from .search import (
     GapReport,

@@ -1,4 +1,4 @@
-"""Generators and verifiers for the explicit construction families.
+"""Generators for the explicit construction families.
 
 Covers: grid-region graphs whose strong resolving graph is a union of two
 stars (optionally with extra connector edges), supergraph constructions that
@@ -14,14 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .dimension import strong_resolving_graph
-from .embedding import (
-    CheckResult,
-    Embedding,
-    certify,
-    chebyshev_adjacency,
-)
-from .graph import Graph, GraphError, bfs_from, cycle_graph, is_tree, isomorphisms, leaves_of
+from .embedding import Embedding, certify, chebyshev_adjacency
+from .graph import Graph, GraphError, cycle_graph, is_tree, leaves_of
 
 
 # ---------------------------------------------------------------------------
@@ -88,33 +82,6 @@ def type_graph(spec: StarPairSpec) -> Graph:
     elif spec.type == 4:
         leaves_at = [(0, n), (n, 0)]
     return _grid_graph(cells, leaves_at)
-
-
-def _target_graph(spec: StarPairSpec) -> Graph:
-    """The two stars of spec, plus the center-center edge and/or middle vertex of its type."""
-    edges = [("c1", f"a{i}") for i in range(spec.m)] + [("c2", f"b{i}") for i in range(spec.n)]
-    if spec.type in (2, 4):
-        edges.append(("c1", "c2"))
-    if spec.type in (3, 4):
-        edges += [("mid", "c1"), ("mid", "c2")]
-    return Graph.from_label_edges(edges)
-
-
-def verify_type_sr(g: Graph, spec: StarPairSpec) -> CheckResult:
-    """Match g's strong resolving graph, less its isolated vertices, with the target.
-
-    They match when some isomorphism maps one onto the other. A mismatch is
-    clause size when the vertex or edge counts differ, else clause shape.
-    """
-    target = _target_graph(spec)
-    sr = strong_resolving_graph(g)
-    core = Graph.from_label_edges((sr.labels[u], sr.labels[v]) for u, v in sr.edges())
-    if (core.n, core.m) != (target.n, target.m):
-        return CheckResult(False, "size", f"{core.n} vertices / {core.m} edges, "
-                                          f"the target has {target.n} / {target.m}")
-    if next(isomorphisms(core, target), None) is None:
-        return CheckResult(False, "shape", "not isomorphic to the target")
-    return CheckResult(True)
 
 
 # ---------------------------------------------------------------------------
@@ -379,57 +346,6 @@ def tree_dim4_embedding(p: FiveLeafTreeParams) -> Embedding:
     return _certified(emb, five_leaf_tree(p))
 
 
-def _tree_path(t: Graph, a: int, b: int) -> list[int]:
-    dist = bfs_from(t.adj, a)
-    path = [b]
-    cur = b
-    while cur != a:
-        cur = next(x for x in t.adj[cur] if dist[x] == dist[cur] - 1)
-        path.append(cur)
-    return list(reversed(path))
-
-
-def canonical_tree_params(
-    t: Graph,
-) -> FourLeafTreeParams | FiveLeafTreeParams | None:
-    """Segment lengths of a 4- or 5-leaf tree, normalized; None otherwise.
-
-    Each leaf's leg is walked inward to its branch vertex. With five leaves
-    exactly one branch vertex carries an odd number of legs (5, 3 or 1), and
-    its smallest leg by (length, leaf label) is the extra path. The branch
-    vertices still carrying legs are the ends of the central path: a single
-    end carries all four base legs; of two ends, v_k1 (legs u and x) is the
-    one with the larger pair, then the one carrying the extra path, then the
-    smaller index.
-    """
-    if not is_tree(t):
-        raise GraphError("input is not a tree")
-    leaves = leaves_of(t)
-    if len(leaves) not in (4, 5):
-        return None
-    legs: dict[int, list[tuple[int, str]]] = {}
-    for leaf in leaves:
-        prev, cur, length = leaf, t.adj[leaf][0], 1
-        while t.degree(cur) == 2:
-            prev, cur, length = cur, next(x for x in t.adj[cur] if x != prev), length + 1
-        legs.setdefault(cur, []).append((length, t.labels[leaf]))
-    host = extra = None
-    if len(leaves) == 5:
-        host = next(b for b, ls in legs.items() if len(ls) % 2)
-        extra = min(legs[host])
-        legs[host].remove(extra)
-    pairs = {b: sorted((ln for ln, _ in ls), reverse=True) for b, ls in legs.items() if ls}
-    if len(pairs) == 1:
-        (b, lens), = pairs.items()
-        path, ux, yz = [b], lens[0::2], lens[1::2]
-    else:
-        v1, vk = sorted(pairs, key=lambda b: (pairs[b], b == host, -b))
-        path, ux, yz = _tree_path(t, v1, vk), pairs[vk], pairs[v1]
-    if extra is None:
-        return FourLeafTreeParams(len(path), *ux, *yz)
-    return FiveLeafTreeParams(len(path), *ux, *yz, extra[0], path.index(host) + 1)
-
-
 # ---------------------------------------------------------------------------
 # cycles, leaf-decorated paths, chained corridors
 
@@ -485,11 +401,6 @@ _G1_CELLS: dict[str, tuple[int, int]] = {
     "f1": (6, 1), "f2": (6, 2), "f3": (6, 3),
     "w2": (5, 0),
 }
-
-
-def g1_placement(copy: int = 1) -> dict[str, tuple[int, int]]:
-    """Grid cells of the 23-vertex corridor fixture (labels suffixed _copy)."""
-    return {f"{name}_{copy}": cell for name, cell in _G1_CELLS.items()}
 
 
 def _g1_edges() -> list[tuple[str, str]]:

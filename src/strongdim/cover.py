@@ -29,12 +29,6 @@ class CoverResult:
     nodes_explored: int  # search nodes opened by the size and lex-min passes
 
 
-def is_vertex_cover(g: Graph, cover: set[str] | list[str] | tuple[str, ...]) -> bool:
-    """True iff every edge has an endpoint in the cover."""
-    idx = {g.index(lb) for lb in cover}
-    return all(u in idx or v in idx for u, v in g.edges())
-
-
 def _bits(mask: int):
     """The vertices of a bitset, lowest first."""
     while mask:

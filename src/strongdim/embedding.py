@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, repeat
 from operator import add, sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from .graph import UNREACHABLE, Graph, GraphError, bfs_from
+from .graph import Graph, GraphError, bfs_from
 
 Coord = tuple[int, ...]
 
@@ -283,12 +283,6 @@ def is_isometric(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> bool:
     return isometry_mismatch(cells, adj) is None
 
 
-def induced_supergraph(e: Embedding, host: Graph) -> Graph:
-    """Graph induced by the placement on host's labels."""
-    adj = chebyshev_adjacency([e.placement[lb] for lb in host.labels])
-    return Graph.from_edges(host.labels, [(u, v) for u in range(host.n) for v in adj[u] if u < v])
-
-
 def distance_vector_embedding(h: Graph, anchors: Sequence[str]) -> Embedding:
     """Map each vertex to its vector of graph distances to the anchors.
 
@@ -422,167 +416,6 @@ def certify(e: Embedding, g: Graph, strong: bool) -> CheckResult:
     if res and strong:
         return is_isometric_in_product(e, induced)
     return res
-
-
-def anchor_distances_collapse(e: Embedding) -> CheckResult:
-    """Induced distance to each anchor must equal the Chebyshev distance to it."""
-    for w in e.anchors:
-        if w not in e.placement:
-            return CheckResult(False, "domain", f"anchor {w!r} is not a placed label")
-    labels, cells, adj = _induced_adjacency(e)
-    rows, _ = _anchor_distance_rows(e, labels, adj)
-    cols = [list(col) for col in zip(*cells)]
-    for w, row in zip(e.anchors, rows):
-        want = _chebyshev_row(cols, e.placement[w], 0, len(labels))
-        if row != want:
-            j = next(j for j, (d, x) in enumerate(zip(row, want)) if d != x)
-            return CheckResult(
-                False,
-                "anchor-collapse",
-                f"d({labels[j]!r},{w!r}) = {row[j]} but Chebyshev gap is {want[j]}",
-            )
-    return CheckResult(True)
-
-
-@dataclass(frozen=True)
-class FeasibleRegion:
-    """Lattice region that contains every 2-anchor resolved placement.
-
-    Bounded by the grid (x,y <= D), the triangle inequality floor
-    (x + y >= a) and the two diagonals (|x - y| <= a), where a is the
-    anchor distance.
-    """
-
-    D: int
-    a: int
-
-    def contains(self, x: int, y: int) -> bool:
-        return (
-            0 <= x <= self.D
-            and 0 <= y <= self.D
-            and x + y >= self.a
-            and y - x <= self.a
-            and x - y <= self.a
-        )
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for x in range(self.D + 1):
-            for y in range(self.D + 1):
-                if self.contains(x, y):
-                    yield (x, y)
-
-
-def feasible_region(D: int, a: int) -> FeasibleRegion:
-    if not 0 <= a <= D:
-        raise GraphError(f"need 0 <= a <= D, got a={a}, D={D}")
-    return FeasibleRegion(D, a)
-
-
-@dataclass(frozen=True)
-class Dim2Report:
-    """Structure checks available to any graph resolved by two anchors."""
-
-    anchor_degrees: dict[str, int]
-    unique_geodesic: bool
-    geodesic: tuple[str, ...] | None
-    failures: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures
-
-
-def _count_geodesics(g: Graph, dm, s: int, t: int):
-    """Number of shortest s-t paths, plus one such path if unique."""
-    ds = dm.dist[s]
-    dt = dm.dist[t]
-    total = ds[t]
-    counts = [0] * g.n
-    counts[s] = 1
-    for v in sorted(range(g.n), key=lambda v: ds[v]):
-        if ds[v] + dt[v] != total or v == s:
-            continue
-        counts[v] = sum(counts[u] for u in g.adj[v] if ds[u] == ds[v] - 1 and ds[u] + dt[u] == total)
-    if counts[t] != 1:
-        return counts[t], None
-    path = [t]
-    cur = t
-    while cur != s:
-        cur = next(u for u in g.adj[cur] if ds[u] == ds[cur] - 1 and ds[u] + dt[u] == total and counts[u] > 0)
-        path.append(cur)
-    return 1, tuple(reversed(path))
-
-
-def dim2_diagnostics(h: Graph, anchors: Sequence[str]) -> Dim2Report:
-    """Run the two-anchor structure checks; anchors must resolve h."""
-    if len(anchors) != 2:
-        raise GraphError("dim2 diagnostics needs exactly two anchors")
-    distance_vector_embedding(h, anchors)  # raises UnresolvedPairError
-    dm = h.distances()
-    w = [h.index(lb) for lb in anchors]
-
-    failures: list[str] = []
-    degs = {anchors[j]: h.degree(w[j]) for j in range(2)}
-    if any(d > 3 for d in degs.values()):
-        failures.append("anchor degree exceeds 3")
-
-    count, path = _count_geodesics(h, dm, w[0], w[1])
-    unique = count == 1
-    if not unique:
-        failures.append(f"{count} shortest paths between the anchors")
-    geodesic = tuple(h.labels[v] for v in path) if path else None
-    if path and any(h.degree(v) > 5 for v in path):
-        failures.append("a geodesic vertex has degree above 5")
-
-    level_paths_ok = True
-    level_size_ok = True
-    up_down_ok = True
-    for j in range(2):
-        row = dm.dist[w[j]]
-        ecc = dm.eccentricities[w[j]]
-        levels: dict[int, list[int]] = {}
-        for v in range(h.n):
-            levels.setdefault(row[v], []).append(v)
-        for i in range(ecc + 1):
-            members = levels.get(i, [])
-            if len(members) > 2 * i + 1:
-                level_size_ok = False
-            if not _induces_disjoint_paths(h, members):
-                level_paths_ok = False
-            for v in members:
-                up = sum(1 for x in h.adj[v] if row[x] == i + 1)
-                down = sum(1 for x in h.adj[v] if row[x] == i - 1)
-                if up > 3 or down > 3:
-                    up_down_ok = False
-    if not level_size_ok:
-        failures.append("a distance level exceeds the 2i+1 cap")
-    if not level_paths_ok:
-        failures.append("a distance level does not induce disjoint paths")
-    if not up_down_ok:
-        failures.append("a vertex has more than 3 neighbours in an adjacent level")
-
-    return Dim2Report(
-        anchor_degrees=degs,
-        unique_geodesic=unique,
-        geodesic=geodesic,
-        failures=tuple(failures),
-    )
-
-
-def _induces_disjoint_paths(g: Graph, members: list[int]) -> bool:
-    """The induced subgraph is a disjoint union of paths (max degree 2, acyclic)."""
-    pos = {v: i for i, v in enumerate(members)}
-    adj = [[pos[x] for x in g.adj[v] if x in pos] for v in members]
-    if any(len(nbrs) > 2 for nbrs in adj):
-        return False
-    # acyclic iff every component is a tree: edges = vertices - components
-    unseen = set(range(len(adj)))
-    components = 0
-    while unseen:
-        components += 1
-        row = bfs_from(adj, min(unseen))
-        unseen.difference_update(i for i, d in enumerate(row) if d != UNREACHABLE)
-    return sum(map(len, adj)) // 2 == len(members) - components
 
 
 def render_grid(e: Embedding) -> str:

@@ -126,12 +126,6 @@ class Graph:
         """A supergraph on the same labels with the extra index edges added."""
         return Graph.from_edges(self.labels, self.edges() + list(extra))
 
-    def relabeled(self, perm: Sequence[int]) -> "Graph":
-        """Graph with vertex i renamed to labels[perm[i]] (tests use this)."""
-        new_labels = tuple(self.labels[perm[i]] for i in range(self.n))
-        return Graph(new_labels, self.adj)
-
-
 @dataclass(frozen=True)
 class DistanceMatrix:
     """All-pairs BFS hop counts with derived eccentricities and diameter.

@@ -8,7 +8,6 @@ from strongdim import (
     Graph,
     complete_graph,
     cycle_graph,
-    is_vertex_cover,
     min_vertex_cover,
     path_graph,
     star_graph,
@@ -16,6 +15,7 @@ from strongdim import (
 )
 
 from .conftest import random_connected_graph
+from .lemmas import is_vertex_cover
 
 
 def brute_min_cover(g: Graph):

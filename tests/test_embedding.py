@@ -13,17 +13,13 @@ from strongdim import (
     GraphError,
     UnresolvedPairError,
     all_pairs_distances,
-    anchor_distances_collapse,
     brute_force_dimension,
     certify,
     chebyshev,
     chebyshev_adjacency,
     complete_graph,
     cycle_graph,
-    dim2_diagnostics,
     distance_vector_embedding,
-    feasible_region,
-    induced_supergraph,
     is_isometric_in_product,
     is_resolving_set,
     is_strong_resolving_set,
@@ -31,12 +27,19 @@ from strongdim import (
     path_graph,
     render_grid,
 )
-from strongdim.constructions import cycle_embedding, gn_family, g1_placement
+from strongdim.constructions import cycle_embedding, gn_family
 from strongdim import embedding
 from strongdim.embedding import _anchor_distance_rows, isometry_mismatch
 from strongdim.graph import bfs_from
 
-from .conftest import random_connected_graph, to_nx
+from .conftest import random_connected_graph
+from .lemmas import (
+    anchor_distances_collapse,
+    dim2_diagnostics,
+    feasible_region,
+    g1_placement,
+    induced_supergraph,
+)
 
 
 def test_chebyshev_examples():
@@ -180,25 +183,6 @@ def _pairwise_is_isometric_in_product(e: Embedding) -> CheckResult:
     )
 
 
-def _pairwise_anchor_distances_collapse(e: Embedding) -> CheckResult:
-    """The per-pair anchor check that the Chebyshev rows replaced, kept as its reference."""
-    labels = tuple(sorted(e.placement))
-    rows, index = _anchor_distance_rows(
-        e, labels, chebyshev_adjacency([e.placement[lb] for lb in labels])
-    )
-    for i, w in enumerate(e.anchors):
-        cw = e.placement[w]
-        for lb in labels:
-            want = chebyshev(e.placement[lb], cw)
-            if rows[i][index[lb]] != want:
-                return CheckResult(
-                    False,
-                    "anchor-collapse",
-                    f"d({lb!r},{w!r}) = {rows[i][index[lb]]} but Chebyshev gap is {want}",
-                )
-    return CheckResult(True)
-
-
 def _seeded_placement(rng, k: int, side: int) -> Embedding:
     """Random or lazy-walk cells, sometimes with duplicates, under shuffled labels."""
     n = 1 if rng.random() < 0.1 else rng.choice((rng.randrange(2, 8), rng.randrange(8, 30)))
@@ -221,7 +205,7 @@ def _seeded_placement(rng, k: int, side: int) -> Embedding:
 
 def test_isometry_rows_match_the_pairwise_checks():
     rng = random.Random(11)
-    passing = split = wrong_gap = collapse_fails = 0
+    passing = split = wrong_gap = 0
     for t in range(3000):
         e = _seeded_placement(rng, t % 5, 2 + (t // 5) % 5)
         want = _pairwise_is_isometric_in_product(e)
@@ -230,11 +214,7 @@ def test_isometry_rows_match_the_pairwise_checks():
         passing += got.ok and len(e.placement) > 1
         split += "components" in (got.detail or "")
         wrong_gap += "in the product" in (got.detail or "")
-        want = _pairwise_anchor_distances_collapse(e)
-        got = anchor_distances_collapse(e)
-        assert (got.ok, got.clause, got.detail) == (want.ok, want.clause, want.detail), e
-        collapse_fails += not got.ok
-    assert min(passing, split, wrong_gap, collapse_fails) > 300, (passing, split, wrong_gap)
+    assert min(passing, split, wrong_gap) > 300, (passing, split, wrong_gap)
 
 
 def test_isometry_mismatch_reports_the_first_pair():
@@ -502,14 +482,6 @@ def test_embedding_json_roundtrip():
     assert again == e
 
 
-def test_anchor_distances_collapse_reports_an_unplaced_anchor():
-    e = Embedding(1, 3, ("zz",), {"a": (0,), "b": (1,)})
-    res = anchor_distances_collapse(e)
-    assert (res.ok, res.clause) == (False, "domain") and "'zz'" in res.detail
-    assert anchor_distances_collapse(Embedding(1, 3, ("a",), {"a": (0,), "b": (1,)}))
-    assert not anchor_distances_collapse(Embedding(0, 1, ("a",), {}))
-
-
 def _graph_order_distance_clause(e: Embedding, g) -> CheckResult:
     """Clause (c) on an induced adjacency of its own, built in g's label order."""
     rows, index = _anchor_distance_rows(
@@ -659,24 +631,6 @@ def test_certify_builds_the_induced_adjacency_once(monkeypatch):
     bad = Embedding(e.k, e.side, e.anchors, {**e.placement, "w1_1": (e.side, 0)})
     calls.clear()
     assert embedding.certify(bad, g, True).clause == "range" and calls == []
-
-
-def test_induces_disjoint_paths_against_networkx():
-    import networkx as nx
-
-    rng = random.Random(14)
-    outcomes = set()
-    for _ in range(600):
-        g = random_connected_graph(rng.randrange(1, 11), rng, rng.choice((0.1, 0.25, 0.5)))
-        members = [v for v in range(g.n) if rng.random() < 0.7]
-        rng.shuffle(members)
-        sub = to_nx(g).subgraph(g.labels[v] for v in members)
-        low_degree = all(d <= 2 for _, d in sub.degree)
-        want = not members or (low_degree and nx.is_forest(sub))
-        assert embedding._induces_disjoint_paths(g, members) == want, (g.label_edges(), members)
-        outcomes.add((want, low_degree))
-    # paths, a degree above 2, and a cycle of degree-2 vertices all occur
-    assert outcomes == {(True, True), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize(

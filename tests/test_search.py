@@ -10,13 +10,11 @@ from strongdim import (
     certify,
     complete_graph,
     cycle_graph,
-    dim2_diagnostics,
     dim2_pruned_search,
     distance_vector_embedding,
     exists_supergraph_resolved_by,
     graph_automorphisms,
     is_strong_resolving_set,
-    induced_supergraph,
     path_graph,
     star_graph,
     strong_dimension,
@@ -27,6 +25,7 @@ from strongdim.constructions import gn_family
 from strongdim.graph import Graph
 
 from .conftest import atlas_connected, random_connected_graph, supergraph_oracle, to_nx
+from .lemmas import dim2_diagnostics, feasible_region, induced_supergraph, relabeled
 
 
 def test_oracle_equivalence_n4_exhaustive():
@@ -161,7 +160,7 @@ def test_threshold_invariant_under_relabeling(rng):
     for _ in range(20):
         perm = list(range(base.n))
         rng.shuffle(perm)
-        assert threshold_dimension(base.relabeled(perm), "strong").value == want
+        assert threshold_dimension(relabeled(base, perm), "strong").value == want
 
 
 def test_budget_exhaustion_surfaces():
@@ -486,7 +485,6 @@ def test_shell_memo_matches_the_direct_gap_test():
 def test_two_anchor_shell_is_the_feasible_region():
     """With anchors at (0, a) and (a, 0) the shell on the grid is the two-anchor region,
     which is why the DFS needs no separate region test."""
-    from strongdim import feasible_region
     from strongdim.search import _grid, _ring
 
     for side in range(1, 16):
@@ -780,7 +778,7 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
     assert min(seen.values()) >= 40 and searched >= 400, (seen, searched)
 
 
-def test_strong_leaf_matches_the_trie_adjacency_in_vertex_order(monkeypatch):
+def test_strong_leaf_matches_the_chebyshev_adjacency_in_vertex_order(monkeypatch):
     """Every strong leaf that reaches the isometry check gets the Chebyshev adjacency of
     its cells, and the verdict of chebyshev_adjacency over the cells in vertex-index order
     (the leaf's coords, read off its frame), with and without the dim2 prunes; cones
