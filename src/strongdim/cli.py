@@ -7,8 +7,9 @@ SystemExit.
 Exit codes: 0 success (also after -h/--help), 1 usage error, 2 input error
 (parse failure, a file that cannot be read, decoded or written,
 disconnected graph, bad parameters), 3 threshold budget exhausted (partial
-JSON still printed), 141 stdout closed by its reader (128 + SIGPIPE,
-nothing on stderr). All JSON output is deterministic: keys are sorted and
+JSON still printed), 4 out of memory (one line on stderr, nothing more on
+stdout), 141 stdout closed by its reader (128 + SIGPIPE, nothing on
+stderr). All JSON output is deterministic: keys are sorted and
 no wall-clock values are emitted.
 """
 
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_MEMORY = 4
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer whose reader left
 
 
@@ -315,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:  # the failed allocation is gone by now, so one line fits
+        print("out of memory", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

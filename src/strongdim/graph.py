@@ -67,12 +67,16 @@ class Graph:
         """The all-pairs distance matrix, computed on the first call and kept.
 
         Raises GraphError on the empty graph and DisconnectedError on a split
-        one, so a matrix from here always belongs to a connected graph.
+        one, naming the pair require_connected names (row 0 of the matrix is
+        its BFS), so a matrix from here always belongs to a connected graph.
         """
         dm = getattr(self, "_distances", None)
         if dm is None:
-            require_connected(self)
+            if self.n == 0:
+                raise GraphError("empty graph")
             dm = all_pairs_distances(self)
+            if UNREACHABLE in dm.dist[0]:
+                raise DisconnectedError(self.labels[0], self.labels[dm.dist[0].index(UNREACHABLE)])
             object.__setattr__(self, "_distances", dm)
         return dm
 

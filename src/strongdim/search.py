@@ -123,7 +123,9 @@ class _Grid:
     read as a base side+1 number. So:
     - bits descend in the DFS's candidate order (-sum(c), c);
     - the cells of a box are the products of one power of two per
-      coordinate, so a box is k multiplications of geometric sums;
+      coordinate, so box() is k multiplications of geometric sums; shifted
+      down to its low corner a box depends on its widths alone, so the DFS
+      reads it from boxes, a table keyed by the widths (_Boxes);
     - no cell has a base side+1 digit equal to side, so a unit step is a
       fixed bit offset that never carries into another cell: two cells are
       one step apart exactly when their bits are its offset apart, since no
@@ -149,6 +151,7 @@ class _Grid:
         self.up = [o for o in map(self.bit, steps) if o > 0]
         self.cells = self.box([0] * k, [side - 1] * k)[0]  # every cell
         self.cell = _CellOf(self)
+        self.boxes = _Boxes(self)
 
     def bit(self, c: tuple[int, ...]) -> int:
         return sum(map(mul, c, self.units))
@@ -212,6 +215,32 @@ class _CellOf(dict):
         c.append(total - sum(c))
         cell = self[b] = tuple(c)
         return cell
+
+
+class _Boxes(dict):
+    """key -> the box mask of one _Grid with its low corner at 0, key being the
+    widths less one read as a base-side number, coordinate 0 first. Built on
+    first lookup and kept up to _BOX_CAP keys, as _cone is bounded. Past the
+    anchors a vertex's BFS parent toward anchor 0 is placed, is never
+    shadowed and bounds each coordinate to its own +-1, so every width is at
+    most 3 and few keys come up (97 on the 12^3 grid of the G_2 sweep)."""
+
+    def __init__(self, grid: _Grid):
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, key: int) -> int:
+        grid = self.grid
+        highs, rest = [0] * grid.k, key
+        for i in range(grid.k - 1, -1, -1):
+            rest, highs[i] = divmod(rest, grid.side)
+        mask = grid.box([0] * grid.k, highs)[0]
+        if len(self) < _BOX_CAP:
+            self[key] = mask
+        return mask
+
+
+_BOX_CAP = 256  # box masks kept per grid
 
 
 def _geometric(u: int, w: int) -> int:
@@ -373,8 +402,9 @@ class _Shadows(dict):
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
-    """The placed vertices (bitmask placed) whose gap constraints bound v's box.
+def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> int:
+    """The placed vertices (bitmask placed) whose gap constraints bound v's box, as
+    a bitmask.
 
     A placed u is left out when a placed G-neighbour x of v shadows it:
     d(x, u) = d(v, u) - 1, so with |c_v - c_x| <= 1 and |c_x - c_u| <= d(x, u)
@@ -386,7 +416,7 @@ def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> list[int]:
     for x in ctx.g.adj[v]:
         if placed >> x & 1:
             shadowed |= shadows[v, x]
-    return list(_bits(placed & ~shadowed))
+    return placed & ~shadowed
 
 
 def _try_fast_path(ctx: _SearchContext, anchors: list[str], strong: bool) -> Embedding | None:
@@ -414,7 +444,9 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     bounds imply the others'; the order is fixed, so each depth computes its
     set once. Cells are bits of the side^k grid (_grid, shared per process),
     numbered so that reading a mask from its highest bit gives that order:
-    the candidates are one mask, the shell AND the free cells AND the box.
+    the candidates are one mask, the shell AND the free cells AND the box,
+    the box being the grid's table entry for its widths (_Grid.boxes)
+    shifted up to its low corner.
     shells[p] is the test against anchors 0..p-1: placing anchor p ANDs in
     its ring (_ring), the cells whose Chebyshev gap to its cell equals their
     coordinate p. An anchor's coordinate for a placed anchor is pinned to
@@ -466,7 +498,7 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     order = anchors + rest
 
     grid = _grid(side, k)
-    cell_of, full, units = grid.cell, grid.full, grid.units
+    cell_of, boxes, units = grid.cell, grid.boxes, grid.units
     coords: list[tuple[int, ...] | None] = [None] * n
     bits: list[int] = [0] * n  # each placed vertex's cell bit
     occupied = 0  # the placed cells
@@ -487,14 +519,19 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
             else (1, min(row_v[w], side - 1))
             for i, w in enumerate(anchors)
         ]
-        bounding = [(u, row_v[u]) for u in _bounding_set(ctx, v, before[p])]
+        bounding = []
+        m = _bounding_set(ctx, v, before[p])
+        while m:  # highest vertex first
+            u = m.bit_length() - 1
+            bounding.append((u, row_v[u]))
+            m ^= 1 << u
         statics[p] = data = (slot, inits, bounding, g.degree(v))
         return data
 
     def candidates(p: int, dim2: _Dim2Prune | None) -> tuple[int, int]:
         """Depth p's candidates (mask, base): the bits of mask << base."""
         slot, inits, bounding, deg_v = statics[p] or static(p)
-        mask, base = 1, 0  # the box, one coordinate at a time as in _Grid.box
+        key = base = 0  # the box's widths less one (boxes' key) and its low corner
         for i, lohi in enumerate(inits):
             if lohi is None:
                 lo = hi = coords[anchors[i]][slot]  # induced anchor distances are symmetric
@@ -508,16 +545,16 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
                     hi = ci + b
             if lo > hi:
                 return 0, 0
-            mask *= full[i] >> (side - 1 - hi + lo) * units[i]
+            key = key * side + hi - lo
             base += lo * units[i]
         # the free cells of the box that pass the gap test to every anchor placed
         # so far, in bit order, which is nearest first to v's graph distances
         # capped at side-1 (these bound every coordinate from above, so the L1
         # gap is their sum less sum(c)), ties by c
-        free = shells[min(p, k)] & ~occupied
+        free = shells[p if p < k else k] & ~occupied
         if dim2 is not None:
-            free &= dim2.cap[min(deg_v, 9)]
-        return free >> base & mask, base
+            free &= dim2.cap[deg_v if deg_v < 9 else 9]
+        return free >> base & boxes[key], base
 
     def settle(dim2: _Dim2Prune | None, room: int) -> int:
         """The last depth at once, from its parent: how many of its candidates the
@@ -567,13 +604,17 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         return cand.bit_count()
 
     # One pending candidate mask per depth below the last, highest bit next;
-    # depth p holds a placement while coords[order[p]] is set. shells[p + 1]
-    # belongs to the placement held at anchor depth p, and the dim2 prunes to
-    # the one held at depth 1. The parent of the last depth settles it whole.
-    # n >= 2 here: one vertex is resolved on the fast path.
+    # depth p holds a placement while coords[order[p]] is set. A depth with no
+    # candidates gets no entry: the next turn unplaces its parent's vertex and
+    # takes the parent's next candidate, as popping an empty mask would, and
+    # nodes count placements only. shells[p + 1] belongs to the placement held
+    # at anchor depth p, and the dim2 prunes to the one held at depth 1. The
+    # parent of the last depth settles it whole. n >= 2 here: one vertex is
+    # resolved on the fast path.
     stack = [candidates(0, None)]
     dim2: _Dim2Prune | None = None
     nodes = 0
+    budget = cfg.node_budget
     while stack:
         p = len(stack) - 1
         v = order[p]
@@ -590,7 +631,7 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
         stack[-1] = m ^ 1 << b, base
         b += base
         nodes += 1
-        if nodes > cfg.node_budget:
+        if nodes > budget:
             return SearchOutcome("budget_exhausted", None, nodes)
         c = coords[v] = cell_of[b]
         bits[v] = b
@@ -604,18 +645,22 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
             if dim2 is None:
                 continue
         if p + 2 < n:
-            stack.append(candidates(p + 1, dim2))
+            child = candidates(p + 1, dim2)
+            if child[0]:
+                stack.append(child)
             continue
-        nodes += settle(dim2, cfg.node_budget - nodes)
-        if nodes > cfg.node_budget:
-            return SearchOutcome("budget_exhausted", None, cfg.node_budget + 1)
+        nodes += settle(dim2, budget - nodes)
+        if nodes > budget:
+            return SearchOutcome("budget_exhausted", None, budget + 1)
         if coords[last] is not None:
             break
     if not stack:
         return SearchOutcome("no", None, nodes)
 
     emb = Embedding(k, side, tuple(anchor_labels), {g.labels[v]: coords[v] for v in range(n)})
-    check = certify(emb, g, strong)  # independent of the DFS's own checks
+    # certify shares is_isometric with the strong leaf, so only its W-resolved
+    # clause checks the DFS independently
+    check = certify(emb, g, strong)
     if not check:
         raise AssertionError(f"search produced an invalid embedding: {check.clause}: "
                              f"{check.detail}")
@@ -690,6 +735,9 @@ def threshold_dimension(
         auts = None
 
     search = partial(_search_set, ctx, cfg, strong)
+    rank = [0] * n  # labels are distinct, so their ranks order sets as the labels do
+    for r, v in enumerate(sorted(range(n), key=g.labels.__getitem__)):
+        rank[v] = r
     total_nodes = 0
     levels: list[dict] = []
     lo = 1
@@ -698,7 +746,7 @@ def threshold_dimension(
     for k in range(1, top + 1):
         sets = sorted(
             combinations(range(n), k),
-            key=lambda W: (-sum(ecc[v] for v in W), tuple(g.labels[v] for v in W)),
+            key=lambda W: (-sum(ecc[v] for v in W), tuple(rank[v] for v in W)),
         )
         # orbit grouping: each orbit's members in enumeration order, the first its representative
         orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

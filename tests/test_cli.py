@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -618,3 +619,136 @@ def test_unbuffered_gen_into_a_closed_pipe_exits_quietly():
     """Unbuffered (PYTHONUNBUFFERED), the text stdout drops the rest of a short write
     without an error; the CLI writes the rest itself, so the closed pipe is still seen."""
     assert _gen_into_a_pipe_closed_after_one_line(unbuffered=True) == (141, b"")
+
+
+def test_dim_runs_one_connectivity_bfs(capsys, monkeypatch, c7_file):
+    """dim checks a loaded graph's connectivity once: _load_graph's require_connected is
+    the only bfs_from call, as Graph.distances() reads connectivity off its own matrix."""
+    import strongdim.graph
+
+    calls = []
+    real = strongdim.graph.bfs_from
+    monkeypatch.setattr(strongdim.graph, "bfs_from", lambda *a: calls.append(a[1]) or real(*a))
+    code, out, _ = run(capsys, "dim", "--input", c7_file)
+    assert code == 0 and json.loads(out)["value"] == 4
+    assert calls == [0]
+
+
+def test_memory_exhaustion_is_exit_4_with_one_line(capsys, monkeypatch, c7_file):
+    """A MemoryError inside a command ends in exit code 4, one line on stderr and
+    nothing on stdout, never a traceback or the usage-error code 1."""
+    import strongdim.cli
+
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(strongdim.cli, "parse_edge_list", exhausted)
+    code, out, err = run(capsys, "dim", "--input", c7_file)
+    assert (code, out, err) == (4, "", "out of memory\n")
+
+
+_DOCUMENTED_CODES = {0, 1, 2, 3, 4, 141}
+
+
+def _junk_edge_text(rng) -> str:
+    """A small graph's edge list with a few lines broken or added."""
+    g = rng.choice((cycle_graph(rng.randrange(3, 8)), path_graph(rng.randrange(2, 8)),
+                    complete_graph(rng.randrange(2, 5))))
+    lines = to_edge_list(g).splitlines()
+    junk = ["", "a", "a a", "0 1 2", "#", "# c", "x\ty", "é è", "1 -", "0 0", "\x00 1",
+            "  ", "a b", "0 99", "0\x0b1", "0 1 # c", "\ufeff0 1"]
+    for _ in range(rng.randrange(4)):
+        at = rng.randrange(len(lines) + 1)
+        if rng.random() < 0.3 and lines:
+            lines[min(at, len(lines) - 1)] = rng.choice(junk)
+        else:
+            lines.insert(at, rng.choice(junk))
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def _junk_embedding_text(rng) -> str:
+    """C7's distance-vector embedding as JSON with one to three fields mangled."""
+    emb = distance_vector_embedding(cycle_graph(7), ["0", "2"]).to_json()
+    values = [None, True, -1, 0, 1, 2, 7, 3.5, "x", "", [], {}, [0], [1, 2], [[0, 1]], {"0": [0, 0]},
+              10**6, [-1, 3], ["0", "0"]]
+    for _ in range(rng.randrange(1, 4)):
+        key = rng.choice(sorted(emb))
+        action = rng.randrange(4)
+        if action == 0:
+            emb.pop(key, None)
+        elif action == 1:
+            emb[key] = rng.choice(values)
+        elif action == 2 and isinstance(emb.get(key), dict) and emb[key]:
+            inner = rng.choice(sorted(emb[key]))
+            emb[key][inner] = rng.choice(values)
+        else:
+            emb[rng.choice(("extra", key))] = rng.choice(values)
+    text = json.dumps(emb)
+    if rng.random() < 0.15:
+        text = text[: rng.randrange(len(text))]
+    return rng.choice((text, json.dumps([emb]), "null", "7")) if rng.random() < 0.1 else text
+
+
+def _junk(rng, *good: str) -> str:
+    """One of the good values, or a junk one about a third of the time."""
+    return rng.choice(good if rng.random() < 0.7 else ("", "x", "-1", "0", "1.5", "--", "é", "1e3"))
+
+
+def test_cli_fuzz_ends_every_call_in_a_documented_code(capsys, tmp_path):
+    """A seeded fuzz: 400 in-process main calls over all eight commands with junk edge
+    lines, mangled embedding JSON, junk flag values and now and then a missing file, a
+    directory or a file that is not UTF-8 for a path. Each returns a documented exit
+    code and prints no traceback; every value is small, so no call searches for long."""
+    rng = random.Random(2024)
+    commands = ["dim", "srgraph", "cover", "threshold", "certify", "gen", "bounds",
+                "gap-experiment"]
+    families = ["path", "cycle", "complete", "star", "multipartite", "random_tree", "type",
+                "tree4", "tree5", "l3n", "gn", "wheel"]
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("0 1\ncaf\xe9 1\n".encode("latin-1"))
+    unreadable = [str(tmp_path / "missing.txt"), str(tmp_path), str(latin1)]
+    seen_codes = set()
+    for t in range(400):
+        command = commands[t % len(commands)]
+        argv = [command]
+        if command not in ("gen", "gap-experiment"):
+            graph = tmp_path / f"g{t}.txt"
+            graph.write_text(_junk_edge_text(rng) if rng.random() < 0.6 else to_edge_list(
+                cycle_graph(rng.randrange(3, 8))))
+            argv += ["--input", str(graph) if rng.random() < 0.9 else rng.choice(unreadable)]
+        if command in ("dim", "threshold"):
+            argv += ["--mode", _junk(rng, "metric", "strong", "strong")]
+        if command == "dim" and rng.random() < 0.5:
+            argv.append("--oracle")
+        if command in ("threshold", "gap-experiment"):
+            argv += ["--budget", _junk(rng, "5", "40", "200"), "--max-k", _junk(rng, "1", "2", "3")]
+            if rng.random() < 0.3:
+                argv.append("--no-symmetry")
+        if command == "gap-experiment":
+            argv += ["--n", _junk(rng, "1", "1")]
+            if rng.random() < 0.5:
+                argv.append("--json")
+        if command == "certify":
+            emb = tmp_path / f"e{t}.json"
+            emb.write_text(_junk_embedding_text(rng))
+            emb = str(emb) if rng.random() < 0.9 else rng.choice(unreadable)
+            argv += ["--embedding", emb, "--mode", _junk(rng, "resolved", "strong")]
+            if rng.random() < 0.5:
+                argv.append("--render")
+        if command == "gen":
+            argv += ["--family", rng.choice(families)]
+            argv += ["--params", _junk(rng, "2", "5", "8", "3,4", "1,2,3", "2,2,1", "3,2,2,1,1",
+                                       "2,2,2,1,1,1,1", "1,,2", ",")]
+            if rng.random() < 0.3:
+                argv += ["--seed", _junk(rng, "3")]
+            if rng.random() < 0.3:
+                argv += ["--embedding-out", rng.choice((str(tmp_path / f"o{t}.json"), str(tmp_path)))]
+            if rng.random() < 0.3:
+                argv.append("--render")
+        if rng.random() < 0.1:
+            argv.insert(rng.randrange(1, len(argv) + 1), _junk(rng, "--bogus", "-z"))
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code in _DOCUMENTED_CODES and "Traceback" not in out.err, (argv, code, out.err)
+        seen_codes.add(code)
+    assert seen_codes == {0, 1, 2, 3}, seen_codes  # 4 and 141 need no memory or a closed pipe

@@ -304,9 +304,10 @@ def test_max_k_must_be_positive():
 
 
 def test_distances_computed_once_per_graph(monkeypatch):
-    """APSP and the connectivity check run once per call, however many anchor
-    sets are searched (946 at k=2 for gn_family(2)), and the strong basis
-    that settles hi after max_k reuses the search's distance matrix."""
+    """APSP runs once per call, however many anchor sets are searched (946 at
+    k=2 for gn_family(2)), and the strong basis that settles hi after max_k
+    reuses the search's distance matrix; connectivity is read off that matrix,
+    so require_connected never runs."""
     import strongdim.graph
 
     calls = {"apsp": 0, "connected": 0}
@@ -327,7 +328,7 @@ def test_distances_computed_once_per_graph(monkeypatch):
         assert r.status == "bounds" and r.bounds[0] == 3
         seen.append(dict(calls))
     assert seen[0] == seen[1]
-    assert seen[1] == {"apsp": 1, "connected": 1}
+    assert seen[1] == {"apsp": 1, "connected": 0}
 
 
 def test_solvers_share_one_distance_matrix_per_graph(monkeypatch):
@@ -663,6 +664,36 @@ def test_grid_tables_stay_small_on_a_long_cycle():
         assert peak < 1.25 * parent_mb * 1e6, (search.__name__, peak)
 
 
+def test_box_table_matches_box_by_widths():
+    """_Grid.boxes[key], key being the widths less one read as a base-side number,
+    coordinate 0 first, is _Grid.box([0]*k, widths less one)'s mask for every key, k 1-4
+    and side 1-6, whether kept or not; the table keeps at most _BOX_CAP of them."""
+    from strongdim.search import _BOX_CAP, _grid
+
+    for k in range(1, 5):
+        for side in range(1, 7):
+            grid = _grid(side, k)
+            for highs in itertools.product(range(side), repeat=k):
+                key = 0
+                for h in highs:
+                    key = key * side + h
+                assert grid.boxes[key] == grid.box([0] * k, list(highs))[0], (k, side, highs)
+            assert len(grid.boxes) <= _BOX_CAP
+    assert len(_grid(6, 4).boxes) == _BOX_CAP  # 6^4 keys asked
+
+
+def test_box_table_stays_small_in_the_g2_sweep():
+    """The G_2 strong sweep at budget 128 up to k = 3, started from empty per-process
+    caches, keeps at most _BOX_CAP box masks on its (12, 3) grid."""
+    from strongdim.search import _BOX_CAP, _grid
+
+    _grid.cache_clear()
+    res = threshold_dimension(gn_family(2), "strong", PlacementSearchConfig(node_budget=128),
+                              max_k=3)
+    assert res.stats["nodes"] == 280316
+    assert 0 < len(_grid(12, 3).boxes) <= _BOX_CAP
+
+
 def test_rings_of_placed_anchors_build_only_their_outer_cones():
     """An anchor the DFS places has coordinate 0 for itself, so its ring needs only the
     k cones of its outer set: two anchors on C400 build 4 cones from empty caches."""
@@ -715,7 +746,7 @@ def test_k3_orbit_reps_golden():
 
 def _every_placed_vertex(ctx, v, placed):
     """The bounding set without the shadow rule: every placed vertex (the reference)."""
-    return [u for u in range(ctx.g.n) if placed >> u & 1]
+    return placed
 
 
 def test_shadow_masks_and_bounding_sets_pair_by_pair():
@@ -737,12 +768,11 @@ def test_shadow_masks_and_bounding_sets_pair_by_pair():
                 placed = {u for u in range(g.n) if u != v and rng.random() < 0.6}
                 mask = sum(1 << u for u in placed)
                 got = _bounding_set(ctx, v, mask)
-                assert len(got) == len(set(got))
                 want = {
                     u for u in placed
                     if not any(x != u and d[x][u] < d[v][u] for x in g.adj[v] if x in placed)
                 }
-                assert set(got) == want, (g.label_edges(), v, placed)
+                assert got == sum(1 << u for u in want), (g.label_edges(), v, placed)
                 assert placed & set(g.adj[v]) <= want
         assert len(ctx.shadows) <= 2 * g.m
 
