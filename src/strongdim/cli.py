@@ -314,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # an OSError, but the reader left (`| head`): no input error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so no exit flush fails
         return EXIT_PIPE
-    except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError:  # the failed allocation is gone by now, so one line fits

@@ -26,6 +26,9 @@ off the occupied mask, one shift per pair of opposite unit steps
 (_Grid.adjacency), and adds each cell's own steps for embedding.is_isometric,
 the same isometry decision that certify makes.
 
+Three counting rules (_counted_out) refute an anchor set at 0 nodes before
+the fast path, for every k, in both modes and both engines.
+
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits
 under graph automorphisms so a refuted orbit is searched once.
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, combinations, islice, product
-from operator import lt, mul, or_
+from itertools import combinations, islice, product, repeat
+from operator import add, lt, mul
 
 from .constructions import gn_family
 from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimension
@@ -105,10 +108,6 @@ def graph_automorphisms(g: Graph) -> list[tuple[int, ...]] | None:
     """All automorphisms as index permutations, or None when more than _AUTOMORPHISM_CAP."""
     auts = list(islice(isomorphisms(g, g), _AUTOMORPHISM_CAP + 1))
     return auts if len(auts) <= _AUTOMORPHISM_CAP else None
-
-
-def _canonical_set(W: tuple[int, ...], auts: list[tuple[int, ...]]) -> tuple[int, ...]:
-    return min(tuple(sorted(p[w] for w in W)) for p in auts)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +369,40 @@ class _Dim2Prune:
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
-    shadows caches the W_xv masks that _bounding_set reads, and keeps them
-    across the searches of one sweep.
+    degrees and max_degree feed the counting rules; orders holds each first
+    anchor's vertex order (_Orders) and shadows the W_xv masks that
+    _bounding_set reads, both kept across the searches of one sweep.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.dm = g.distances()
+        self.degrees = list(map(len, g.adj))
+        self.max_degree = max(self.degrees)
+        self.orders = _Orders(self.dm.dist)
         self.shadows = _Shadows(self.dm.dist)
+
+
+class _Orders(dict):
+    """orders[a]: the vertices by (d(a, v), v), and prefix[v], the vertices before v
+    there as a bitmask; built on first lookup, kept up to _ORDER_BITS mask bits."""
+
+    def __init__(self, dist: tuple[tuple[int, ...], ...]):
+        super().__init__()
+        self.dist = dist
+
+    def __missing__(self, a: int) -> tuple[list[int], list[int]]:
+        n = len(self.dist)
+        order = sorted(range(n), key=self.dist[a].__getitem__)  # stable: ties by v
+        prefix, m = [0] * n, 0
+        for v in order:
+            prefix[v], m = m, m | 1 << v
+        if (len(self) + 1) * n * n <= _ORDER_BITS:
+            self[a] = order, prefix
+        return order, prefix
+
+
+_ORDER_BITS = 1 << 27  # 16 MB of prefix masks per graph at most
 
 
 class _Shadows(dict):
@@ -433,10 +458,24 @@ def _try_fast_path(ctx: _SearchContext, anchors: list[str], strong: bool) -> Emb
     return emb
 
 
+def _counted_out(ctx: _SearchContext, anchors: list[int], side: int) -> bool:
+    """Whether counting refutes the anchors on this grid. Each rule holds for any
+    supergraph they resolve there, so for g itself wherever the fast path could say
+    yes: every vertex takes its own cell, a non-anchor one with coordinates in
+    1..side-1; g's edges join cells one step apart, 3^k - 1 per cell (Khuller,
+    Raghavachari & Rosenfeld 1996); an anchor's neighbours have coordinate 1 in its
+    slot and lie within one step in the others, 3^(k-1) cells."""
+    n, k = ctx.g.n, len(anchors)
+    return (n > min(side**k, (side - 1) ** k + k) or ctx.max_degree >= 3**k
+            or max(map(ctx.degrees.__getitem__, anchors)) > 3 ** (k - 1))
+
+
 def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSearchConfig,
                 strong: bool, dim2_prunes: bool) -> SearchOutcome:
     """Place the vertices one at a time, anchors first, each in a cell that can still work.
 
+    The counting rules run right after the label checks, for every k. The
+    non-anchors follow in the context's order for anchor 0 (_Orders).
     A vertex's candidates are the free cells of its interval box (its graph
     distances to the placed vertices bound each coordinate) that pass the
     anchor-gap test, nearest first to its graph-distance vector. The box is
@@ -480,22 +519,20 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     D = dm.diameter
     side = cfg.max_side if cfg.max_side is not None else D + 1
 
+    if _counted_out(ctx, anchors, side):
+        return SearchOutcome("no", None, 0)
     if side >= D + 1:
         fast = _try_fast_path(ctx, anchor_labels, strong)
         if fast is not None:
             return SearchOutcome("yes", fast, 0)
-    if side**k < n:
-        return SearchOutcome("no", None, 0)
 
     dim2_prunes = dim2_prunes and k == 2  # the prunes hold for two anchors only
-    if dim2_prunes and any(g.degree(w) > 3 for w in anchors):
-        return SearchOutcome("no", None, 0)
-
     dG = dm.dist
     in_anchor = {v: i for i, v in enumerate(anchors)}
-    root = dG[anchors[0]]
-    rest = sorted((v for v in range(n) if v not in in_anchor), key=lambda v: (root[v], v))
+    by_root, prefix = ctx.orders[anchors[0]]
+    rest = [v for v in by_root if v not in in_anchor]
     order = anchors + rest
+    amask = sum(1 << w for w in anchors)
 
     grid = _grid(side, k)
     cell_of, boxes, units = grid.cell, grid.boxes, grid.units
@@ -504,7 +541,6 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     occupied = 0  # the placed cells
     shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
     statics: list = [None] * n  # per depth, built on its first visit
-    before = list(accumulate((1 << v for v in order), or_, initial=0))  # vertices above depth p
     last = order[-1]
 
     def static(p: int):
@@ -520,7 +556,9 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
             for i, w in enumerate(anchors)
         ]
         bounding = []
-        m = _bounding_set(ctx, v, before[p])
+        # above depth p: the anchors before slot, or all anchors and the rest before v
+        above = amask | prefix[v] if slot is None else sum(1 << w for w in anchors[:slot])
+        m = _bounding_set(ctx, v, above)
         while m:  # highest vertex first
             u = m.bit_length() - 1
             bounding.append((u, row_v[u]))
@@ -681,7 +719,8 @@ def dim2_pruned_search(
     g: Graph, anchors: list[str] | tuple[str, ...], cfg: PlacementSearchConfig | None = None,
     *, strong: bool = True,
 ) -> SearchOutcome:
-    """Two-anchor specialization: anchor degree cap, cell capacities, forced diagonal."""
+    """Two-anchor specialization: cell capacities, forced diagonal (the anchor degree
+    cap is the counting rules' k = 2 case)."""
     if len(anchors) != 2:
         raise GraphError("dim2 pruned search needs exactly two anchors")
     cfg = cfg or PlacementSearchConfig()
@@ -695,6 +734,24 @@ def dim2_pruned_search(
 def _search_set(ctx: _SearchContext, cfg: PlacementSearchConfig, strong: bool,
                 W: tuple[int, ...]) -> SearchOutcome:
     return _run_search(ctx, [ctx.g.labels[v] for v in W], cfg, strong, dim2_prunes=True)
+
+
+def _level(k: int, rank: list[int], ecc: list[int], auts: list[tuple[int, ...]]):
+    """Level k's sets by (-sum(ecc), ranks in index order), one integer key each from
+    per-slot tables, and its orbits, grouped by min(W, *images) under auts (the
+    non-identity automorphisms), members in that order."""
+    n = len(rank)
+    sets = list(combinations(range(n), k))
+    keys = repeat(0)
+    for i, slot in enumerate(zip(*sets)):
+        table = [r * n ** (k - 1 - i) - e * n**k for r, e in zip(rank, ecc)]
+        keys = map(add, keys, map(table.__getitem__, slot))
+    sets = [W for _, W in sorted(zip(keys, sets))]
+    images = [map(tuple, map(sorted, map(partial(map, p.__getitem__), sets))) for p in auts]
+    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for key, W in zip(map(min, sets, *images) if auts else sets, sets):
+        orbits.setdefault(key, []).append(W)
+    return sets, list(orbits.values())
 
 
 def threshold_dimension(
@@ -729,10 +786,11 @@ def threshold_dimension(
         return ThresholdResult("exact", 0, None, (), None, {"nodes": 0, "levels": []})
 
     ecc = ctx.dm.eccentricities
-    # None when symmetry pruning is off, the group is trivial, or it is past the cap
+    # the non-identity automorphisms; none when symmetry pruning is off or the
+    # group is past the cap
     auts = graph_automorphisms(g) if cfg.symmetry_pruning else None
-    if auts is not None and len(auts) <= 1:
-        auts = None
+    identity = tuple(range(n))
+    auts = [p for p in auts or () if p != identity]
 
     search = partial(_search_set, ctx, cfg, strong)
     rank = [0] * n  # labels are distinct, so their ranks order sets as the labels do
@@ -744,14 +802,7 @@ def threshold_dimension(
     hi = witness = emb = None
     top = max_k if max_k is not None else n - 1
     for k in range(1, top + 1):
-        sets = sorted(
-            combinations(range(n), k),
-            key=lambda W: (-sum(ecc[v] for v in W), tuple(rank[v] for v in W)),
-        )
-        # orbit grouping: each orbit's members in enumeration order, the first its representative
-        orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for W in sets:
-            orbits.setdefault(_canonical_set(W, auts) if auts is not None else W, []).append(W)
+        sets, orbits = _level(k, rank, ecc, auts)
         level = {
             "k": k,
             "sets_total": len(sets),
@@ -763,7 +814,7 @@ def threshold_dimension(
         level_all_refuted = True
         # Fold each orbit: a budget-exhausted member falls through to the
         # next one; a single exhaustive "no" refutes every isomorphic copy.
-        for members in orbits.values():
+        for members in orbits:
             for i, W in enumerate(members):
                 res = search(W)
                 level["sets_searched"] += 1

@@ -647,6 +647,19 @@ def test_memory_exhaustion_is_exit_4_with_one_line(capsys, monkeypatch, c7_file)
     assert (code, out, err) == (4, "", "out of memory\n")
 
 
+def test_a_key_error_in_a_command_is_not_an_input_error(capsys, monkeypatch, c7_file):
+    """No input makes a command raise KeyError (a malformed embedding is a GraphError),
+    so one from inside a command is a defect and propagates instead of exiting 2."""
+    import strongdim.cli
+
+    def broken(text):
+        raise KeyError("x")
+
+    monkeypatch.setattr(strongdim.cli, "parse_edge_list", broken)
+    with pytest.raises(KeyError, match="x"):
+        strongdim.cli.main(["dim", "--input", c7_file])
+
+
 _DOCUMENTED_CODES = {0, 1, 2, 3, 4, 141}
 
 

@@ -1071,8 +1071,10 @@ def _outcome_digest(outcomes):
 def test_small_graph_searches_golden():
     """Every anchor set of every connected graph on 2-5 vertices, at every max_side up to
     diameter + 1, in both modes: 4,900 searches, pinned before the last depth was one
-    mask. Anchor sets with k == n make the last vertex an anchor, whose own cell needs no
-    support; the (status, nodes) list alone has its own digest as a cross-check."""
+    mask and re-pinned when the counting rules first ran for every k (every status and
+    embedding the same; 606 searches took 2,330 fewer nodes in all, none more). Anchor
+    sets with k == n make the last vertex an anchor, whose own cell needs no support;
+    the (status, nodes) list alone has its own digest as a cross-check."""
     import hashlib
 
     from strongdim import all_pairs_distances
@@ -1087,14 +1089,17 @@ def test_small_graph_searches_golden():
                         outcomes.append(exists_supergraph_resolved_by(g, W, cfg, strong=strong))
     assert len(outcomes) == 4900
     counts = repr([(r.status, r.nodes) for r in outcomes]).encode()
-    assert hashlib.sha256(counts).hexdigest()[:16] == "66beaefa2ba22e19"
-    assert _outcome_digest(outcomes) == "8f2b916646ffcbbd"
+    assert hashlib.sha256(counts).hexdigest()[:16] == "c93ba10ff41ceab4"
+    assert _outcome_digest(outcomes) == "21a8f8820da1b96b"
 
 
 def test_budget_boundaries_golden():
     """Budgets 1, 2, 3 and N - 1, N, N + 1 around each search's unbounded node count N
     give the outcomes pinned before the last depth was one mask: a budget that ends at
-    or inside the last depth stops there with node_budget + 1 nodes."""
+    or inside the last depth stops there with node_budget + 1 nodes. Re-pinned when the
+    counting rules first ran for every k: 26 of the 372 unbudgeted searches take fewer
+    nodes (none more, every status and embedding the same), so fewer budgets bracket
+    them, and 78 budget_exhausted outcomes, all where a rule fires, became no."""
     from strongdim.search import _SearchContext, _run_search
 
     rng = random.Random(21)
@@ -1113,9 +1118,9 @@ def test_budget_boundaries_golden():
                     cfg = PlacementSearchConfig(node_budget=budget)
                     outcomes.append(_run_search(ctx, W, cfg, strong, dim2))
     statuses = [r.status for r in outcomes]
-    assert len(outcomes) == 1562
+    assert len(outcomes) == 1488
     assert min(map(statuses.count, ("yes", "no", "budget_exhausted"))) >= 400
-    assert _outcome_digest(outcomes) == "d0714bcf4605bfd5"
+    assert _outcome_digest(outcomes) == "78267eb2c75f3d07"
 
 
 def test_threshold_matches_the_definition_on_six_vertices():
@@ -1156,3 +1161,131 @@ def test_threshold_matches_the_definition_on_six_vertices():
                 ), (g.label_edges(), mode)
                 tails[got.status] += 1
     assert min(tails.values()) >= 20, tails
+
+
+def _spider(legs: int, length: int) -> Graph:
+    """legs paths of length vertices each, hung on one centre c."""
+    edges = []
+    for i in range(legs):
+        prev = "c"
+        for j in range(length):
+            edges.append((prev, f"l{i}_{j}"))
+            prev = f"l{i}_{j}"
+    return Graph.from_label_edges(edges)
+
+
+def test_levels_match_the_sorted_key_and_whole_group_reference(monkeypatch):
+    """Each level lists its anchor sets by (-sum of eccentricities, label ranks in index
+    order), and its orbits are the classes of the least sorted image over every
+    automorphism, the identity included, each with its members in that order, so the
+    representative is the first one: on every level of every connected graph with 2-7
+    vertices, of G_1 up to k = 3 and of G_2 up to k = 2, with symmetry pruning on and
+    off. Every search runs out of budget, so every level is listed whole."""
+    from strongdim import search
+    from strongdim.search import SearchOutcome
+
+    real, seen = search._level, []
+
+    def level(k, *args):
+        seen.append((k, real(k, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(search, "_level", level)
+    monkeypatch.setattr(search, "_search_set",
+                        lambda *a: SearchOutcome("budget_exhausted", None, 0))
+    cases = [(g, g.n - 1) for g in atlas_connected(7, min_n=2)]
+    assert len(cases) == 995
+    for g, top in cases + [(gn_family(1), 3), (gn_family(2), 2)]:
+        n, ecc = g.n, g.distances().eccentricities
+        rank = {v: r for r, v in enumerate(sorted(range(n), key=g.labels.__getitem__))}
+        for symmetry in (True, False):
+            auts = graph_automorphisms(g) if symmetry else None
+            seen.clear()
+            threshold_dimension(g, "metric", PlacementSearchConfig(symmetry_pruning=symmetry),
+                                max_k=top)
+            assert [k for k, _ in seen] == list(range(1, top + 1))
+            for k, (sets, orbits) in seen:
+                want = sorted(itertools.combinations(range(n), k),
+                              key=lambda W: (-sum(ecc[v] for v in W), tuple(rank[v] for v in W)))
+                groups: dict = {}
+                for W in want:
+                    key = min(tuple(sorted(p[w] for w in W)) for p in auts) if auts else W
+                    groups.setdefault(key, []).append(W)
+                assert sets == want, (g.label_edges(), k)
+                assert orbits == list(groups.values()), (g.label_edges(), k, symmetry)
+
+
+def test_counting_rules_fire_only_where_g_itself_is_not_resolved():
+    """Where a counting rule refutes an anchor set at the default side, the set neither
+    resolves nor strongly resolves g, so the rules, which run before the fast path,
+    never turn its yes into a no: every anchor set of every connected graph with 2-6
+    vertices."""
+    from strongdim.dimension import _is_set
+    from strongdim.search import _counted_out, _SearchContext
+
+    fired = 0
+    for g in atlas_connected(6, min_n=2):
+        ctx = _SearchContext(g)
+        for k in range(1, g.n + 1):
+            for W in itertools.combinations(range(g.n), k):
+                if _counted_out(ctx, list(W), ctx.dm.diameter + 1):
+                    fired += 1
+                    assert not _is_set(ctx.dm, W, g.n, False), (g.label_edges(), W)
+                    assert not _is_set(ctx.dm, W, g.n, True), (g.label_edges(), W)
+    assert fired == 1643
+
+
+def test_fast_path_runs_only_for_sets_the_counting_rules_leave(monkeypatch):
+    """G_2's strong sweep up to k = 2 searches 507 sets; the counting rules refute all
+    but 9 before the fast path, which then runs for those 9 alone (for all 507 before)."""
+    from strongdim import search
+
+    real, calls = search._try_fast_path, []
+    monkeypatch.setattr(search, "_try_fast_path", lambda *a: calls.append(a[1]) or real(*a))
+    res = threshold_dimension(gn_family(2), "strong", max_k=2)
+    assert sum(level["sets_searched"] for level in res.stats["levels"]) == 507
+    assert len(calls) == 9
+
+
+def test_counting_rules_agree_with_the_engine_without_them(monkeypatch):
+    """With and without the counting rules, both engines give the same status and
+    embedding, and the rules never add a node: every anchor set of up to three
+    vertices of stars, spiders and complete multipartite graphs with 3-12 vertices
+    (K_{1,11} up to two, as its three-anchor sets take 109,620 nodes without them)."""
+    from strongdim import complete_multipartite_graph, search
+
+    graphs = [(star_graph(m), 3) for m in (2, 3, 6, 10)] + [(star_graph(11), 2)]
+    graphs += [(_spider(a, b), 3) for a, b in ((3, 2), (4, 2), (5, 2), (3, 3))]
+    graphs += [(complete_multipartite_graph(s), 3)
+               for s in ((2, 2, 2), (1, 2, 3), (3, 3, 3), (2, 5, 5), (4, 4, 4), (1, 1, 10), (6, 6))]
+    runs = [
+        (engine, g, W, strong)
+        for g, top in graphs
+        for k in range(1, top + 1)
+        for W in itertools.combinations(g.labels, k)
+        for strong in (False, True)
+        for engine in (exists_supergraph_resolved_by, dim2_pruned_search)[:1 + (k == 2)]
+    ]
+    with_rules = [engine(g, W, strong=strong) for engine, g, W, strong in runs]
+    monkeypatch.setattr(search, "_counted_out", lambda *a: False)
+    without = [engine(g, W, strong=strong) for engine, g, W, strong in runs]
+    fewer = 0
+    for run, a, b in zip(runs, with_rules, without):
+        assert (a.status, a.embedding) == (b.status, b.embedding), run
+        assert a.nodes <= b.nodes, run
+        fewer += a.nodes < b.nodes
+    assert (len(runs), fewer) == (6064, 4080)
+
+
+def test_counting_rules_refute_stars_and_spiders_at_once():
+    """K_{1,12} has threshold (strong) dimension 4; its k = 3 level took 24 million
+    nodes before the count n <= (side-1)^k + k refuted each set. Every two-anchor set of
+    the spider with 9 legs of 3 vertices has an endpoint of degree 9 > 3^2 - 1 (9,702
+    nodes before)."""
+    for mode in ("metric", "strong"):
+        res = threshold_dimension(star_graph(12), mode)
+        assert (res.status, res.value) == ("exact", 4)
+        assert res.stats["nodes"] < 100, res.stats["nodes"]
+        cfg = PlacementSearchConfig(symmetry_pruning=False)  # 9! automorphisms: past the cap
+        res = threshold_dimension(_spider(9, 3), mode, cfg, max_k=2)
+        assert (res.to_json()["value"], res.stats["nodes"]) == ({"lo": 3, "hi": 8}, 0)
