@@ -30,15 +30,17 @@ Three counting rules (_counted_out) refute an anchor set at 0 nodes before
 the fast path, for every k, in both modes and both engines.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
-set of size k before accepting k+1. Anchor sets are grouped into orbits
-under graph automorphisms so a refuted orbit is searched once.
+set of size k before accepting k+1. Anchor sets are grouped into orbits by
+union-find under automorphism generators so a refuted orbit is searched once.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, islice, product, repeat
+from itertools import combinations, product, repeat
+from math import comb
 from operator import add, lt, mul
 
 from .constructions import gn_family
@@ -49,9 +51,7 @@ from .embedding import (
     distance_vector_embedding,
     is_isometric,
 )
-from .graph import Graph, GraphError, isomorphisms
-
-_AUTOMORPHISM_CAP = 20000
+from .graph import Graph, GraphError
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,88 @@ class ThresholdResult:
 # automorphisms (used only to skip orbit-mates of refuted anchor sets)
 
 
-def graph_automorphisms(g: Graph) -> list[tuple[int, ...]] | None:
-    """All automorphisms as index permutations, or None when more than _AUTOMORPHISM_CAP."""
-    auts = list(islice(isomorphisms(g, g), _AUTOMORPHISM_CAP + 1))
-    return auts if len(auts) <= _AUTOMORPHISM_CAP else None
+def graph_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """A strong generating set of g's automorphism group, as index permutations.
+
+    Colour refinement is canonical, so an automorphism keeps each vertex's
+    colour. The vertices are mapped in BFS order, each component from its first
+    vertex in colour order and each vertex's neighbours in colour order. A
+    vertex's images are the free vertices of its colour next to a mapped
+    neighbour's image whose mapped neighbours are the images of its own; a count
+    of mapped neighbours stands for the non-edges, so C6 is not two triangles. A
+    component's first vertex scans all vertices. Below each image w != order[p]
+    of order[p], with order[:p] fixed, the first leaf is kept and the search goes
+    back to depth p's next image: one automorphism per point of order[p]'s orbit
+    under the stabiliser of order[:p] (Sims 1970), so |Aut(g)| is the product
+    over p of one more than the number kept at p.
+    """
+    n, adj = g.n, g.adj
+    colors, new = None, list(map(len, adj))  # colour refinement from the degrees
+    while new != colors:
+        colors = new
+        sig = [(colors[v], tuple(sorted(colors[u] for u in adj[v]))) for v in range(n)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+    adj_sets = [set(a) for a in adj]
+    key = [(c, v) for v, c in enumerate(colors)]
+    order: list[int] = []
+    depth = [-1] * n  # each vertex's place in order, -1 until it is queued
+    for root in sorted(range(n), key=key.__getitem__):
+        if depth[root] != -1:
+            continue
+        depth[root] = i = len(order)
+        order.append(root)
+        while i < len(order):  # order[i:] is the BFS queue
+            for u in sorted(adj[order[i]], key=key.__getitem__):
+                if depth[u] == -1:
+                    depth[u] = len(order)
+                    order.append(u)
+            i += 1
+    back = [[u for u in adj[v] if depth[u] < p] for p, v in enumerate(order)]
+    image = [-1] * n
+    used = [False] * n
+    mapped = [0] * n  # per vertex, its neighbours that are images so far
+
+    def images(p: int):
+        """Lazily, each w that order[p] may map to given the images of order[:p]."""
+        color, nbrs = colors[order[p]], back[p]
+        for w in adj[image[nbrs[0]]] if nbrs else range(n):
+            if (not used[w] and colors[w] == color and mapped[w] == len(nbrs)
+                    and all(image[u] in adj_sets[w] for u in nbrs)):
+                yield w
+
+    # One pending image iterator per depth, an explicit stack so that long
+    # paths do not hit the recursion limit; depth p is assigned when
+    # image[order[p]] != -1.
+    gens = []
+    stack = [images(0)] if n else []
+    while stack:
+        p = len(stack) - 1
+        v = order[p]
+        w = image[v]
+        if w != -1:
+            used[w] = False
+            for z in adj[w]:
+                mapped[z] -= 1
+            image[v] = -1
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        for z in adj[w]:
+            mapped[z] += 1
+        if p + 1 < n:
+            stack.append(images(p + 1))
+            continue
+        # keep a non-identity leaf and go back to depth moved, the first it moves:
+        # each depth below unmaps its vertex and pops, out of images
+        moved = next((q for q, u in enumerate(order) if image[u] != u), n)
+        if moved < n:
+            gens.append(tuple(image))
+            stack[moved + 1:] = [iter(())] * (n - 1 - moved)
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +548,12 @@ def _counted_out(ctx: _SearchContext, anchors: list[int], side: int) -> bool:
             or max(map(ctx.degrees.__getitem__, anchors)) > 3 ** (k - 1))
 
 
-def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSearchConfig,
-                strong: bool, dim2_prunes: bool) -> SearchOutcome:
+def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
+                cfg: PlacementSearchConfig, strong: bool, dim2_prunes: bool) -> SearchOutcome:
     """Place the vertices one at a time, anchors first, each in a cell that can still work.
 
-    The counting rules run right after the label checks, for every k. The
-    non-anchors follow in the context's order for anchor 0 (_Orders).
+    The anchors are distinct vertex indices. The counting rules run first, for
+    every k. The non-anchors follow in the context's order for anchor 0 (_Orders).
     A vertex's candidates are the free cells of its interval box (its graph
     distances to the placed vertices bound each coordinate) that pass the
     anchor-gap test, nearest first to its graph-distance vector. The box is
@@ -506,9 +584,6 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     dim2_prunes adds the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
-    if len(set(anchor_labels)) != len(anchor_labels):
-        raise GraphError("anchor labels must be distinct")
-    anchors = [g.index(lb) for lb in anchor_labels]  # an unknown label raises before any "no"
     k = len(anchors)
     n = g.n
     if k == 0:
@@ -522,7 +597,7 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     if _counted_out(ctx, anchors, side):
         return SearchOutcome("no", None, 0)
     if side >= D + 1:
-        fast = _try_fast_path(ctx, anchor_labels, strong)
+        fast = _try_fast_path(ctx, [g.labels[w] for w in anchors], strong)
         if fast is not None:
             return SearchOutcome("yes", fast, 0)
 
@@ -531,7 +606,7 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     in_anchor = {v: i for i, v in enumerate(anchors)}
     by_root, prefix = ctx.orders[anchors[0]]
     rest = [v for v in by_root if v not in in_anchor]
-    order = anchors + rest
+    order = [*anchors, *rest]
     amask = sum(1 << w for w in anchors)
 
     grid = _grid(side, k)
@@ -695,7 +770,8 @@ def _run_search(ctx: _SearchContext, anchor_labels: list[str], cfg: PlacementSea
     if not stack:
         return SearchOutcome("no", None, nodes)
 
-    emb = Embedding(k, side, tuple(anchor_labels), {g.labels[v]: coords[v] for v in range(n)})
+    emb = Embedding(k, side, tuple(g.labels[w] for w in anchors),
+                    {g.labels[v]: coords[v] for v in range(n)})
     # certify shares is_isometric with the strong leaf, so only its W-resolved
     # clause checks the DFS independently
     check = certify(emb, g, strong)
@@ -712,7 +788,7 @@ def exists_supergraph_resolved_by(
     """Search all placements for the anchor set, isometric if strong; exhaustive unless
     budgeted out."""
     cfg = cfg or PlacementSearchConfig()
-    return _run_search(_SearchContext(g), list(anchors), cfg, strong, dim2_prunes=False)
+    return _run_search(_SearchContext(g), _indices(g, anchors), cfg, strong, dim2_prunes=False)
 
 
 def dim2_pruned_search(
@@ -724,7 +800,14 @@ def dim2_pruned_search(
     if len(anchors) != 2:
         raise GraphError("dim2 pruned search needs exactly two anchors")
     cfg = cfg or PlacementSearchConfig()
-    return _run_search(_SearchContext(g), list(anchors), cfg, strong, dim2_prunes=True)
+    return _run_search(_SearchContext(g), _indices(g, anchors), cfg, strong, dim2_prunes=True)
+
+
+def _indices(g: Graph, anchors: list[str] | tuple[str, ...]) -> list[int]:
+    """The anchors' vertex indices; a repeated or unknown label raises GraphError."""
+    if len(set(anchors)) != len(anchors):
+        raise GraphError("anchor labels must be distinct")
+    return [g.index(lb) for lb in anchors]
 
 
 # ---------------------------------------------------------------------------
@@ -733,13 +816,13 @@ def dim2_pruned_search(
 
 def _search_set(ctx: _SearchContext, cfg: PlacementSearchConfig, strong: bool,
                 W: tuple[int, ...]) -> SearchOutcome:
-    return _run_search(ctx, [ctx.g.labels[v] for v in W], cfg, strong, dim2_prunes=True)
+    return _run_search(ctx, W, cfg, strong, dim2_prunes=True)
 
 
-def _level(k: int, rank: list[int], ecc: list[int], auts: list[tuple[int, ...]]):
+def _level(k: int, rank: list[int], ecc: list[int], gens: list[tuple[int, ...]]):
     """Level k's sets by (-sum(ecc), ranks in index order), one integer key each from
-    per-slot tables, and its orbits, grouped by min(W, *images) under auts (the
-    non-identity automorphisms), members in that order."""
+    per-slot tables, and its orbits: union-find joins each set to its sorted image
+    under each generator in gens, the earlier set the root, so members keep that order."""
     n = len(rank)
     sets = list(combinations(range(n), k))
     keys = repeat(0)
@@ -747,10 +830,24 @@ def _level(k: int, rank: list[int], ecc: list[int], auts: list[tuple[int, ...]])
         table = [r * n ** (k - 1 - i) - e * n**k for r, e in zip(rank, ecc)]
         keys = map(add, keys, map(table.__getitem__, slot))
     sets = [W for _, W in sorted(zip(keys, sets))]
-    images = [map(tuple, map(sorted, map(partial(map, p.__getitem__), sets))) for p in auts]
-    orbits: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for key, W in zip(map(min, sets, *images) if auts else sets, sets):
-        orbits.setdefault(key, []).append(W)
+    root = list(range(len(sets)))  # union-find parents: an earlier set or itself
+    # at[r]: the position of the set of colex rank r, sum(C(W[i], i + 1)), 4 bytes each
+    colex = partial(map, list.__getitem__, [[comb(v, i + 1) for v in range(n)] for i in range(k)])
+    at = array("i", [0]) * len(sets)
+    for i, r in enumerate(map(sum, map(colex, sets)) if gens else ()):
+        at[r] = i
+    for p in gens:
+        images = map(sorted, map(partial(map, p.__getitem__), sets))
+        for i, j in enumerate(map(at.__getitem__, map(sum, map(colex, images)))):
+            while root[i] != i:
+                root[i] = i = root[root[i]]  # path halving
+            while root[j] != j:
+                root[j] = j = root[root[j]]
+            root[max(i, j)] = min(i, j)
+    orbits: dict[int, list[tuple[int, ...]]] = {}
+    for i, W in enumerate(sets):  # root[i] <= i, so root[root[i]] is final by now
+        root[i] = r = root[root[i]]
+        orbits.setdefault(r, []).append(W)
     return sets, list(orbits.values())
 
 
@@ -786,11 +883,7 @@ def threshold_dimension(
         return ThresholdResult("exact", 0, None, (), None, {"nodes": 0, "levels": []})
 
     ecc = ctx.dm.eccentricities
-    # the non-identity automorphisms; none when symmetry pruning is off or the
-    # group is past the cap
-    auts = graph_automorphisms(g) if cfg.symmetry_pruning else None
-    identity = tuple(range(n))
-    auts = [p for p in auts or () if p != identity]
+    gens = graph_automorphisms(g) if cfg.symmetry_pruning else []
 
     search = partial(_search_set, ctx, cfg, strong)
     rank = [0] * n  # labels are distinct, so their ranks order sets as the labels do
@@ -802,7 +895,7 @@ def threshold_dimension(
     hi = witness = emb = None
     top = max_k if max_k is not None else n - 1
     for k in range(1, top + 1):
-        sets, orbits = _level(k, rank, ecc, auts)
+        sets, orbits = _level(k, rank, ecc, gens)
         level = {
             "k": k,
             "sets_total": len(sets),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -268,15 +269,48 @@ def test_shell_cells_are_never_nearer_an_anchor_than_their_coordinate():
     assert min(rule.values()) > placements // 4, rule
 
 
-def test_automorphisms_against_networkx(rng):
+@functools.lru_cache(maxsize=None)  # two tests ask about the same 995 atlas graphs
+def _whole_group(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Every automorphism of g as an index permutation, identity included, from
+    networkx's GraphMatcher (the reference)."""
     import networkx as nx
 
-    for g in atlas_connected(6, min_n=2)[::7]:
-        auts = graph_automorphisms(g)
-        G = to_nx(g)
-        matcher = nx.algorithms.isomorphism.GraphMatcher(G, G)
-        want = sum(1 for _ in matcher.isomorphisms_iter())
-        assert auts is not None and len(auts) == want
+    G = to_nx(g)
+    return tuple(tuple(g.index(m[lb]) for lb in g.labels)
+                 for m in nx.algorithms.isomorphism.GraphMatcher(G, G).isomorphisms_iter())
+
+
+def test_automorphisms_against_networkx():
+    """The generators, none the identity, close to networkx's automorphism set on every
+    connected graph with 2-7 vertices (the regular ones colour refinement cannot split
+    included), on K_{3,3,3} and on C6 beside two triangles, all 2-regular; and there is
+    one generator per point of each stabiliser orbit, as pinned below."""
+    from strongdim import complete_multipartite_graph
+
+    def closure(gens, n):
+        todo = [tuple(range(n))]
+        seen = set(todo)
+        for p in todo:
+            for q in (tuple(map(p.__getitem__, s)) for s in gens):
+                if q not in seen:
+                    seen.add(q)
+                    todo.append(q)
+        return seen
+
+    c6_and_two_triangles = Graph.from_edges(
+        [str(i) for i in range(12)],
+        [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)])
+    graphs = atlas_connected(7, min_n=2)
+    graphs += [complete_multipartite_graph((3, 3, 3)), c6_and_two_triangles]
+    for g in graphs:
+        gens = graph_automorphisms(g)
+        assert tuple(range(g.n)) not in gens
+        assert closure(gens, g.n) == set(_whole_group(g)), g.label_edges()
+    assert len(closure(graph_automorphisms(c6_and_two_triangles), 12)) == 12 * 72
+    counts = [len(graph_automorphisms(g)) for g in (
+        gn_family(1), gn_family(2), gn_family(3), cycle_graph(9),
+        complete_multipartite_graph((3, 3, 3)), star_graph(12), _spider(9, 3))]
+    assert counts == [1, 1, 1, 9, 18, 66, 36]  # orders 2, 2, 2, 18, 1296, 12! and 9!
 
 
 def test_max_side_must_be_positive():
@@ -396,11 +430,26 @@ def test_automorphisms_of_a_long_path():
 
 
 def test_symmetry_pruning_preserves_results():
-    g = cycle_graph(9)
-    on = threshold_dimension(g, "strong", PlacementSearchConfig(symmetry_pruning=True))
-    off = threshold_dimension(g, "strong", PlacementSearchConfig(symmetry_pruning=False))
-    assert on.value == off.value == 2
-    assert on.witness_W == off.witness_W
+    """With symmetry pruning on and off, the same status, value, witness and embedding,
+    and fewer sets searched with it on: C9 whole, and at max_k 2 K_{1,12}, the spider
+    with 9 legs of 3 vertices, K_{3,3,3} and K_{6,6}, whose groups have 12!, 9!, 1,296
+    and 1,036,800 elements. K_{1,12} has 2 orbits at k = 1 and at k = 2, and the
+    spider 4 at k = 1."""
+    from strongdim import complete_multipartite_graph
+
+    cases = [(cycle_graph(9), None), (star_graph(12), 2), (_spider(9, 3), 2)]
+    cases += [(complete_multipartite_graph(s), 2) for s in ((3, 3, 3), (6, 6))]
+    for g, max_k in cases:
+        for mode in ("metric", "strong"):
+            on, off = (threshold_dimension(g, mode, PlacementSearchConfig(symmetry_pruning=sym),
+                                           max_k=max_k) for sym in (True, False))
+            assert (on.status, on.value, on.bounds) == (off.status, off.value, off.bounds)
+            assert (on.witness_W, on.embedding) == (off.witness_W, off.embedding)
+            searched = [sum(lv["sets_searched"] for lv in r.stats["levels"]) for r in (on, off)]
+            assert searched[0] < searched[1], (g.label_edges(), mode, searched)
+    assert threshold_dimension(cycle_graph(9), "strong").value == 2
+    assert [lv["orbits"] for lv in threshold_dimension(star_graph(12)).stats["levels"][:2]] == [2, 2]
+    assert threshold_dimension(_spider(9, 3), max_k=2).stats["levels"][0]["orbits"] == 4
 
 
 def test_threshold_matches_supergraph_minimum():
@@ -716,7 +765,7 @@ def test_k3_orbit_reps_golden():
 
     g = gn_family(2)
     ecc = all_pairs_distances(g).eccentricities
-    auts = graph_automorphisms(g)
+    auts = _whole_group(g)
     sets = sorted(
         itertools.combinations(range(g.n), 3),
         key=lambda W: (-sum(ecc[v] for v in W), tuple(g.labels[v] for v in W)),
@@ -798,10 +847,10 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
         cfg = PlacementSearchConfig(node_budget=budget)
         for strong in (False, True):
             for dim2 in (False, True):
-                got = _run_search(ctx, W, cfg, strong, dim2)
+                got = _run_search(ctx, list(map(g.index, W)), cfg, strong, dim2)
                 with monkeypatch.context() as m:
                     m.setattr(strongdim.search, "_bounding_set", _every_placed_vertex)
-                    want = _run_search(ctx, W, cfg, strong, dim2)
+                    want = _run_search(ctx, list(map(g.index, W)), cfg, strong, dim2)
                 assert got == want, (g.label_edges(), W, strong, dim2)
                 seen[got.status] += 1
                 searched += got.nodes > 0
@@ -852,7 +901,7 @@ def test_strong_leaf_matches_the_chebyshev_adjacency_in_vertex_order(monkeypatch
     for g, W in cases:
         ctx = _SearchContext(g)
         for dim2 in (False, True):
-            _run_search(ctx, W, cfg, True, dim2)
+            _run_search(ctx, list(map(g.index, W)), cfg, True, dim2)
     assert verdicts[False] >= 200 and verdicts[True] >= 1, verdicts
     assert any(by_cones), len(by_cones)
 
@@ -973,10 +1022,10 @@ def test_stateless_dim2_prune_matches_the_frame_stack(monkeypatch):
         for strong in (False, True):
             for budget in (30, 3000):
                 cfg = PlacementSearchConfig(node_budget=budget)
-                got = _run_search(ctx, W, cfg, strong, True)
+                got = _run_search(ctx, list(map(g.index, W)), cfg, strong, True)
                 with monkeypatch.context() as m:
                     m.setattr(strongdim.search, "_Dim2Prune", _FrameStackDim2Prune)
-                    want = _run_search(ctx, W, cfg, strong, True)
+                    want = _run_search(ctx, list(map(g.index, W)), cfg, strong, True)
                 assert got == want, (g.label_edges(), W, strong, budget)
 
     cases = [(cycle_graph(9), W) for W in (["0", "4"], ["0", "3"], ["2", "5"])]
@@ -1111,7 +1160,7 @@ def test_budget_boundaries_golden():
     for g in graphs:
         ctx = _SearchContext(g)
         for k in (1, 2, 3):
-            W = rng.sample(list(g.labels), k)
+            W = list(map(g.index, rng.sample(list(g.labels), k)))
             for strong, dim2 in itertools.product((False, True), repeat=2):
                 N = _run_search(ctx, W, PlacementSearchConfig(), strong, dim2).nodes
                 for budget in sorted({1, 2, 3, N - 1, N, N + 1} - {-1, 0}):
@@ -1198,8 +1247,9 @@ def test_levels_match_the_sorted_key_and_whole_group_reference(monkeypatch):
     for g, top in cases + [(gn_family(1), 3), (gn_family(2), 2)]:
         n, ecc = g.n, g.distances().eccentricities
         rank = {v: r for r, v in enumerate(sorted(range(n), key=g.labels.__getitem__))}
+        whole = _whole_group(g)
         for symmetry in (True, False):
-            auts = graph_automorphisms(g) if symmetry else None
+            auts = whole if symmetry else None
             seen.clear()
             threshold_dimension(g, "metric", PlacementSearchConfig(symmetry_pruning=symmetry),
                                 max_k=top)
@@ -1286,6 +1336,5 @@ def test_counting_rules_refute_stars_and_spiders_at_once():
         res = threshold_dimension(star_graph(12), mode)
         assert (res.status, res.value) == ("exact", 4)
         assert res.stats["nodes"] < 100, res.stats["nodes"]
-        cfg = PlacementSearchConfig(symmetry_pruning=False)  # 9! automorphisms: past the cap
-        res = threshold_dimension(_spider(9, 3), mode, cfg, max_k=2)
+        res = threshold_dimension(_spider(9, 3), mode, max_k=2)
         assert (res.to_json()["value"], res.stats["nodes"]) == ({"lo": 3, "hi": 8}, 0)
