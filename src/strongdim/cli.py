@@ -57,7 +57,15 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    def __init__(self, prog):  # argparse's width for a non-terminal stdout, always
+        super().__init__(prog, width=78)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # its subparsers are _Parsers too
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
 

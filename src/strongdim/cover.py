@@ -5,7 +5,8 @@ decides whether a vertex set holds an independent set of a given size: a
 maximum clique search on the complement (Tomita & Seki's MCQ in the bitset
 form of San Segundo et al.'s BBMC), bounded at each node by a greedy
 colouring of the complement, that is a cover of the candidates by cliques of
-the graph. Every node first folds its vertices of degree <= 1 into the set.
+the graph. Every node first folds its vertices of degree <= 1 into the set:
+one scan of its vertices, then rescans of only those whose degree fell.
 The size pass raises the target from a greedy set until the search fails;
 the returned cover is the lexicographically smallest minimum cover under
 string label order, found by a committed-greedy pass that asks the same
@@ -43,23 +44,30 @@ def _fold(nb: list[int], P: int) -> tuple[int, int, int]:
 
     Some maximum independent set of G[P] contains such a vertex, so the taken
     vertices plus a maximum set of the rest are a maximum set of G[P].
+    Dropping a taken vertex's neighbour w lowers only the degrees of nb[w] & P,
+    so after a first pass over P in bit order a vertex is examined again only
+    when its degree fell: in this pass if it lies ahead, else in the next. A
+    vertex last seen at degree >= 2 cannot fold until its degree falls, so the
+    folds are those of full rescans, in their order.
     Returns (rest of P, taken bitset, number taken).
     """
     taken = count = 0
-    changed = True
-    while changed:
-        changed = False
-        Q = P
+    Q = P
+    while Q:
+        again = 0  # vertices behind the scan point whose degree fell
         while Q:
             bit = Q & -Q
             Q ^= bit
             nu = nb[bit.bit_length() - 1] & P
             if not nu & (nu - 1):
                 P &= ~(bit | nu)
-                Q &= ~nu
                 taken |= bit
                 count += 1
-                changed = True
+                if nu:
+                    fell = nb[nu.bit_length() - 1] & P
+                    Q = Q & ~nu | fell & -bit
+                    again |= fell & (bit - 1)
+        Q = again & P
     return P, taken, count
 
 
@@ -72,19 +80,21 @@ def _branch_vertices(nb: list[int], P: int, least: int) -> list[int]:
     only vertices of class >= least can start a large enough set. Returned
     in cover order; the search branches from the last.
     """
+    for _ in range(least - 1):  # classes 1..least-1 only leave P
+        Q = P
+        while Q:
+            low = Q & -Q
+            Q &= nb[low.bit_length() - 1]
+            P ^= low
     out: list[int] = []
-    c = 0
-    U = P
-    while U:
-        c += 1
-        Q = U
+    while P:
+        Q = P
         while Q:
             low = Q & -Q
             v = low.bit_length() - 1
             Q &= nb[v]
-            U ^= low
-            if c >= least:
-                out.append(v)
+            P ^= low
+            out.append(v)
     return out
 
 
@@ -101,7 +111,7 @@ class _Search:
         bit = [0] * g.n
         for p, v in enumerate(self.vertex):
             bit[v] = 1 << p
-        self.nb = [sum(bit[w] for w in g.adj[v]) for v in self.vertex]
+        self.nb = [sum(map(bit.__getitem__, g.adj[v])) for v in self.vertex]
         self.nodes = 0
 
     def independent_set(self, P: int, target: int) -> int | None:

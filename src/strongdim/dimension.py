@@ -61,17 +61,18 @@ def strong_resolving_graph(g: Graph) -> Graph:
     """Graph on the same labels whose edges are exactly the MMD pairs.
 
     maximal[u] of g's distance matrix, found by the BFS that computed u's
-    distance row, is the bitset of the vertices maximally distant from u. {u, v} is an edge iff
-    each is maximally distant from the other.
+    distance row, is the bitset of the vertices maximally distant from u.
+    {u, v} is an edge iff each is maximally distant from the other, so u's
+    ascending adjacency tuple is read straight off maximal[u], keeping each
+    v whose maximal[v] holds u. Only an isolated vertex is maximally distant
+    from itself, and it is left out.
     """
     maximal = g.distances().maximal
-    edges = [
-        (u, v)
+    adj = tuple(
+        tuple(v for v in _bits(m & ~(1 << u)) if maximal[v] >> u & 1)
         for u, m in enumerate(maximal)
-        for v in _bits(m)
-        if v > u and maximal[v] >> u & 1
-    ]
-    return Graph.from_edges(g.labels, edges)
+    )
+    return Graph(g.labels, adj)
 
 
 def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:

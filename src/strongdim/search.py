@@ -26,8 +26,9 @@ off the occupied mask, one shift per pair of opposite unit steps
 (_Grid.adjacency), and adds each cell's own steps for embedding.is_isometric,
 the same isometry decision that certify makes.
 
-Three counting rules (_counted_out) refute an anchor set at 0 nodes before
-the fast path, for every k, in both modes and both engines.
+Three counting rules refute an anchor set whose anchors meet their vertex
+mask for (k, side) (_counted_out) at 0 nodes before the fast path, for
+every k, in both modes and both engines.
 
 Threshold dimensions iterate the anchor-set size k upward, refuting every
 set of size k before accepting k+1. Anchor sets are grouped into orbits by
@@ -447,16 +448,15 @@ class _Dim2Prune:
 class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
-    degrees and max_degree feed the counting rules; orders holds each first
-    anchor's vertex order (_Orders) and shadows the W_xv masks that
-    _bounding_set reads, both kept across the searches of one sweep.
+    counted_out holds the counting rules' masks (_counted_out), orders each
+    first anchor's vertex order (_Orders) and shadows the W_xv masks that
+    _bounding_set reads, all kept across the searches of one sweep.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.dm = g.distances()
-        self.degrees = list(map(len, g.adj))
-        self.max_degree = max(self.degrees)
+        self.counted_out: dict[tuple[int, int], int] = {}
         self.orders = _Orders(self.dm.dist)
         self.shadows = _Shadows(self.dm.dist)
 
@@ -536,16 +536,24 @@ def _try_fast_path(ctx: _SearchContext, anchors: list[str], strong: bool) -> Emb
     return emb
 
 
-def _counted_out(ctx: _SearchContext, anchors: list[int], side: int) -> bool:
-    """Whether counting refutes the anchors on this grid. Each rule holds for any
-    supergraph they resolve there, so for g itself wherever the fast path could say
+def _counted_out(ctx: _SearchContext, k: int, side: int) -> int:
+    """The vertices whose presence among k anchors lets counting refute the set on
+    the side^k grid, as a bitmask kept on ctx: every vertex when one of the first two
+    rules fires, else those of degree > 3^(k-1). Each rule holds for any supergraph
+    the anchors resolve there, so for g itself wherever the fast path could say
     yes: every vertex takes its own cell, a non-anchor one with coordinates in
     1..side-1; g's edges join cells one step apart, 3^k - 1 per cell (Khuller,
     Raghavachari & Rosenfeld 1996); an anchor's neighbours have coordinate 1 in its
     slot and lie within one step in the others, 3^(k-1) cells."""
-    n, k = ctx.g.n, len(anchors)
-    return (n > min(side**k, (side - 1) ** k + k) or ctx.max_degree >= 3**k
-            or max(map(ctx.degrees.__getitem__, anchors)) > 3 ** (k - 1))
+    if (k, side) not in ctx.counted_out:
+        adj = ctx.g.adj
+        every = len(adj) > min(side**k, (side - 1) ** k + k) or max(map(len, adj)) >= 3**k
+        ctx.counted_out[k, side] = sum(1 << v for v, a in enumerate(adj)
+                                       if every or len(a) > 3 ** (k - 1))
+    return ctx.counted_out[k, side]
+
+
+_COUNTED_OUT = SearchOutcome("no", None, 0)
 
 
 def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
@@ -594,8 +602,9 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     D = dm.diameter
     side = cfg.max_side if cfg.max_side is not None else D + 1
 
-    if _counted_out(ctx, anchors, side):
-        return SearchOutcome("no", None, 0)
+    amask = sum(1 << w for w in anchors)
+    if _counted_out(ctx, k, side) & amask:
+        return _COUNTED_OUT
     if side >= D + 1:
         fast = _try_fast_path(ctx, [g.labels[w] for w in anchors], strong)
         if fast is not None:
@@ -607,7 +616,6 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     by_root, prefix = ctx.orders[anchors[0]]
     rest = [v for v in by_root if v not in in_anchor]
     order = [*anchors, *rest]
-    amask = sum(1 << w for w in anchors)
 
     grid = _grid(side, k)
     cell_of, boxes, units = grid.cell, grid.boxes, grid.units
@@ -884,6 +892,7 @@ def threshold_dimension(
 
     ecc = ctx.dm.eccentricities
     gens = graph_automorphisms(g) if cfg.symmetry_pruning else []
+    side = cfg.max_side if cfg.max_side is not None else ctx.dm.diameter + 1
 
     search = partial(_search_set, ctx, cfg, strong)
     rank = [0] * n  # labels are distinct, so their ranks order sets as the labels do
@@ -905,11 +914,13 @@ def threshold_dimension(
             "budget_exhausted": 0,
         }
         level_all_refuted = True
+        counted_out = _counted_out(ctx, k, side)
         # Fold each orbit: a budget-exhausted member falls through to the
         # next one; a single exhaustive "no" refutes every isomorphic copy.
+        # Members share degrees, so counting refutes the first without a search.
         for members in orbits:
             for i, W in enumerate(members):
-                res = search(W)
+                res = _COUNTED_OUT if any(counted_out >> v & 1 for v in W) else search(W)
                 level["sets_searched"] += 1
                 total_nodes += res.nodes
                 if res.status != "budget_exhausted":

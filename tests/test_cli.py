@@ -562,6 +562,26 @@ def test_help_returns_zero_instead_of_exiting(capsys):
     assert "--mode" in run(capsys, "dim", "--help")[1]
 
 
+def test_help_does_not_depend_on_the_terminal_width(capsys, monkeypatch):
+    """Help is wrapped at 78 columns whatever $COLUMNS says, and building the parser
+    or printing its help never asks the terminal for its size."""
+    import shutil
+
+    from strongdim.cli import build_parser
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("asked the terminal for its size")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+    build_parser()
+    for argv in (["--help"], ["threshold", "--help"], ["gen", "-h"], ["gap-experiment", "-h"]):
+        outs = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            outs.append(run(capsys, *argv)[1])
+        assert outs[0] == outs[1], argv
+
+
 def test_repeated_in_process_main_calls_match_fresh_processes(capsys, k5_file):
     """main can be called many times in one process: a success, a usage error,
     --help and another success each give the exit code and stdout of a fresh

@@ -79,7 +79,9 @@ def test_tree_sr_is_leaf_clique():
 
 def test_sr_matches_is_mmd(monkeypatch):
     """The MMD graph from distance layers has exactly the pairs is_mmd accepts, in
-    index order, and never asks is_mmd; a disconnected graph is refused."""
+    index order, with the adjacency from_edges builds of them (K1's vertex, maximally
+    distant from itself, gets no loop), and never asks is_mmd; a disconnected graph
+    is refused."""
     from strongdim import dimension
 
     mmd = dimension.is_mmd
@@ -93,7 +95,7 @@ def test_sr_matches_is_mmd(monkeypatch):
         random_connected_graph(rng.randrange(2, 61), rng, rng.choice((0.05, 0.1, 0.2, 0.35, 0.6)))
         for _ in range(60)
     ]
-    graphs += [complete_graph(n) for n in range(2, 13)]
+    graphs += [complete_graph(n) for n in range(1, 13)]
     graphs += [path_graph(n) for n in range(2, 41)] + [cycle_graph(n) for n in range(3, 41)]
     for g in graphs:
         dm = all_pairs_distances(g)
@@ -102,6 +104,7 @@ def test_sr_matches_is_mmd(monkeypatch):
         ]
         sr = strong_resolving_graph(g)
         assert sr.labels == g.labels and sr.edges() == pairs
+        assert sr.adj == Graph.from_edges(g.labels, pairs).adj
         assert sr.label_edges() == sorted(
             tuple(sorted((g.labels[u], g.labels[v]))) for u, v in pairs
         )

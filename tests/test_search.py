@@ -1278,11 +1278,42 @@ def test_counting_rules_fire_only_where_g_itself_is_not_resolved():
         ctx = _SearchContext(g)
         for k in range(1, g.n + 1):
             for W in itertools.combinations(range(g.n), k):
-                if _counted_out(ctx, list(W), ctx.dm.diameter + 1):
+                if _counted_out(ctx, k, ctx.dm.diameter + 1) & sum(1 << v for v in W):
                     fired += 1
                     assert not _is_set(ctx.dm, W, g.n, False), (g.label_edges(), W)
                     assert not _is_set(ctx.dm, W, g.n, True), (g.label_edges(), W)
     assert fired == 1643
+
+
+def test_sweep_searches_only_orbits_the_counting_mask_leaves(monkeypatch):
+    """G_2's sweeps up to k = 2 call the search only for orbits whose first member
+    avoids the level's counting mask; each refuted orbit still counts one set searched
+    and all its members refuted, so the stats are those of searching it."""
+    from strongdim import search
+
+    g = gn_family(2)
+    ctx = search._SearchContext(g)
+    masks = {k: search._counted_out(ctx, k, ctx.dm.diameter + 1) for k in (1, 2)}
+    level, calls, orbits = search._level, [], {}
+    monkeypatch.setattr(search, "_level", lambda k, *a: orbits.setdefault(k, level(k, *a)))
+    real = search._search_set
+    monkeypatch.setattr(search, "_search_set", lambda *a: calls.append(a[-1]) or real(*a))
+    want = {  # sets_searched, refuted and nodes, as when every orbit called the search
+        "metric": ([(23, 44), (16, 27)], 54),
+        "strong": ([(23, 44), (484, 946)], 546),
+    }
+    for mode, (counts, nodes) in want.items():
+        calls.clear()
+        orbits.clear()
+        res = threshold_dimension(g, mode, max_k=2)
+        levels = res.stats["levels"]
+        assert [(lv["sets_searched"], lv["refuted"]) for lv in levels] == counts, mode
+        assert res.stats["nodes"] == nodes, mode
+        assert calls and all(not masks[len(W)] & sum(1 << v for v in W) for W in calls)
+        if mode == "strong":  # no yes ends a level early
+            left = [members[0] for k in (1, 2) for members in orbits[k][1]
+                    if not masks[k] & sum(1 << v for v in members[0])]
+            assert calls == left
 
 
 def test_fast_path_runs_only_for_sets_the_counting_rules_leave(monkeypatch):
@@ -1317,7 +1348,7 @@ def test_counting_rules_agree_with_the_engine_without_them(monkeypatch):
         for engine in (exists_supergraph_resolved_by, dim2_pruned_search)[:1 + (k == 2)]
     ]
     with_rules = [engine(g, W, strong=strong) for engine, g, W, strong in runs]
-    monkeypatch.setattr(search, "_counted_out", lambda *a: False)
+    monkeypatch.setattr(search, "_counted_out", lambda *a: 0)
     without = [engine(g, W, strong=strong) for engine, g, W, strong in runs]
     fewer = 0
     for run, a, b in zip(runs, with_rules, without):
