@@ -210,6 +210,7 @@ class _Grid:
       nonzero difference within +-side per coordinate sits at bit 0.
     A set of cells is a mask with bits at cells only; supported() and below()
     give masks that also cover bits holding no cell, read through such a set.
+    below(1 << b, i) is reach[i] << b >> lift: no unit step spans lift bits.
     A grid keeps no mask per cell: every mask it builds is a union of boxes
     (box()), from one full column of side powers per coordinate.
     up holds one offset per opposite pair of unit steps, the positive one,
@@ -227,6 +228,8 @@ class _Grid:
         steps = list(product((-1, 0, 1), repeat=k))
         self.down = [[self.bit(dc) for dc in steps if dc[i] == -1] for i in range(k)]
         self.up = [o for o in map(self.bit, steps) if o > 0]
+        self.lift = sum(self.units)
+        self.reach = [self.below(1 << self.lift, i) for i in range(k)]
         self.cells = self.box([0] * k, [side - 1] * k)[0]  # every cell
         self.cell = _CellOf(self)
         self.boxes = _Boxes(self)
@@ -259,11 +262,15 @@ class _Grid:
 
     def supported(self, cells: int, i: int) -> int:
         """Each cell with a cell of cells one unit step away and one lower in
-        coordinate i, plus bits holding no cell: one shift per step, never a
-        chain (a partial shift could drop a bit below 0 that a later one needs)."""
-        out = 0
-        for o in self.down[i]:
-            out |= cells >> o if o > 0 else cells << -o
+        coordinate i, plus bits holding no cell. Those steps are -u_i plus -u_j,
+        0 or u_j per j != i: cells raised by lift = sum(u_j), then ORed with its
+        shifts down by u_j twice per j != i. Every shift after the raise is
+        down, so a bit that one drops below 0 would end there."""
+        out = cells << self.lift
+        for j, u in enumerate(self.units):
+            if j != i:
+                out |= out >> u
+                out |= out >> u
         return out
 
     def below(self, cells: int, i: int) -> int:
@@ -449,8 +456,9 @@ class _SearchContext:
     """Per-graph data shared by every anchor-set search on one connected graph.
 
     counted_out holds the counting rules' masks (_counted_out), orders each
-    first anchor's vertex order (_Orders) and shadows the W_xv masks that
-    _bounding_set reads, all kept across the searches of one sweep.
+    first anchor's vertex order with the shadows behind each vertex there
+    (_Orders), and shadows the W_xv masks that _shadowed reads, all kept
+    across the searches of one sweep.
     """
 
     def __init__(self, g: Graph):
@@ -462,25 +470,28 @@ class _SearchContext:
 
 
 class _Orders(dict):
-    """orders[a]: the vertices by (d(a, v), v), and prefix[v], the vertices before v
-    there as a bitmask; built on first lookup, kept up to _ORDER_BITS mask bits."""
+    """orders[a]: the vertices by (d(a, v), v); prefix[v], the vertices before v
+    there as a bitmask; and behind[v], None until _bounding_set fills it with
+    _shadowed(ctx, v, prefix[v]). Built on first lookup, kept up to
+    _ORDER_BITS mask bits, prefix and behind masks counted alike."""
 
     def __init__(self, dist: tuple[tuple[int, ...], ...]):
         super().__init__()
         self.dist = dist
 
-    def __missing__(self, a: int) -> tuple[list[int], list[int]]:
+    def __missing__(self, a: int) -> tuple[list[int], list[int], list[int | None]]:
         n = len(self.dist)
         order = sorted(range(n), key=self.dist[a].__getitem__)  # stable: ties by v
         prefix, m = [0] * n, 0
         for v in order:
             prefix[v], m = m, m | 1 << v
-        if (len(self) + 1) * n * n <= _ORDER_BITS:
-            self[a] = order, prefix
-        return order, prefix
+        entry = order, prefix, [None] * n
+        if (len(self) + 1) * 2 * n * n <= _ORDER_BITS:
+            self[a] = entry
+        return entry
 
 
-_ORDER_BITS = 1 << 27  # 16 MB of prefix masks per graph at most
+_ORDER_BITS = 1 << 27  # 16 MB of prefix and behind masks per graph at most
 
 
 class _Shadows(dict):
@@ -505,21 +516,34 @@ class _Shadows(dict):
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _bounding_set(ctx: _SearchContext, v: int, placed: int) -> int:
-    """The placed vertices (bitmask placed) whose gap constraints bound v's box, as
-    a bitmask.
+def _shadowed(ctx: _SearchContext, v: int, placed: int) -> int:
+    """The vertices some G-neighbour x of v in placed (a bitmask) shadows, as a
+    bitmask: the union of their W_xv masks.
 
-    A placed u is left out when a placed G-neighbour x of v shadows it:
-    d(x, u) = d(v, u) - 1, so with |c_v - c_x| <= 1 and |c_x - c_u| <= d(x, u)
-    (every placed pair already meets its constraint) x's interval for v lies
-    inside u's. The box is the same; no placed neighbour is ever left out.
+    A placed u that a placed x shadows need not bound v's box: d(x, u) =
+    d(v, u) - 1, so with |c_v - c_x| <= 1 and |c_x - c_u| <= d(x, u) (every
+    placed pair already meets its constraint) x's interval for v lies inside
+    u's. The box is the same; no neighbour is ever shadowed.
     """
     shadows = ctx.shadows
-    shadowed = 0
+    out = 0
     for x in ctx.g.adj[v]:
         if placed >> x & 1:
-            shadowed |= shadows[v, x]
-    return placed & ~shadowed
+            out |= shadows[v, x]
+    return out
+
+
+def _bounding_set(ctx: _SearchContext, first: int, amask: int, v: int) -> int:
+    """The bitmask of the vertices above v's depth that bound its box, v not an
+    anchor: the anchors (amask) and the vertices before v in the first anchor's
+    order, less those _shadowed. v's neighbours before it are placed whatever
+    the other anchors are, so their shadows are kept per (first, v)."""
+    prefix, behind = ctx.orders[first][1:]
+    shadowed = behind[v]
+    if shadowed is None:
+        shadowed = behind[v] = _shadowed(ctx, v, prefix[v])
+    placed = amask | prefix[v]
+    return placed & ~(shadowed | _shadowed(ctx, v, amask & ~prefix[v]))
 
 
 def _try_fast_path(ctx: _SearchContext, anchors: list[str], strong: bool) -> Embedding | None:
@@ -565,17 +589,24 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     A vertex's candidates are the free cells of its interval box (its graph
     distances to the placed vertices bound each coordinate) that pass the
     anchor-gap test, nearest first to its graph-distance vector. The box is
-    cut only by the placed vertices of the depth's _bounding_set, whose
-    bounds imply the others'; the order is fixed, so each depth computes its
-    set once. Cells are bits of the side^k grid (_grid, shared per process),
+    cut only by the placed vertices that no placed neighbour of v shadows
+    (_shadowed; _bounding_set past the anchors), whose bounds imply the
+    others'; the order is fixed, so each depth computes its set once.
+    Cells are bits of the side^k grid (_grid, shared per process),
     numbered so that reading a mask from its highest bit gives that order:
     the candidates are one mask, the shell AND the free cells AND the box,
     the box being the grid's table entry for its widths (_Grid.boxes)
-    shifted up to its low corner.
+    shifted up to its low corner. Past the anchors the shell AND the free
+    cells is avail, set when anchor k - 1 is placed and changed by one bit
+    per placement and undo.
     shells[p] is the test against anchors 0..p-1: placing anchor p ANDs in
     its ring (_ring), the cells whose Chebyshev gap to its cell equals their
     coordinate p. An anchor's coordinate for a placed anchor is pinned to
-    that anchor's coordinate for it, as induced distances are symmetric.
+    that anchor's coordinate for it, as induced distances are symmetric. A
+    non-anchor's box starts at (1, side - 1), not (1, d(v, w_i)), on each
+    coordinate i, for the same box: either anchor w_i bounds v, its own
+    coordinate i being 0, or a placed neighbour x shadows w_i and bounds v,
+    with c_x,i + 1 <= d(x, w_i) + 1 = d(v, w_i).
     The shell keeps every placed cell at Chebyshev gap c[i] from anchor i's
     cell, so no vertex is nearer anchor i than c[i] in the induced graph. A
     complete placement is checked exactly on the occupied mask: each cell
@@ -613,35 +644,36 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     dim2_prunes = dim2_prunes and k == 2  # the prunes hold for two anchors only
     dG = dm.dist
     in_anchor = {v: i for i, v in enumerate(anchors)}
-    by_root, prefix = ctx.orders[anchors[0]]
+    by_root = ctx.orders[anchors[0]][0]
     rest = [v for v in by_root if v not in in_anchor]
     order = [*anchors, *rest]
 
     grid = _grid(side, k)
     cell_of, boxes, units = grid.cell, grid.boxes, grid.units
+    reach, lift = grid.reach, grid.lift
     coords: list[tuple[int, ...] | None] = [None] * n
     bits: list[int] = [0] * n  # each placed vertex's cell bit
     occupied = 0  # the placed cells
+    avail = 0  # past the anchors, shells[k] & ~occupied
     shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
     statics: list = [None] * n  # per depth, built on its first visit
     last = order[-1]
+    implied = [(1, side - 1)] * k  # a non-anchor's bounds before its bounding set's
 
     def static(p: int):
-        """Depth p's fixed data: each coordinate's anchor bounds (None when pinned),
-        the bounding vertices with their G-distances to v, and deg(v)."""
+        """Depth p's fixed data: each coordinate's starting bounds (None when
+        pinned), the bounding vertices with their G-distances to v, and deg(v)."""
         v = order[p]
         row_v = dG[v]
         slot = in_anchor.get(v)
-        inits = [
-            (0, 0) if v == w
-            else None if slot is not None and i < slot  # that anchor is placed
-            else (1, min(row_v[w], side - 1))
-            for i, w in enumerate(anchors)
-        ]
+        if slot is None:
+            inits, m = implied, _bounding_set(ctx, anchors[0], amask, v)
+        else:
+            inits = [None if i < slot else (0, 0) if i == slot else (1, min(row_v[w], side - 1))
+                     for i, w in enumerate(anchors)]  # None: pinned, that anchor is placed
+            above = sum(1 << w for w in anchors[:slot])
+            m = above & ~_shadowed(ctx, v, above)
         bounding = []
-        # above depth p: the anchors before slot, or all anchors and the rest before v
-        above = amask | prefix[v] if slot is None else sum(1 << w for w in anchors[:slot])
-        m = _bounding_set(ctx, v, above)
         while m:  # highest vertex first
             u = m.bit_length() - 1
             bounding.append((u, row_v[u]))
@@ -672,7 +704,7 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         # so far, in bit order, which is nearest first to v's graph distances
         # capped at side-1 (these bound every coordinate from above, so the L1
         # gap is their sum less sum(c)), ties by c
-        free = shells[p if p < k else k] & ~occupied
+        free = avail if p >= k else shells[p] ^ shells[p] & occupied
         if dim2 is not None:
             free &= dim2.cap[deg_v if deg_v < 9 else 9]
         return free >> base & boxes[key], base
@@ -698,7 +730,7 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
                 ok &= held
                 loose &= ~(1 << bits[w])
             for u in _bits(loose):
-                ok &= grid.below(1 << u, i)
+                ok &= reach[i] << u >> lift  # grid.below(1 << u, i)
             if not ok:
                 break
         if strong and ok:  # the placed cells' adjacency, vertex 0 left for b
@@ -740,7 +772,9 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         p = len(stack) - 1
         v = order[p]
         if coords[v] is not None:
-            occupied ^= 1 << bits[v]
+            bit = 1 << bits[v]
+            occupied ^= bit
+            avail |= bit  # at an anchor depth, stale until anchor k - 1 resets it
             coords[v] = None
             if p == 1:
                 dim2 = None
@@ -756,11 +790,15 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
             return SearchOutcome("budget_exhausted", None, nodes)
         c = coords[v] = cell_of[b]
         bits[v] = b
-        occupied |= 1 << b
+        bit = 1 << b
+        occupied |= bit
+        avail ^= bit
         if dim2 is not None and not dim2.allows(p, occupied, n):
             continue
         if p < k:
-            shells[p + 1] = shells[p] & _ring(grid, c, p)
+            shells[p + 1] = s = shells[p] & _ring(grid, c, p)
+            if p == k - 1:
+                avail = s ^ s & occupied
         if p == k - 1 and dim2_prunes:
             dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(coords[w] for w in anchors))
             if dim2 is None:

@@ -647,6 +647,19 @@ def test_below_is_supported_the_other_way():
                     assert got == want, (k, side, u, i)
 
 
+def test_reach_shifted_to_a_cell_is_below_that_cell():
+    """Settling reads below(1 << b, i) as the precomputed reach[i] << b >> lift, for
+    every cell's bit b, each i, k 1-4 and side 1-8."""
+    from strongdim.search import _grid
+
+    for k in range(1, 5):
+        for side in range(1, 9):
+            grid = _grid(side, k)
+            for b in map(grid.bit, itertools.product(range(side), repeat=k)):
+                for i in range(k):
+                    assert grid.reach[i] << b >> grid.lift == grid.below(1 << b, i), (k, side, b, i)
+
+
 def test_up_offsets_give_the_chebyshev_adjacency():
     """_Grid.adjacency, one positive offset per opposite pair of unit steps (up), equals
     chebyshev_adjacency on random cell sets with a cell on every face of the grid, in
@@ -793,15 +806,16 @@ def test_k3_orbit_reps_golden():
     assert digest == "126fbadd1e78c513"
 
 
-def _every_placed_vertex(ctx, v, placed):
-    """The bounding set without the shadow rule: every placed vertex (the reference)."""
-    return placed
+def _nothing_shadowed(ctx, v, placed):
+    """The shadow rule switched off: every depth is bounded by every vertex placed above
+    it (the reference)."""
+    return 0
 
 
 def test_shadow_masks_and_bounding_sets_pair_by_pair():
     """Each cached shadow is W_xv = {u : d(x,u) < d(v,u)} less x; the bounding set drops
     exactly the placed vertices some placed neighbour shadows, and never a neighbour."""
-    from strongdim.search import _bounding_set, _SearchContext
+    from strongdim.search import _SearchContext, _shadowed
 
     rng = random.Random(41)
     graphs = [cycle_graph(9), gn_family(1), path_graph(6)]
@@ -816,7 +830,7 @@ def test_shadow_masks_and_bounding_sets_pair_by_pair():
             for _ in range(10):
                 placed = {u for u in range(g.n) if u != v and rng.random() < 0.6}
                 mask = sum(1 << u for u in placed)
-                got = _bounding_set(ctx, v, mask)
+                got = mask & ~_shadowed(ctx, v, mask)
                 want = {
                     u for u in placed
                     if not any(x != u and d[x][u] < d[v][u] for x in g.adj[v] if x in placed)
@@ -826,9 +840,88 @@ def test_shadow_masks_and_bounding_sets_pair_by_pair():
         assert len(ctx.shadows) <= 2 * g.m
 
 
+def test_shadows_kept_per_first_anchor_match_the_bounding_set_definition():
+    """Past the anchors, _bounding_set(ctx, a, amask, v) is the anchors and the vertices
+    before v in a's (d(a, .), index) order, less those some neighbour of v among them
+    shadows, for every first anchor a, every non-anchor v and random anchor sets that
+    share a's kept shadows, on C9, G_1 and random connected graphs."""
+    from strongdim.search import _bounding_set, _SearchContext
+
+    rng = random.Random(43)
+    graphs = [cycle_graph(9), gn_family(1)]
+    graphs += [random_connected_graph(rng.randrange(2, 13), rng) for _ in range(20)]
+    checked = 0
+    for g in graphs:
+        ctx = _SearchContext(g)
+        d = ctx.dm.dist
+        for a in range(g.n):
+            for _ in range(4):
+                W = {a, *rng.sample([u for u in range(g.n) if u != a], min(g.n - 1, rng.randrange(3)))}
+                amask = sum(1 << w for w in W)
+                for v in set(range(g.n)) - W:
+                    placed = W | {u for u in range(g.n) if (d[a][u], u) < (d[a][v], v)}
+                    want = {u for u in placed
+                            if not any(x != u and d[x][u] < d[v][u] for x in g.adj[v] if x in placed)}
+                    assert _bounding_set(ctx, a, amask, v) == sum(1 << u for u in want), (
+                        g.label_edges(), W, v)
+                    checked += 1
+    assert checked > 2000, checked
+
+
+def test_implied_anchor_bounds_give_the_old_box_at_every_depth(monkeypatch):
+    """Past the anchors a depth's box starts each coordinate at (1, side - 1), not at
+    (1, min(d(v, w_i), side - 1)): every box the G_1 sweep reads, in both modes, has the
+    widths and low corner (read off the candidates frame) of the box that every placed
+    vertex cuts from those per-anchor starts. An empty box is left out: it is empty
+    from either start, the per-anchor one being the narrower."""
+    import inspect
+
+    import strongdim.search
+    from strongdim.search import _Boxes, _grid
+
+    g = gn_family(1)
+    d = g.distances().dist
+    seen = {"boxes": 0, "tighter": 0}
+
+    class CheckedBoxes(_Boxes):
+        def __getitem__(self, key):
+            frame = inspect.currentframe().f_back
+            at = frame.f_locals  # candidates'
+            run = frame
+            while run.f_code.co_name != "_run_search":
+                run = run.f_back
+            v = run.f_locals["order"][at["p"]]
+            coords, anchors, side = at["coords"], at["anchors"], at["side"]
+            if v not in anchors:
+                want_key = want_base = 0
+                for i, w in enumerate(anchors):
+                    lo, hi = 1, min(d[v][w], side - 1)
+                    seen["tighter"] += hi < side - 1
+                    for u, c in enumerate(coords):
+                        if c is not None:
+                            lo, hi = max(lo, c[i] - d[v][u]), min(hi, c[i] + d[v][u])
+                    want_key = want_key * side + hi - lo
+                    want_base += lo * at["units"][i]
+                assert (at["key"], at["base"]) == (want_key, want_base), (anchors, v)
+                seen["boxes"] += 1
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(strongdim.search, "_Boxes", CheckedBoxes)
+    _grid.cache_clear()
+    try:
+        for mode, nodes in (("metric", 34), ("strong", 164)):
+            res = threshold_dimension(g, mode, PlacementSearchConfig(node_budget=1000))
+            assert res.stats["nodes"] == nodes
+    finally:
+        _grid.cache_clear()  # no grid keeps the checking table
+    assert seen["boxes"] > 100 and seen["tighter"] > 100, seen
+
+
 def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
-    """The shadow rule leaves every box as bounding by all placed vertices does, so the
-    whole search (status, nodes, embedding) is the same, with and without the dim2 prunes."""
+    """The shadow rule, kept per first anchor past the anchors, leaves every box as
+    bounding by all placed vertices does, so the whole search (status, nodes, embedding)
+    is the same, with and without the dim2 prunes. The reference switches the rule off
+    at every depth, in a context of its own, since the shadows kept are per context."""
     import strongdim.search
     from strongdim.search import _SearchContext, _run_search
 
@@ -842,15 +935,19 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
         cases.append((g, W, rng.choice((30, 3000))))
     seen = {"yes": 0, "no": 0, "budget_exhausted": 0}
     searched = 0
+    contexts = {}  # one per graph, so anchor sets with one first anchor share its shadows
     for g, W, budget in cases:
-        ctx = _SearchContext(g)
+        if id(g) not in contexts:
+            contexts[id(g)] = _SearchContext(g)
+        ctx = contexts[id(g)]
         cfg = PlacementSearchConfig(node_budget=budget)
         for strong in (False, True):
             for dim2 in (False, True):
                 got = _run_search(ctx, list(map(g.index, W)), cfg, strong, dim2)
                 with monkeypatch.context() as m:
-                    m.setattr(strongdim.search, "_bounding_set", _every_placed_vertex)
-                    want = _run_search(ctx, list(map(g.index, W)), cfg, strong, dim2)
+                    m.setattr(strongdim.search, "_shadowed", _nothing_shadowed)
+                    want = _run_search(_SearchContext(g), list(map(g.index, W)), cfg, strong,
+                                       dim2)
                 assert got == want, (g.label_edges(), W, strong, dim2)
                 seen[got.status] += 1
                 searched += got.nodes > 0
