@@ -21,9 +21,11 @@ its anchor distances right exactly when every placed cell but anchor i's
 has a placed neighbour one lower in coordinate i: a few shifts of the
 occupied mask per anchor (_Grid.supported). So the last depth's passing
 cells are one mask, read off its parent's occupied mask. The DFS keeps no
-adjacency; only a strong search with passing last cells reads the parent's
-off the occupied mask, one shift per pair of opposite unit steps
-(_Grid.adjacency), and adds each cell's own steps for embedding.is_isometric,
+adjacency. A strong search tests each passing last cell b by its own BFS
+row, balls grown from b on the occupied mask (_Grid.geodesic_from), and
+only for a cell whose row is right reads the parent's adjacency off the
+occupied mask, once per parent, one shift per pair of opposite unit steps
+(_Grid.adjacency), and adds the cell's own steps for embedding.is_isometric,
 the same isometry decision that certify makes.
 
 Three counting rules refute an anchor set whose anchors meet their vertex
@@ -216,6 +218,9 @@ class _Grid:
     up holds one offset per opposite pair of unit steps, the positive one,
     (3^k - 1)/2 in all: by the lemma above, the cells of a set one step
     apart are the bits b and b + o of set & set >> o, o in up (adjacency()).
+    The cells of one sum(c) are the bits T * (sum(c) - 1) + 1 .. T * sum(c),
+    so a band of sums is a run of bits: geodesic_from() grows a BFS row's
+    balls in the band of a set's sums, shifted down to its first bit.
     """
 
     def __init__(self, side: int, k: int):
@@ -272,6 +277,48 @@ class _Grid:
                 out |= out >> u
                 out |= out >> u
         return out
+
+    def geodesic_from(self, cells: int, b: int) -> bool:
+        """Whether every cell of cells lies as far from cell b in the strong-product
+        graph induced on cells plus b as in the product: one BFS row, by balls.
+
+        Both balls grow by one Chebyshev step per layer, supported()'s raise
+        by lift and two down-shifts by u_j per coordinate. The induced ball
+        is then cut to cells plus b, the product ball to the band of grid
+        cells whose sum(c) lies between the least and the largest among
+        cells plus b, so neither holds a bit off the grid that a later step
+        could carry onto a cell. The band keeps every cell the product ball
+        needs: a king path from b to y in d = cheb(b, y) steps moves each
+        coordinate i in |y_i - b_i| of them, and dealing the rising unit
+        moves round the d steps from the first, coordinate after coordinate,
+        and the falling ones likewise, puts in every step at least as many
+        moves of the more numerous kind as of the other, so sum(c) runs
+        monotonically from b's to y's. A band is
+        whole levels of sum(c), a run of bits, so both balls are read
+        shifted down to its first bit. Induced distances are never below
+        Chebyshev ones, so the row is right exactly when, layer by layer,
+        the induced ball is the product ball's part in cells plus b."""
+        lift, units, T = self.lift, self.units, self.T
+        within = cells | 1 << b
+        first = -(-((within & -within).bit_length() - 1) // T)  # the least sum(c)
+        base = max(T * (first - 1) + 1, 0)  # the level's first bit
+        top = -(-(within.bit_length() - 1) // T) * T  # the band's last bit
+        band = self.cells >> base & (1 << top + 1 - base) - 1
+        within >>= base
+        ball = cheb = 1 << b - base
+        while ball != within:
+            ball <<= lift
+            cheb <<= lift
+            for u in units:
+                ball |= ball >> u
+                ball |= ball >> u
+                cheb |= cheb >> u
+                cheb |= cheb >> u
+            ball &= within
+            cheb &= band
+            if ball != cheb & within:
+                return False
+        return True
 
     def below(self, cells: int, i: int) -> int:
         """Each bit one unit step from a cell of cells and one lower in coordinate
@@ -613,13 +660,16 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     but anchor i's needs an occupied neighbour one lower in coordinate i
     (_Grid.supported; such steps reach the anchor in c[i], and a BFS parent
     is one). So placing depth n - 2 settles the last depth as one mask
-    (settle), counting its cells as if tried one by one. If strong, the
-    placed cells' induced adjacency comes off the occupied mask once per
-    parent (_Grid.adjacency), numbered last placed first, and each passing
-    last cell adds its own steps as vertex 0 for is_isometric. That decides
-    large images by cones and small ones by BFS rows, where a placement
-    that fails does so most often at a deep vertex's row; the verdict does
-    not depend on the vertex order.
+    (settle), counting its cells as if tried one by one. If strong, each
+    passing last cell b is first tested by its own BFS row on the occupied
+    mask (_Grid.geodesic_from), which rejects most of them (3,276 of the
+    3,561 on the corridor sweep). Only for a cell that passes does the
+    placed cells' induced adjacency come off the occupied mask, at most
+    once per parent (_Grid.adjacency), numbered last placed first; the cell
+    adds its own steps as vertex 0 for is_isometric. That decides large
+    images by cones and small ones by BFS rows, where a placement that
+    fails does so most often at a deep vertex's row; the verdict does not
+    depend on the vertex order.
     dim2_prunes adds the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
@@ -716,7 +766,10 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         search. A cell b passes anchor i when it lies in supported(occupied, i)
         and one step below each other occupied cell that is not (_Grid.below),
         as placing b adds only b's own steps; the last vertex's own cell needs no
-        support when it is anchor i (n == k)."""
+        support when it is anchor i (n == k). If strong, a passing cell completes
+        the placement when its BFS row on the occupied mask is right
+        (_Grid.geodesic_from) and is_isometric then accepts the whole image; the
+        parent's adjacency is built for the first cell whose row is right."""
         m, base = candidates(n - 1, dim2)
         cand = ok = m << base
         if dim2 is not None:
@@ -733,10 +786,7 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
                 ok &= reach[i] << u >> lift  # grid.below(1 << u, i)
             if not ok:
                 break
-        if strong and ok:  # the placed cells' adjacency, vertex 0 left for b
-            at = {bits[v]: n - 1 - p for p, v in enumerate(order[:-1])}
-            adj = grid.adjacency(occupied, at)
-            cells = [coords[v] for v in reversed(order)]
+        adj = None
         for b in _bits(ok):
             tried = (cand >> b).bit_count()
             coords[last] = cell_of[b]
@@ -744,6 +794,12 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
                 return tried
             if tried > room:
                 break
+            if not grid.geodesic_from(occupied, b):
+                continue
+            if adj is None:  # the placed cells' adjacency, vertex 0 left for b
+                at = {bits[v]: n - 1 - p for p, v in enumerate(order[:-1])}
+                adj = grid.adjacency(occupied, at)
+                cells = [coords[v] for v in reversed(order)]
             row = adj[0] = [at[x] for o in grid.up for x in (b - o, b + o) if x in at]
             for y in row:
                 adj[y].append(0)
@@ -818,8 +874,9 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
 
     emb = Embedding(k, side, tuple(g.labels[w] for w in anchors),
                     {g.labels[v]: coords[v] for v in range(n)})
-    # certify shares is_isometric with the strong leaf, so only its W-resolved
-    # clause checks the DFS independently
+    # certify shares is_isometric with the strong leaf (the mask row only turns
+    # cells away before it), so only its W-resolved clause checks the DFS
+    # independently
     check = certify(emb, g, strong)
     if not check:
         raise AssertionError(f"search produced an invalid embedding: {check.clause}: "

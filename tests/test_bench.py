@@ -29,3 +29,23 @@ def test_bench_writes_every_end_to_end_metric(tmp_path):
     names = {m["name"] for m in spec["end_to_end"]}
     assert names <= set(runs[0]["metrics"]) and names <= set(entry["medians"]["change"])
     assert {m["name"] for m in spec["per_layer"]} <= set(runs[1]["metrics"])
+
+
+def test_bench_names_a_run_whose_last_line_is_not_json(tmp_path):
+    """A perfbench run whose last stdout line is not JSON ends bench with its message
+    naming the command and the exit code, not a raw JSONDecodeError."""
+    import importlib.util
+
+    import pytest
+
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('Traceback (most recent call last): boom')\nsys.exit(3)\n")
+    with pytest.raises(SystemExit) as raised:
+        bench.run_once(tmp_path, "refute-k2", 0, 0.1, 0)
+    message = str(raised.value)
+    assert message.startswith("bench: ") and message.endswith("(exit 3)"), message
+    assert "perfbench" in message and "boom" in message, message

@@ -687,6 +687,45 @@ def test_up_offsets_give_the_chebyshev_adjacency():
     assert edges
 
 
+def test_geodesic_from_matches_a_bfs_row_on_the_chebyshev_adjacency():
+    """_Grid.geodesic_from(cells, b) says whether the BFS row from b over
+    chebyshev_adjacency of the cells plus b equals b's Chebyshev row: on random cell
+    sets with a cell on every face of the grid, single cells, two opposite corners
+    (split from side 3 on) and the full grid, b in and out of the set, for k 1-4 and
+    side 1-8. Rows pass and fail, some only past their second layer."""
+    from strongdim import chebyshev, chebyshev_adjacency
+    from strongdim.graph import bfs_from
+    from strongdim.search import _grid
+
+    rng = random.Random(37)
+    verdicts, deep, adjacency = {True: 0, False: 0}, 0, {}
+    for k in range(1, 5):
+        for side in range(1, 9):
+            grid = _grid(side, k)
+            cells = list(itertools.product(range(side), repeat=k))
+            sets = [[rng.choice(cells)], sorted({(0,) * k, (side - 1,) * k}), cells]
+            for _ in range(3):
+                placed = set(rng.sample(cells, rng.randrange(1, min(len(cells), 60) + 1)))
+                for j, x in itertools.product(range(k), (0, side - 1)):
+                    placed.add(rng.choice([c for c in cells if c[j] == x]))
+                sets.append(sorted(placed))
+            for placed in sets:
+                mask = sum(1 << grid.bit(c) for c in placed)
+                outside = sorted(set(cells).difference(placed))
+                for b in rng.sample(placed, min(3, len(placed))) + rng.sample(outside,
+                                                                             min(3, len(outside))):
+                    image = tuple(sorted({*placed, b}))
+                    if image not in adjacency:  # the full grid's, once per grid
+                        adjacency = {image: chebyshev_adjacency(image)}
+                    row = bfs_from(adjacency[image], image.index(b))
+                    want = [chebyshev(b, c) for c in image]
+                    got = grid.geodesic_from(mask, grid.bit(b))
+                    assert got == (row == want), (k, side, placed, b)
+                    verdicts[got] += 1
+                    deep += not got and all(r == w for r, w in zip(row, want) if w <= 2)
+    assert min(verdicts.values()) >= 100 and deep >= 20, (verdicts, deep)
+
+
 def test_cones_match_their_inequality():
     """_cone(side, k, i, j, a, e) holds exactly the cells with |c_i - a| + e <= c_j, for
     every i, j and a, e in {0, 1}, k 1-4 and side 1-8, and sets no bit outside
@@ -1003,30 +1042,55 @@ def test_strong_leaf_matches_the_chebyshev_adjacency_in_vertex_order(monkeypatch
     assert any(by_cones), len(by_cones)
 
 
+def _counting(calls, key, fn):
+    """fn, adding one to calls[key] per call."""
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+
+    return wrapper
+
+
 def test_strong_sweep_builds_chebyshev_adjacency_only_to_certify(monkeypatch):
     """The placement search reads the isometry check's adjacency off the bit grid, so in
-    a strong sweep every chebyshev_adjacency call comes from certify."""
+    a strong sweep every chebyshev_adjacency call comes from certify. On G_1 two last
+    cells pass the anchor check; the mask row from b rejects one, and is_isometric
+    decides the other."""
     import strongdim.embedding
     import strongdim.search
+    from strongdim.search import _Grid
 
-    calls = {"adjacency": 0, "certify": 0, "leaf": 0}
-
-    def counting(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-
-        return wrapper
-
+    calls = {"adjacency": 0, "certify": 0, "row": 0, "leaf": 0}
     monkeypatch.setattr(strongdim.embedding, "chebyshev_adjacency",
-                        counting("adjacency", strongdim.embedding.chebyshev_adjacency))
-    monkeypatch.setattr(strongdim.search, "certify", counting("certify", strongdim.search.certify))
+                        _counting(calls, "adjacency", strongdim.embedding.chebyshev_adjacency))
+    monkeypatch.setattr(strongdim.search, "certify",
+                        _counting(calls, "certify", strongdim.search.certify))
+    monkeypatch.setattr(_Grid, "geodesic_from", _counting(calls, "row", _Grid.geodesic_from))
     monkeypatch.setattr(strongdim.search, "is_isometric",
-                        counting("leaf", strongdim.search.is_isometric))
+                        _counting(calls, "leaf", strongdim.search.is_isometric))
     res = threshold_dimension(gn_family(1), "strong", PlacementSearchConfig(node_budget=1000))
     assert (res.status, res.value, res.stats["nodes"]) == ("exact", 3, 164)
     assert not hasattr(strongdim.search, "chebyshev_adjacency")
-    assert calls["leaf"] >= 2 and calls["adjacency"] == calls["certify"] >= 1, calls
+    assert (calls["row"], calls["leaf"]) == (2, 1), calls
+    assert calls["adjacency"] == calls["certify"] >= 1, calls
+
+
+def test_a_large_strong_leaf_takes_one_mask_row(monkeypatch):
+    """On C400 with anchors 0 and 199 the DFS reaches a yes leaf of 400 cells on a
+    201 x 201 grid. The mask row runs once per last cell tried, from that cell alone,
+    and is_isometric decides the cell it passes; a mask row per source would cost the
+    diameter times whole-grid shifts per cell."""
+    import strongdim.search
+    from strongdim.search import _Grid
+
+    calls = {"row": 0, "leaf": 0, "adjacency": 0}
+    monkeypatch.setattr(_Grid, "geodesic_from", _counting(calls, "row", _Grid.geodesic_from))
+    monkeypatch.setattr(_Grid, "adjacency", _counting(calls, "adjacency", _Grid.adjacency))
+    monkeypatch.setattr(strongdim.search, "is_isometric",
+                        _counting(calls, "leaf", strongdim.search.is_isometric))
+    res = exists_supergraph_resolved_by(cycle_graph(400), ["0", "199"])
+    assert (res.status, res.nodes) == ("yes", 400)
+    assert calls == {"row": 1, "leaf": 1, "adjacency": 1}, calls
 
 
 class _FrameStackDim2Prune:

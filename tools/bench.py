@@ -58,14 +58,20 @@ def unpack(rev: str, into: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in a fresh interpreter: its last stdout line, a JSON object."""
+    """One perfbench run in a fresh interpreter: its last stdout line, a JSON object.
+    A run that prints nothing, or whose last line is not JSON (a traceback's tail),
+    ends bench with a message that names the command and its exit code."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, text=True, stdout=subprocess.PIPE)
     lines = proc.stdout.splitlines()
     if not lines:
         raise SystemExit(f"bench: {' '.join(cmd)} printed nothing (exit {proc.returncode})")
-    out = json.loads(lines[-1])
+    try:
+        out = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise SystemExit(f"bench: {' '.join(cmd)} printed no JSON last line: {lines[-1]!r} "
+                         f"(exit {proc.returncode})") from None
     return {"trace": trace, "correct": out["correct"], "attempted": out["attempted"],
             "failed": out["failed"],
             "metrics": {name: m["value"] for name, m in out["metrics"].items()}}
