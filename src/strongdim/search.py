@@ -218,9 +218,9 @@ class _Grid:
     up holds one offset per opposite pair of unit steps, the positive one,
     (3^k - 1)/2 in all: by the lemma above, the cells of a set one step
     apart are the bits b and b + o of set & set >> o, o in up (adjacency()).
-    The cells of one sum(c) are the bits T * (sum(c) - 1) + 1 .. T * sum(c),
-    so a band of sums is a run of bits: geodesic_from() grows a BFS row's
-    balls in the band of a set's sums, shifted down to its first bit.
+    The cells of one sum(c) are among the bits T * (sum(c) - 1) + 1 ..
+    T * sum(c), so a range of sums is a run of bits: geodesic_from() grows a
+    BFS row's balls in the run of a set's sums, shifted down to its start.
     """
 
     def __init__(self, side: int, k: int):
@@ -284,26 +284,24 @@ class _Grid:
 
         Both balls grow by one Chebyshev step per layer, supported()'s raise
         by lift and two down-shifts by u_j per coordinate. The induced ball
-        is then cut to cells plus b, the product ball to the band of grid
-        cells whose sum(c) lies between the least and the largest among
-        cells plus b, so neither holds a bit off the grid that a later step
-        could carry onto a cell. The band keeps every cell the product ball
-        needs: a king path from b to y in d = cheb(b, y) steps moves each
-        coordinate i in |y_i - b_i| of them, and dealing the rising unit
-        moves round the d steps from the first, coordinate after coordinate,
-        and the falling ones likewise, puts in every step at least as many
-        moves of the more numerous kind as of the other, so sum(c) runs
-        monotonically from b's to y's. A band is
-        whole levels of sum(c), a run of bits, so both balls are read
-        shifted down to its first bit. Induced distances are never below
-        Chebyshev ones, so the row is right exactly when, layer by layer,
-        the induced ball is the product ball's part in cells plus b."""
+        is then cut to cells plus b, the product ball to the grid's cells in
+        a run of bits that holds every level of sum(c) from the least to
+        the largest among cells plus b, a level's bits being the T up to
+        T * sum(c); so neither ball holds a bit off the grid that a later
+        step could carry onto a cell, and both are read shifted down to the
+        run's first bit. The run keeps every cell the product ball needs: a
+        king path from b to y in d = cheb(b, y) steps moves each coordinate
+        i in |y_i - b_i| of them, and dealing the rising unit moves round
+        the d steps from the first, coordinate after coordinate, and the
+        falling ones likewise, puts in every step at least as many moves of
+        the more numerous kind as of the other, so sum(c) runs monotonically
+        from b's to y's. Induced distances are never below Chebyshev ones,
+        so the row is right exactly when, layer by layer, the induced ball
+        is the product ball's part in cells plus b."""
         lift, units, T = self.lift, self.units, self.T
         within = cells | 1 << b
-        first = -(-((within & -within).bit_length() - 1) // T)  # the least sum(c)
-        base = max(T * (first - 1) + 1, 0)  # the level's first bit
-        top = -(-(within.bit_length() - 1) // T) * T  # the band's last bit
-        band = self.cells >> base & (1 << top + 1 - base) - 1
+        base = max((within & -within).bit_length() - T, 0)  # its level's first bit or below
+        band = self.cells >> base & (1 << within.bit_length() + T - 1 - base) - 1
         within >>= base
         ball = cheb = 1 << b - base
         while ball != within:
