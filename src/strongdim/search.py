@@ -282,22 +282,21 @@ class _Grid:
         """Whether every cell of cells lies as far from cell b in the strong-product
         graph induced on cells plus b as in the product: one BFS row, by balls.
 
-        Both balls grow by one Chebyshev step per layer, supported()'s raise
-        by lift and two down-shifts by u_j per coordinate. The induced ball
-        is then cut to cells plus b, the product ball to the grid's cells in
-        a run of bits that holds every level of sum(c) from the least to
-        the largest among cells plus b, a level's bits being the T up to
-        T * sum(c); so neither ball holds a bit off the grid that a later
-        step could carry onto a cell, and both are read shifted down to the
-        run's first bit. The run keeps every cell the product ball needs: a
-        king path from b to y in d = cheb(b, y) steps moves each coordinate
-        i in |y_i - b_i| of them, and dealing the rising unit moves round
-        the d steps from the first, coordinate after coordinate, and the
-        falling ones likewise, puts in every step at least as many moves of
-        the more numerous kind as of the other, so sum(c) runs monotonically
-        from b's to y's. Induced distances are never below Chebyshev ones,
-        so the row is right exactly when, layer by layer, the induced ball
-        is the product ball's part in cells plus b."""
+        Both balls grow by one Chebyshev step per layer: supported()'s raise
+        by lift, then two down-shifts by u_j per coordinate. The induced ball
+        is cut to cells plus b. The product ball is cut to the grid's cells in
+        a run of bits that holds every level of sum(c) from the least to the
+        largest among cells plus b (level s lies in bits T(s-1)+1 .. Ts), so
+        no bit off the grid is ever carried onto a cell. The run loses no
+        cell the row needs: a king path from b to y in d = cheb(b, y) steps
+        moves coordinate i in |y_i - b_i| of them, and dealing the rising
+        moves round the d steps from the first, coordinate after coordinate,
+        and the falling ones likewise, puts in every step at least as many
+        moves of the more numerous kind as of the other, so sum(c) runs
+        monotonically from b's to y's. Both balls are read shifted down to
+        the run's first bit. Induced distances are never below Chebyshev
+        ones, so the row is right exactly when, layer by layer, the induced
+        ball is the product ball's part in cells plus b."""
         lift, units, T = self.lift, self.units, self.T
         within = cells | 1 << b
         base = max((within & -within).bit_length() - T, 0)  # its level's first bit or below

@@ -715,7 +715,7 @@ def test_geodesic_from_matches_a_bfs_row_on_the_chebyshev_adjacency():
                 for b in rng.sample(placed, min(3, len(placed))) + rng.sample(outside,
                                                                              min(3, len(outside))):
                     image = tuple(sorted({*placed, b}))
-                    if image not in adjacency:  # the full grid's, once per grid
+                    if image not in adjacency:  # one kept: the full grid's recurs per b
                         adjacency = {image: chebyshev_adjacency(image)}
                     row = bfs_from(adjacency[image], image.index(b))
                     want = [chebyshev(b, c) for c in image]
@@ -1078,8 +1078,8 @@ def test_strong_sweep_builds_chebyshev_adjacency_only_to_certify(monkeypatch):
 def test_a_large_strong_leaf_takes_one_mask_row(monkeypatch):
     """On C400 with anchors 0 and 199 the DFS reaches a yes leaf of 400 cells on a
     201 x 201 grid. The mask row runs once per last cell tried, from that cell alone,
-    and is_isometric decides the cell it passes; a mask row per source would cost the
-    diameter times whole-grid shifts per cell."""
+    and is_isometric decides the cell it passes; mask rows from every source would
+    cost 400 rows of about 200 layers each for that one cell."""
     import strongdim.search
     from strongdim.search import _Grid
 
