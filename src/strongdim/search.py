@@ -15,18 +15,25 @@ on the cell alone. The grid's cells are the bits of one integer, numbered
 in the DFS's candidate order (_Grid), so that test is one cached ring mask
 per anchor cell and slot, ANDed in as each anchor is placed (the "shell").
 A depth's candidates are then the free shell cells of its interval box,
-read off one mask. Every placed cell passes the shell, so no placement
-puts a vertex nearer an anchor than its coordinate, and a complete one has
-its anchor distances right exactly when every placed cell but anchor i's
-has a placed neighbour one lower in coordinate i: a few shifts of the
-occupied mask per anchor (_Grid.supported). So the last depth's passing
-cells are one mask, read off its parent's occupied mask. The DFS keeps no
-adjacency. A strong search tests each passing last cell b by its own BFS
-row, balls grown from b on the occupied mask (_Grid.geodesic_from), and
-only for a cell whose row is right reads the parent's adjacency off the
-occupied mask, once per parent, one shift per pair of opposite unit steps
-(_Grid.adjacency), and adds the cell's own steps for embedding.is_isometric,
-the same isometry decision that certify makes.
+read off one mask. Past the anchors each depth has a pivot, v's BFS parent
+toward anchor 0: it is placed, never shadowed, and bounds every coordinate
+to its own +-1, so the box is a set of the 3^k offsets around the pivot's
+cell, one small integer, the AND of the pivot's clip to [1, side-1]^k and
+one window per other bounding vertex, each read from a per-grid table keyed
+by a second number per cell, its code (_Grid.code); one more lookup turns
+it into the box's mask and low corner. Every placed cell passes the shell,
+so no placement puts a vertex nearer an anchor than its coordinate, and a
+complete one has its anchor distances right exactly when every placed cell
+but anchor i's has a placed neighbour one lower in coordinate i: a few
+shifts of the occupied mask per anchor (_Grid.supported). So the last
+depth's passing cells are one mask, read off its parent's occupied mask.
+The DFS keeps no adjacency. A strong search tests each passing last cell
+b by its own BFS row, balls grown from b on the occupied mask
+(_Grid.geodesic_from), and only for a cell whose row is right reads the
+parent's adjacency off the occupied mask, once per parent, one shift per
+pair of opposite unit steps (_Grid.adjacency), and adds the cell's own
+steps for embedding.is_isometric, the same isometry decision that certify
+makes.
 
 Three counting rules refute an anchor set whose anchors meet their vertex
 mask for (k, side) (_counted_out) at 0 nodes before the fast path, for
@@ -205,7 +212,7 @@ class _Grid:
     - the cells of a box are the products of one power of two per
       coordinate, so box() is k multiplications of geometric sums; shifted
       down to its low corner a box depends on its widths alone, so the DFS
-      reads it from boxes, a table keyed by the widths (_Boxes);
+      reads it from boxes, a table keyed by the widths;
     - no cell has a base side+1 digit equal to side, so a unit step is a
       fixed bit offset that never carries into another cell: two cells are
       one step apart exactly when their bits are its offset apart, since no
@@ -221,6 +228,16 @@ class _Grid:
     The cells of one sum(c) are among the bits T * (sum(c) - 1) + 1 ..
     T * sum(c), so a range of sums is a run of bits: geodesic_from() grows a
     BFS row's balls in the run of a set's sums, shifted down to its start.
+    A cell's code, sum(c_i * radix^i) with radix = 2 side, keys the window
+    tables: a difference of codes has one digit per coordinate in
+    -(side-1)..side-1, less than radix/2 either way, so it tells difference
+    vectors apart, which bit differences do not ((-4, 1) and (2, -4) share
+    one on side 5 with k = 2). A window is a set of offsets o in {-1,0,1}^k
+    around a cell x, the bits sum((o_i + 1) 3^i), so windows AND as masks:
+    clips[code(x)] keeps x + o in [1, side-1]^k, windows[d * stride + half +
+    code(u) - code(x)] keeps it within d of u's cell in every coordinate, and
+    shapes[window] is its box as (boxes entry, offset of its low corner from
+    x's bit). The tables keep their first _WINDOW_CAP keys.
     """
 
     def __init__(self, side: int, k: int):
@@ -236,8 +253,21 @@ class _Grid:
         self.lift = sum(self.units)
         self.reach = [self.below(1 << self.lift, i) for i in range(k)]
         self.cells = self.box([0] * k, [side - 1] * k)[0]  # every cell
-        self.cell = _CellOf(self)
-        self.boxes = _Boxes(self)
+        self.radix = 2 * side  # code(c) = sum(c_i * radix^i)
+        self.stride = self.radix**k  # a window key's step per unit of G-distance
+        self.half = (side - 1) * (self.stride - 1) // (self.radix - 1)  # code((side-1,)*k)
+        # around: the window of all 3^k offsets; slabs[i][lo + 1][hi + 1]: its offsets
+        # o with lo <= o_i <= hi
+        self.around = (1 << 3**k) - 1
+        self.slabs = [[[_offsets([lo if j == i else -1 for j in range(k)],
+                                 [hi if j == i else 1 for j in range(k)])
+                        for hi in (-1, 0, 1)] for lo in (-1, 0, 1)] for i in range(k)]
+        self.cell = _Table(self._cell, _UNCAPPED)
+        self.code = _Table(self._code, _UNCAPPED)
+        self.boxes = _Table(self._box, _BOX_CAP)
+        self.clips = _Table(self._clip, _WINDOW_CAP)
+        self.windows = _Table(self._window, _WINDOW_CAP)
+        self.shapes = _Table(self._shape, _WINDOW_CAP)
 
     def bit(self, c: tuple[int, ...]) -> int:
         return sum(map(mul, c, self.units))
@@ -325,56 +355,110 @@ class _Grid:
             out |= cells << o if o > 0 else cells >> -o
         return out
 
-
-class _CellOf(dict):
-    """bit -> cell of one _Grid, decoded on first lookup."""
-
-    def __init__(self, grid: _Grid):
-        super().__init__()
-        self.grid = grid
-
-    def __missing__(self, b: int) -> tuple[int, ...]:
-        grid = self.grid
-        total = -(-b // grid.T)  # sum(c)
-        r = total * grid.T - b  # c_0..c_{k-2} in base side+1
+    def _cell(self, b: int) -> tuple[int, ...]:
+        """The cell at bit b (cell)."""
+        total = -(-b // self.T)  # sum(c)
+        r = total * self.T - b  # c_0..c_{k-2} in base side+1
         c = []
-        for j in range(grid.k - 2, -1, -1):
-            x, r = divmod(r, (grid.side + 1) ** j)
+        for j in range(self.k - 2, -1, -1):
+            x, r = divmod(r, (self.side + 1) ** j)
             c.append(x)
         c.append(total - sum(c))
-        cell = self[b] = tuple(c)
-        return cell
+        return tuple(c)
+
+    def _code(self, b: int) -> int:
+        """The code of the cell at bit b (code): sum(c_i * radix^i)."""
+        return sum(c * self.radix**i for i, c in enumerate(self.cell[b]))
+
+    def _box(self, key: int) -> int:
+        """The box with its low corner at 0 whose widths less one, read as a
+        base-side number with coordinate 0 first, are key (boxes)."""
+        highs, rest = [0] * self.k, key
+        for i in range(self.k - 1, -1, -1):
+            rest, highs[i] = divmod(rest, self.side)
+        return self.box([0] * self.k, highs)[0]
+
+    def _clip(self, code: int) -> int:
+        """The window of a cell x that keeps a non-anchor in [1, side - 1]^k
+        (clips, keyed by x's code)."""
+        win = self.around
+        for slab in self.slabs:
+            code, c = divmod(code, self.radix)
+            lo, hi = max(-1, 1 - c), min(1, self.side - 1 - c)
+            if lo > hi:
+                return 0
+            win &= slab[lo + 1][hi + 1]
+        return win
+
+    def _window(self, key: int) -> int:
+        """The window of a cell x that keeps v within d of a cell u (windows):
+        key is d * stride + half + code(u) - code(x), whose base-radix digits
+        below stride are t_i + side - 1, t_i = c_u,i - c_x,i, each in 0..2 side - 2.
+        Coordinate i cuts the window only when |t_i| >= d."""
+        d, rest = divmod(key, self.stride)
+        win, radix, top = self.around, self.radix, self.side - 1
+        for slab in self.slabs:
+            rest, t = divmod(rest, radix)
+            t -= top
+            if t >= d or t <= -d:
+                lo, hi = max(-1, t - d), min(1, t + d)
+                if lo > hi:
+                    return 0
+                win &= slab[lo + 1][hi + 1]
+        return win
+
+    def _shape(self, win: int) -> tuple[int, int]:
+        """(boxes entry, bit offset of the low corner from x's bit) for a window
+        around x (shapes): its lowest and highest bits are its corners. Past the
+        anchors the DFS's windows are never empty: placed pairs meet their
+        constraints, so the intervals that cut a coordinate meet pairwise, and
+        intervals that meet pairwise meet all at once; the empty one gives (0, 0)."""
+        if not win:
+            return 0, 0
+        key = offset = 0
+        lo, hi = (win & -win).bit_length() - 1, win.bit_length() - 1
+        for u in self.units:
+            lo, a = divmod(lo, 3)
+            hi, z = divmod(hi, 3)
+            key = key * self.side + z - a
+            offset += (a - 1) * u
+        return self.boxes[key], offset
 
 
-class _Boxes(dict):
-    """key -> the box mask of one _Grid with its low corner at 0, key being the
-    widths less one read as a base-side number, coordinate 0 first. Built on
-    first lookup and kept up to _BOX_CAP keys, as _cone is bounded. Past the
-    anchors a vertex's BFS parent toward anchor 0 is placed, is never
-    shadowed and bounds each coordinate to its own +-1, so every width is at
-    most 3 and few keys come up (97 on the 12^3 grid of the G_2 sweep)."""
+class _Table(dict):
+    """key -> build(key), built on first lookup and kept up to cap keys, as _cone
+    is bounded."""
 
-    def __init__(self, grid: _Grid):
+    def __init__(self, build, cap: float):
         super().__init__()
-        self.grid = grid
+        self.build, self.cap = build, cap
 
-    def __missing__(self, key: int) -> int:
-        grid = self.grid
-        highs, rest = [0] * grid.k, key
-        for i in range(grid.k - 1, -1, -1):
-            rest, highs[i] = divmod(rest, grid.side)
-        mask = grid.box([0] * grid.k, highs)[0]
-        if len(self) < _BOX_CAP:
-            self[key] = mask
-        return mask
+    def __missing__(self, key):
+        value = self.build(key)
+        if len(self) < self.cap:
+            self[key] = value
+        return value
 
 
 _BOX_CAP = 256  # box masks kept per grid
+_WINDOW_CAP = 4096  # entries kept per grid table of clips, windows or shapes
+_UNCAPPED = float("inf")  # a cell and a code per bit the DFS places
 
 
 def _geometric(u: int, w: int) -> int:
     """Bits 0, u, 2u, ..., (w-1)u."""
     return ((1 << w * u) - 1) // ((1 << u) - 1)
+
+
+def _offsets(lows: list[int], highs: list[int]) -> int:
+    """The offsets o in {-1, 0, 1}^k with lows[i] <= o_i <= highs[i], as the bits
+    sum((o_i + 1) * 3^i): one geometric sum per coordinate, as box() builds boxes."""
+    mask = 1
+    for i, (lo, hi) in enumerate(zip(lows, highs)):
+        if lo > hi:
+            return 0
+        mask *= _geometric(3**i, hi - lo + 1) << (lo + 1) * 3**i
+    return mask
 
 
 def _bits(m: int, base: int = 0):
@@ -509,27 +593,30 @@ class _SearchContext:
         self.g = g
         self.dm = g.distances()
         self.counted_out: dict[tuple[int, int], int] = {}
-        self.orders = _Orders(self.dm.dist)
+        self.orders = _Orders(self.dm.dist, g.adj)
         self.shadows = _Shadows(self.dm.dist)
 
 
 class _Orders(dict):
     """orders[a]: the vertices by (d(a, v), v); prefix[v], the vertices before v
-    there as a bitmask; and behind[v], None until _bounding_set fills it with
-    _shadowed(ctx, v, prefix[v]). Built on first lookup, kept up to
-    _ORDER_BITS mask bits, prefix and behind masks counted alike."""
+    there as a bitmask; behind[v], None until _bounding_set fills it with
+    _shadowed(ctx, v, prefix[v]); and pivot[v], v's first neighbour there (its
+    BFS parent toward a; -1 for a vertex without one). Built on first lookup,
+    kept up to _ORDER_BITS mask bits, prefix and behind masks counted alike."""
 
-    def __init__(self, dist: tuple[tuple[int, ...], ...]):
+    def __init__(self, dist: tuple[tuple[int, ...], ...], adj: tuple[tuple[int, ...], ...]):
         super().__init__()
-        self.dist = dist
+        self.dist, self.adj = dist, adj
 
-    def __missing__(self, a: int) -> tuple[list[int], list[int], list[int | None]]:
+    def __missing__(self, a: int) -> tuple[list[int], list[int], list[int | None], list[int]]:
         n = len(self.dist)
         order = sorted(range(n), key=self.dist[a].__getitem__)  # stable: ties by v
         prefix, m = [0] * n, 0
         for v in order:
             prefix[v], m = m, m | 1 << v
-        entry = order, prefix, [None] * n
+        # prefix masks grow along the order, so the least is the first there
+        pivot = [min(nbrs, key=prefix.__getitem__, default=-1) for nbrs in self.adj]
+        entry = order, prefix, [None] * n, pivot
         if (len(self) + 1) * 2 * n * n <= _ORDER_BITS:
             self[a] = entry
         return entry
@@ -582,7 +669,7 @@ def _bounding_set(ctx: _SearchContext, first: int, amask: int, v: int) -> int:
     anchor: the anchors (amask) and the vertices before v in the first anchor's
     order, less those _shadowed. v's neighbours before it are placed whatever
     the other anchors are, so their shadows are kept per (first, v)."""
-    prefix, behind = ctx.orders[first][1:]
+    prefix, behind = ctx.orders[first][1:3]
     shadowed = behind[v]
     if shadowed is None:
         shadowed = behind[v] = _shadowed(ctx, v, prefix[v])
@@ -640,9 +727,17 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     numbered so that reading a mask from its highest bit gives that order:
     the candidates are one mask, the shell AND the free cells AND the box,
     the box being the grid's table entry for its widths (_Grid.boxes)
-    shifted up to its low corner. Past the anchors the shell AND the free
-    cells is avail, set when anchor k - 1 is placed and changed by one bit
-    per placement and undo.
+    shifted up to its low corner. At an anchor depth the box is cut
+    coordinate by coordinate. Past the anchors v's pivot x, its first
+    neighbour in anchor 0's order (_Orders), is placed and never shadowed,
+    so the box lies in x's cell +-1: it is the AND of x's clip and one
+    window per other bounding vertex u, keyed by d(v, u) and the codes of
+    u's and x's cells (_Grid.clips, windows), and its shape gives the box
+    and the offset of its low corner from x's bit (_Grid.shapes); each
+    placed vertex keeps its cell's bit and code, and cell tuples are decoded
+    only for the anchors, the leaf and the embedding. Past the anchors the
+    shell AND the free cells is avail, set when anchor k - 1 is placed and
+    changed by one bit per placement and undo.
     shells[p] is the test against anchors 0..p-1: placing anchor p ANDs in
     its ring (_ring), the cells whose Chebyshev gap to its cell equals their
     coordinate p. An anchor's coordinate for a placed anchor is pinned to
@@ -691,76 +786,94 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     dim2_prunes = dim2_prunes and k == 2  # the prunes hold for two anchors only
     dG = dm.dist
     in_anchor = {v: i for i, v in enumerate(anchors)}
-    by_root = ctx.orders[anchors[0]][0]
+    by_root, _, _, pivots = ctx.orders[anchors[0]]
     rest = [v for v in by_root if v not in in_anchor]
     order = [*anchors, *rest]
 
     grid = _grid(side, k)
-    cell_of, boxes, units = grid.cell, grid.boxes, grid.units
+    cell_of, code_of, boxes, units = grid.cell, grid.code, grid.boxes, grid.units
+    clips, windows, shapes = grid.clips, grid.windows, grid.shapes
     reach, lift = grid.reach, grid.lift
-    coords: list[tuple[int, ...] | None] = [None] * n
+    codes: list[int | None] = [None] * n  # each placed vertex's cell code (_Grid.code)
     bits: list[int] = [0] * n  # each placed vertex's cell bit
     occupied = 0  # the placed cells
     avail = 0  # past the anchors, shells[k] & ~occupied
     shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
     statics: list = [None] * n  # per depth, built on its first visit
     last = order[-1]
-    implied = [(1, side - 1)] * k  # a non-anchor's bounds before its bounding set's
+    distances = range(D + 1)
+    spans = [d * grid.stride + grid.half for d in distances]  # one int per distance
 
     def static(p: int):
-        """Depth p's fixed data: each coordinate's starting bounds (None when
-        pinned), the bounding vertices with their G-distances to v, and deg(v)."""
+        """Depth p's fixed data and deg(v). Past the anchors: v's pivot, and each
+        other bounding vertex u with spans[d(v, u)], its window key less
+        code(u) - code(pivot). At an anchor depth: each coordinate's starting
+        bounds (None when pinned) and the bounding anchors with their
+        G-distances to v."""
         v = order[p]
         row_v = dG[v]
         slot = in_anchor.get(v)
         if slot is None:
-            inits, m = implied, _bounding_set(ctx, anchors[0], amask, v)
+            head = pivots[v]
+            m = _bounding_set(ctx, anchors[0], amask, v) & ~(1 << head)
+            stored = spans
         else:
-            inits = [None if i < slot else (0, 0) if i == slot else (1, min(row_v[w], side - 1))
-                     for i, w in enumerate(anchors)]  # None: pinned, that anchor is placed
+            head = [None if i < slot else (0, 0) if i == slot else (1, min(row_v[w], side - 1))
+                    for i, w in enumerate(anchors)]  # None: pinned, that anchor is placed
             above = sum(1 << w for w in anchors[:slot])
             m = above & ~_shadowed(ctx, v, above)
+            stored = distances
         bounding = []
         while m:  # highest vertex first
             u = m.bit_length() - 1
-            bounding.append((u, row_v[u]))
+            bounding.append((u, stored[row_v[u]]))
             m ^= 1 << u
-        statics[p] = data = (slot, inits, bounding, g.degree(v))
+        statics[p] = data = (slot, head, bounding, len(g.adj[v]))
         return data
 
     def candidates(p: int, dim2: _Dim2Prune | None) -> tuple[int, int]:
         """Depth p's candidates (mask, base): the bits of mask << base."""
-        slot, inits, bounding, deg_v = statics[p] or static(p)
-        key = base = 0  # the box's widths less one (boxes' key) and its low corner
-        for i, lohi in enumerate(inits):
-            if lohi is None:
-                lo = hi = coords[anchors[i]][slot]  # induced anchor distances are symmetric
-            else:
-                lo, hi = lohi
-            for u, b in bounding:
-                ci = coords[u][i]
-                if ci - b > lo:
-                    lo = ci - b
-                if ci + b < hi:
-                    hi = ci + b
-            if lo > hi:
-                return 0, 0
-            key = key * side + hi - lo
-            base += lo * units[i]
+        slot, head, bounding, deg_v = statics[p] or static(p)
+        if slot is None:  # head is the pivot: AND the windows around its cell
+            cx = codes[head]
+            win = clips[cx]
+            for u, key in bounding:
+                win &= windows[key + codes[u] - cx]
+            box, base = shapes[win]  # never empty: see _shape
+            base += bits[head]
+            free = avail
+        else:  # head holds the starting bounds
+            key = base = 0  # the box's widths less one (boxes' key) and its low corner
+            for i, lohi in enumerate(head):
+                if lohi is None:  # induced anchor distances are symmetric
+                    lo = hi = cell_of[bits[anchors[i]]][slot]
+                else:
+                    lo, hi = lohi
+                for u, b in bounding:
+                    ci = cell_of[bits[u]][i]
+                    if ci - b > lo:
+                        lo = ci - b
+                    if ci + b < hi:
+                        hi = ci + b
+                if lo > hi:
+                    return 0, 0
+                key = key * side + hi - lo
+                base += lo * units[i]
+            box = boxes[key]
+            free = shells[p] ^ shells[p] & occupied
+        if dim2 is not None:
+            free &= dim2.cap[deg_v if deg_v < 9 else 9]
         # the free cells of the box that pass the gap test to every anchor placed
         # so far, in bit order, which is nearest first to v's graph distances
         # capped at side-1 (these bound every coordinate from above, so the L1
         # gap is their sum less sum(c)), ties by c
-        free = avail if p >= k else shells[p] ^ shells[p] & occupied
-        if dim2 is not None:
-            free &= dim2.cap[deg_v if deg_v < 9 else 9]
-        return free >> base & boxes[key], base
+        return free >> base & box, base
 
     def settle(dim2: _Dim2Prune | None, room: int) -> int:
         """The last depth at once, from its parent: how many of its candidates the
         DFS tries, highest bit first, up to the first that completes a placement
-        (coords[last] then holds it) or all of them; more than room ends the
-        search. A cell b passes anchor i when it lies in supported(occupied, i)
+        (placed there, codes[last] then set) or all of them; more than room ends
+        the search. A cell b passes anchor i when it lies in supported(occupied, i)
         and one step below each other occupied cell that is not (_Grid.below),
         as placing b adds only b's own steps; the last vertex's own cell needs no
         support when it is anchor i (n == k). If strong, a passing cell completes
@@ -786,31 +899,30 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         adj = None
         for b in _bits(ok):
             tried = (cand >> b).bit_count()
-            coords[last] = cell_of[b]
-            if not strong:
-                return tried
-            if tried > room:
-                break
-            if not grid.geodesic_from(occupied, b):
-                continue
-            if adj is None:  # the placed cells' adjacency, vertex 0 left for b
-                at = {bits[v]: n - 1 - p for p, v in enumerate(order[:-1])}
-                adj = grid.adjacency(occupied, at)
-                cells = [coords[v] for v in reversed(order)]
-            row = adj[0] = [at[x] for o in grid.up for x in (b - o, b + o) if x in at]
-            for y in row:
-                adj[y].append(0)
-            cells[0] = coords[last]
-            isometric = is_isometric(cells, adj)
-            for y in row:
-                adj[y].pop()
-            if isometric:
-                return tried
-        coords[last] = None
+            if strong:
+                if tried > room:
+                    break
+                if not grid.geodesic_from(occupied, b):
+                    continue
+                if adj is None:  # the placed cells' adjacency, vertex 0 left for b
+                    at = {bits[v]: n - 1 - p for p, v in enumerate(order[:-1])}
+                    adj = grid.adjacency(occupied, at)
+                    cells = [None, *(cell_of[bits[v]] for v in reversed(order[:-1]))]
+                row = adj[0] = [at[x] for o in grid.up for x in (b - o, b + o) if x in at]
+                for y in row:
+                    adj[y].append(0)
+                cells[0] = cell_of[b]
+                isometric = is_isometric(cells, adj)
+                for y in row:
+                    adj[y].pop()
+                if not isometric:
+                    continue
+            bits[last], codes[last] = b, code_of[b]
+            return tried
         return cand.bit_count()
 
     # One pending candidate mask per depth below the last, highest bit next;
-    # depth p holds a placement while coords[order[p]] is set. A depth with no
+    # depth p holds a placement while codes[order[p]] is set. A depth with no
     # candidates gets no entry: the next turn unplaces its parent's vertex and
     # takes the parent's next candidate, as popping an empty mask would, and
     # nodes count placements only. shells[p + 1] belongs to the placement held
@@ -824,11 +936,11 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     while stack:
         p = len(stack) - 1
         v = order[p]
-        if coords[v] is not None:
+        if codes[v] is not None:
             bit = 1 << bits[v]
             occupied ^= bit
             avail |= bit  # at an anchor depth, stale until anchor k - 1 resets it
-            coords[v] = None
+            codes[v] = None
             if p == 1:
                 dim2 = None
         m, base = stack[-1]
@@ -841,7 +953,7 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         nodes += 1
         if nodes > budget:
             return SearchOutcome("budget_exhausted", None, nodes)
-        c = coords[v] = cell_of[b]
+        codes[v] = code_of[b]
         bits[v] = b
         bit = 1 << b
         occupied |= bit
@@ -849,11 +961,12 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         if dim2 is not None and not dim2.allows(p, occupied, n):
             continue
         if p < k:
-            shells[p + 1] = s = shells[p] & _ring(grid, c, p)
+            shells[p + 1] = s = shells[p] & _ring(grid, cell_of[b], p)
             if p == k - 1:
                 avail = s ^ s & occupied
         if p == k - 1 and dim2_prunes:
-            dim2 = _Dim2Prune.open(ctx, anchors, rest, side, tuple(coords[w] for w in anchors))
+            dim2 = _Dim2Prune.open(ctx, anchors, rest, side,
+                                   tuple(cell_of[bits[w]] for w in anchors))
             if dim2 is None:
                 continue
         if p + 2 < n:
@@ -864,13 +977,13 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         nodes += settle(dim2, budget - nodes)
         if nodes > budget:
             return SearchOutcome("budget_exhausted", None, budget + 1)
-        if coords[last] is not None:
+        if codes[last] is not None:
             break
     if not stack:
         return SearchOutcome("no", None, nodes)
 
     emb = Embedding(k, side, tuple(g.labels[w] for w in anchors),
-                    {g.labels[v]: coords[v] for v in range(n)})
+                    {g.labels[v]: cell_of[bits[v]] for v in range(n)})
     # certify shares is_isometric with the strong leaf (the mask row only turns
     # cells away before it), so only its W-resolved clause checks the DFS
     # independently

@@ -795,6 +795,92 @@ def test_box_table_stays_small_in_the_g2_sweep():
     assert 0 < len(_grid(12, 3).boxes) <= _BOX_CAP
 
 
+def test_window_keys_are_injective_where_bit_differences_collide():
+    """A window key d * stride + half + code(u) - code(x) tells every (d, c_u - c_x) apart
+    for k 1-4 and side 1-8: half + the code of a difference lies in [0, stride), one
+    value per difference. The window it reads holds the offsets o in {-1, 0, 1}^k with
+    |o_i - (c_u,i - c_x,i)| <= d, and a clip the offsets that keep x's cell in
+    [1, side - 1]^k. Grid-bit differences do collide: (-4, 1) and (2, -4) on side 5 with
+    k = 2, and 5,040 of the 23^3 difference vectors on the 12^3 grid."""
+    import collections
+
+    from strongdim.search import _grid
+
+    rng = random.Random(7)
+
+    def brute(k, keep):
+        return sum(1 << sum((o[i] + 1) * 3**i for i in range(k))
+                   for o in itertools.product((-1, 0, 1), repeat=k) if keep(o))
+
+    for k in range(1, 5):
+        for side in range(1, 9):
+            grid = _grid(side, k)
+            powers = [grid.radix**i for i in range(k)]
+            for c in itertools.product(range(side), repeat=k):
+                assert grid.code[grid.bit(c)] == sum(map(int.__mul__, c, powers)), (k, side, c)
+                if side <= 6:
+                    assert grid.clips[grid.code[grid.bit(c)]] == brute(
+                        k, lambda o: all(1 <= a + b <= side - 1 for a, b in zip(c, o)))
+            diffs = list(itertools.product(range(1 - side, side), repeat=k))
+            keys = {grid.half + sum(map(int.__mul__, t, powers)) for t in diffs}
+            assert len(keys) == len(diffs) and min(keys) >= 0 and max(keys) < grid.stride
+            for t in diffs if k <= 2 else rng.sample(diffs, min(len(diffs), 200)):
+                for d in range(side + 1):
+                    key = d * grid.stride + grid.half + sum(map(int.__mul__, t, powers))
+                    assert grid.windows[key] == brute(
+                        k, lambda o: all(abs(a - b) <= d for a, b in zip(o, t))), (k, side, t, d)
+    assert _grid(5, 2).bit((-4, 1)) == _grid(5, 2).bit((2, -4))
+    bits = collections.Counter(map(_grid(12, 3).bit, itertools.product(range(-11, 12), repeat=3)))
+    assert 23**3 - len(bits) == 5040
+
+
+def test_shapes_give_the_box_of_a_window_around_its_pivot():
+    """_Grid.shapes[window] is (boxes entry, offset) with the box of every cell x + o, o
+    in the window, at bit bit(x) + offset, for every sub-box of {-1, 0, 1}^k around
+    cells x on the grid, k 1-4 and side 2-6; an empty window gives (0, 0)."""
+    from strongdim.search import _grid, _offsets
+
+    rng = random.Random(8)
+    checked = 0
+    for k in range(1, 5):
+        for side in range(2, 7):
+            grid = _grid(side, k)
+            assert grid.shapes[0] == (0, 0)
+            for _ in range(60):
+                x = [rng.randrange(side) for _ in range(k)]
+                lows = [rng.randrange(max(-1, -a), min(1, side - 1 - a) + 1) for a in x]
+                highs = [rng.randrange(lo, min(1, side - 1 - a) + 1) for lo, a in zip(lows, x)]
+                mask, offset = grid.shapes[_offsets(lows, highs)]
+                want = grid.box([a + lo for a, lo in zip(x, lows)],
+                                [a + hi for a, hi in zip(x, highs)])
+                assert (mask, grid.bit(x) + offset) == want, (k, side, x, lows, highs)
+                checked += 1
+    assert checked == 4 * 5 * 60
+
+
+def test_grid_tables_stay_within_their_caps():
+    """A _Table keeps at most cap keys and still answers past it. The C400 search,
+    from empty caches, asks its 201^2 grid for 19,705 window keys, all different, and
+    keeps _WINDOW_CAP of them; its clips, shapes and boxes stay within their caps."""
+    import strongdim.search
+    from strongdim.search import _BOX_CAP, _WINDOW_CAP, _grid, _Table
+
+    table = _Table(str, 2)
+    assert [table[i] for i in range(4)] == ["0", "1", "2", "3"] and table == {0: "0", 1: "1"}
+    _grid.cache_clear()
+    asked = set()
+    grid = _grid(201, 2)
+    build = grid.windows.build
+    grid.windows.build = lambda key: asked.add(key) or build(key)
+    try:
+        out = exists_supergraph_resolved_by(cycle_graph(400), ["0", "199"])
+    finally:
+        _grid.cache_clear()
+    assert (out.status, out.nodes) == ("yes", 400)
+    assert len(asked) == 19705 and len(grid.windows) == _WINDOW_CAP
+    assert max(len(grid.clips), len(grid.shapes)) <= _WINDOW_CAP and len(grid.boxes) <= _BOX_CAP
+
+
 def test_rings_of_placed_anchors_build_only_their_outer_cones():
     """An anchor the DFS places has coordinate 0 for itself, so its ring needs only the
     k cones of its outer set: two anchors on C400 build 4 cones from empty caches."""
@@ -907,53 +993,130 @@ def test_shadows_kept_per_first_anchor_match_the_bounding_set_definition():
     assert checked > 2000, checked
 
 
-def test_implied_anchor_bounds_give_the_old_box_at_every_depth(monkeypatch):
-    """Past the anchors a depth's box starts each coordinate at (1, side - 1), not at
-    (1, min(d(v, w_i), side - 1)): every box the G_1 sweep reads, in both modes, has the
-    widths and low corner (read off the candidates frame) of the box that every placed
-    vertex cuts from those per-anchor starts. An empty box is left out: it is empty
-    from either start, the per-anchor one being the narrower."""
-    import inspect
+def _interval_box(run: dict, p: int) -> tuple[list[int], list[int]]:
+    """Depth p's box by its definition, from the locals of a _run_search frame: each
+    coordinate i starts at (1, min(d(v, w_i), side - 1)), or for anchor v in slot j at
+    (0, 0) when i == j and at anchor i's coordinate j when i < j, and every placed
+    vertex u cuts it to c_u,i +- d(v, u)."""
+    order, anchors, side, k = run["order"], run["anchors"], run["side"], run["k"]
+    d, cell_of, bits, codes = run["dG"], run["grid"].cell, run["bits"], run["codes"]
+    v = order[p]
+    lows, highs = [], []
+    for i, w in enumerate(anchors):
+        lo, hi = 1, min(d[v][w], side - 1)
+        if v in anchors:
+            slot = anchors.index(v)
+            if i == slot:
+                lo = hi = 0
+            elif i < slot:
+                lo = hi = cell_of[bits[w]][slot]
+        for u in order[:p]:
+            assert codes[u] is not None  # exactly the depths above p hold placements
+            c = cell_of[bits[u]][i]
+            lo, hi = max(lo, c - d[v][u]), min(hi, c + d[v][u])
+        lows.append(lo)
+        highs.append(hi)
+    return lows, highs
 
-    import strongdim.search
-    from strongdim.search import _Boxes, _grid
+
+def _checking_candidates(seen: dict):
+    """A profile hook that checks every return of the DFS's candidates against its
+    definition: the box (read off the returning frame) is _interval_box's, and the
+    candidates are its free cells that pass the gap test and, with the dim2 prunes, the
+    degree cap; an empty box returns (0, 0), and only at an anchor depth. Counts go
+    to seen."""
+    from strongdim.search import _grid
+
+    def hook(frame, event, arg):
+        if event != "return" or frame.f_code.co_name != "candidates":
+            return
+        at = frame.f_locals
+        run = frame
+        while run.f_code.co_name != "_run_search":
+            run = run.f_back
+        run = run.f_locals
+        p, k, n, side = at["p"], run["k"], run["n"], run["side"]
+        grid = _grid(side, k)
+        lows, highs = _interval_box(run, p)
+        v = run["order"][p]
+        if any(lo > hi for lo, hi in zip(lows, highs)):
+            assert arg == (0, 0) and v in run["anchors"], (run["anchors"], p)
+            return
+        box, base = grid.box(lows, highs)
+        assert (at["box"], at["base"]) == (box, base), (run["anchors"], p, lows, highs)
+        free = run["shells"][min(p, k)] & ~run["occupied"]
+        if at["dim2"] is not None:
+            free &= at["dim2"].cap[min(len(run["g"].adj[v]), 9)]
+        assert arg == (free >> base & box, base), (run["anchors"], p)
+        seen["boxes"] += 1
+        seen["tighter"] += v not in run["anchors"] and any(
+            hi < side - 1 for hi in (min(run["dG"][v][w], side - 1) for w in run["anchors"]))
+        if v not in run["anchors"]:
+            seen["windows"] += 1
+            seen["anchor pivots"] += at["head"] in run["anchors"]
+            seen[f"k{k}"] += 1
+        seen["last"] += p == n - 1
+
+    return hook
+
+
+def _profiled(hook, fn, *args):
+    """fn(*args) with hook as the profile function."""
+    import sys
+
+    sys.setprofile(hook)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(None)
+
+
+def test_implied_anchor_bounds_give_the_old_box_at_every_depth():
+    """Past the anchors a depth's box starts each coordinate at (1, side - 1), not at
+    (1, min(d(v, w_i), side - 1)), and is cut only by windows around v's pivot: every
+    box the G_1 sweep reads, in both modes, is the box (read off the returning
+    candidates frame) that every placed vertex cuts from those per-anchor starts, and
+    an empty one returns (0, 0)."""
+    import collections
 
     g = gn_family(1)
-    d = g.distances().dist
-    seen = {"boxes": 0, "tighter": 0}
-
-    class CheckedBoxes(_Boxes):
-        def __getitem__(self, key):
-            frame = inspect.currentframe().f_back
-            at = frame.f_locals  # candidates'
-            run = frame
-            while run.f_code.co_name != "_run_search":
-                run = run.f_back
-            v = run.f_locals["order"][at["p"]]
-            coords, anchors, side = at["coords"], at["anchors"], at["side"]
-            if v not in anchors:
-                want_key = want_base = 0
-                for i, w in enumerate(anchors):
-                    lo, hi = 1, min(d[v][w], side - 1)
-                    seen["tighter"] += hi < side - 1
-                    for u, c in enumerate(coords):
-                        if c is not None:
-                            lo, hi = max(lo, c[i] - d[v][u]), min(hi, c[i] + d[v][u])
-                    want_key = want_key * side + hi - lo
-                    want_base += lo * at["units"][i]
-                assert (at["key"], at["base"]) == (want_key, want_base), (anchors, v)
-                seen["boxes"] += 1
-            return super().__getitem__(key)
-
-    monkeypatch.setattr(strongdim.search, "_Boxes", CheckedBoxes)
-    _grid.cache_clear()
-    try:
-        for mode, nodes in (("metric", 34), ("strong", 164)):
-            res = threshold_dimension(g, mode, PlacementSearchConfig(node_budget=1000))
-            assert res.stats["nodes"] == nodes
-    finally:
-        _grid.cache_clear()  # no grid keeps the checking table
+    seen = collections.Counter()
+    hook = _checking_candidates(seen)
+    for mode, nodes in (("metric", 34), ("strong", 164)):
+        res = _profiled(hook, threshold_dimension, g, mode, PlacementSearchConfig(node_budget=1000))
+        assert res.stats["nodes"] == nodes
     assert seen["boxes"] > 100 and seen["tighter"] > 100, seen
+
+
+def test_window_boxes_match_the_interval_box_at_every_call():
+    """The window box (the pivot's clip ANDed with one window per other bounding vertex)
+    gives each candidates call the (mask, base) of the interval box that every placed
+    vertex cuts, on random connected graphs with 1-4 anchors, with and without the dim2
+    prunes, including pivots that are anchors (coordinate 0 in their own slot, so the
+    clip to [1, side - 1] cuts). The counting rules refute every one-anchor set that
+    the fast path leaves, so they are switched off there (the box does not depend on
+    them). Past the anchors no box is empty: the placed pairs meet their constraints,
+    so the intervals cutting a coordinate meet pairwise, and so all at once."""
+    import collections
+
+    from strongdim.search import _SearchContext, _run_search
+
+    rng = random.Random(38)
+    seen = collections.Counter()
+    hook = _checking_candidates(seen)
+    for t in range(80):
+        g = random_connected_graph(rng.randrange(5, 12), rng, rng.choice((0.1, 0.2, 0.35)))
+        W = rng.sample(range(g.n), t % 4 + 1 if t % 4 < g.n - 1 else 1)
+        ctx = _SearchContext(g)
+        side = rng.choice((None, g.n))
+        if len(W) == 1:
+            ctx.counted_out[1, side or ctx.dm.diameter + 1] = 0
+        cfg = PlacementSearchConfig(max_side=side, node_budget=400)
+        for strong in (False, True):
+            for dim2 in (False, True):
+                _profiled(hook, _run_search, ctx, W, cfg, strong, dim2)
+    assert min(seen[f"k{k}"] for k in range(1, 5)) > 100, seen
+    assert seen["anchor pivots"] > 500 and seen["last"] > 100, seen
 
 
 def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
@@ -996,7 +1159,7 @@ def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
 def test_strong_leaf_matches_the_chebyshev_adjacency_in_vertex_order(monkeypatch):
     """Every strong leaf that reaches the isometry check gets the Chebyshev adjacency of
     its cells, and the verdict of chebyshev_adjacency over the cells in vertex-index order
-    (the leaf's coords, read off its frame), with and without the dim2 prunes; cones
+    (the leaf's cells, read off its frame's bits), with and without the dim2 prunes; cones
     decide the leaves of the two 40-cycle cases."""
     import inspect
 
@@ -1010,7 +1173,9 @@ def test_strong_leaf_matches_the_chebyshev_adjacency_in_vertex_order(monkeypatch
     cones, by_cones = [], []
 
     def checked(cells, adj):
-        coords = inspect.currentframe().f_back.f_locals["coords"]
+        at = inspect.currentframe().f_back.f_locals  # settle's: the last cell is b
+        coords = [at["cell_of"][at["b"] if v == at["last"] else at["bits"][v]]
+                  for v in range(len(at["bits"]))]
         assert sorted(cells) == sorted(coords)
         assert [sorted(row) for row in adj] == chebyshev_adjacency(cells), cells
         before = len(cones)

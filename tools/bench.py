@@ -16,8 +16,10 @@ failure counts, and the median of each metric; per end-to-end metric, the
 pairs the change won by BENCHMARK.json's direction (ties count for neither);
 both commit hashes (null outside a git repository), whether this checkout's
 src/ or perfbench/ differs from its HEAD, the seed,
-`--seconds`, the pair count and PYTHONDONTWRITEBYTECODE as this process saw it.
-perfbench is only run, never edited or imported.
+`--seconds`, the pair count asked for and done, and PYTHONDONTWRITEBYTECODE as
+this process saw it. It is written again after every pair, so a run stopped
+early keeps the pairs it finished. perfbench is only run, never edited or
+imported.
 """
 
 from __future__ import annotations
@@ -127,9 +129,24 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
     }
     runs = {w: {"parent": [], "change": []} for w in workloads}
+    trees = {"change": ROOT}
+
+    def write(done: int) -> None:
+        """The file as of the first done pairs."""
+        doc["pairs_done"] = done
+        for w in workloads:
+            entry = {"runs": {}, "medians": {}}
+            for side in trees:
+                entry["runs"][side] = runs[w][side]
+                entry["medians"][side] = medians(runs[w][side])
+            if args.against:
+                untraced = {side: [r for r in runs[w][side] if r["trace"] == 0] for side in trees}
+                entry["wins"] = wins(untraced["parent"], untraced["change"], better)
+            doc["workloads"][w] = entry
+        out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
     scratch = Path(tempfile.mkdtemp(prefix="bench-")) if args.against else None
     try:
-        trees = {"change": ROOT}
         if scratch is not None:
             trees["parent"] = scratch
             unpack(parent, scratch)
@@ -144,19 +161,10 @@ def main(argv: list[str] | None = None) -> int:
                               f"correct={run['correct']} wall_s="
                               f"{run['metrics'].get('wall_s', run['metrics'].get('trace.wall_s'))}",
                               file=sys.stderr)
+            write(pair + 1)
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
-    for w in workloads:
-        entry = {"runs": {}, "medians": {}}
-        for side in trees:
-            entry["runs"][side] = runs[w][side]
-            entry["medians"][side] = medians(runs[w][side])
-        if args.against:
-            untraced = {side: [r for r in runs[w][side] if r["trace"] == 0] for side in trees}
-            entry["wins"] = wins(untraced["parent"], untraced["change"], better)
-        doc["workloads"][w] = entry
-    out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"bench: wrote {out_path}", file=sys.stderr)
     return 0 if all(r["correct"] for w in workloads for side in trees for r in runs[w][side]) else 1
 
