@@ -256,12 +256,12 @@ class _Grid:
         self.radix = 2 * side  # code(c) = sum(c_i * radix^i)
         self.stride = self.radix**k  # a window key's step per unit of G-distance
         self.half = (side - 1) * (self.stride - 1) // (self.radix - 1)  # code((side-1,)*k)
-        # around: the window of all 3^k offsets; slabs[i][lo + 1][hi + 1]: its offsets
-        # o with lo <= o_i <= hi
+        # around: the window of all 3^k offsets; cuts[i] = (rise, fall): rise[j] holds
+        # its offsets o with o_i >= j, fall[j] those with o_i <= -j (j = 0, 1)
         self.around = (1 << 3**k) - 1
-        self.slabs = [[[_offsets([lo if j == i else -1 for j in range(k)],
-                                 [hi if j == i else 1 for j in range(k)])
-                        for hi in (-1, 0, 1)] for lo in (-1, 0, 1)] for i in range(k)]
+        self.cuts = [([_offsets([j if m == i else -1 for m in range(k)], [1] * k) for j in (0, 1)],
+                      [_offsets([-1] * k, [-j if m == i else 1 for m in range(k)]) for j in (0, 1)])
+                     for i in range(k)]
         self.cell = _Table(self._cell, _UNCAPPED)
         self.code = _Table(self._code, _UNCAPPED)
         self.boxes = _Table(self._box, _BOX_CAP)
@@ -380,31 +380,31 @@ class _Grid:
 
     def _clip(self, code: int) -> int:
         """The window of a cell x that keeps a non-anchor in [1, side - 1]^k
-        (clips, keyed by x's code)."""
-        win = self.around
-        for slab in self.slabs:
+        (clips, keyed by x's code): o_i >= 1 - c_i, and o_i <= 0 at c_i = side - 1."""
+        win, top = self.around, self.side - 1
+        for rise, fall in self.cuts:
             code, c = divmod(code, self.radix)
-            lo, hi = max(-1, 1 - c), min(1, self.side - 1 - c)
-            if lo > hi:
-                return 0
-            win &= slab[lo + 1][hi + 1]
+            if c < 2:
+                win &= rise[1 - c]
+            if c == top:
+                win &= fall[0]
         return win
 
     def _window(self, key: int) -> int:
         """The window of a cell x that keeps v within d of a cell u (windows):
         key is d * stride + half + code(u) - code(x), whose base-radix digits
         below stride are t_i + side - 1, t_i = c_u,i - c_x,i, each in 0..2 side - 2.
-        Coordinate i cuts the window only when |t_i| >= d."""
+        Coordinate i cuts the window only when |t_i| >= d: to o_i >= t_i - d, or
+        to o_i <= t_i + d, none being left once that bound is past +-1."""
         d, rest = divmod(key, self.stride)
         win, radix, top = self.around, self.radix, self.side - 1
-        for slab in self.slabs:
+        for rise, fall in self.cuts:
             rest, t = divmod(rest, radix)
             t -= top
-            if t >= d or t <= -d:
-                lo, hi = max(-1, t - d), min(1, t + d)
-                if lo > hi:
-                    return 0
-                win &= slab[lo + 1][hi + 1]
+            if t >= d:
+                win &= rise[t - d] if t - d < 2 else 0
+            if t <= -d:
+                win &= fall[-d - t] if -d - t < 2 else 0
         return win
 
     def _shape(self, win: int) -> tuple[int, int]:
