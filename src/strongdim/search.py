@@ -259,8 +259,9 @@ class _Grid:
         # around: the window of all 3^k offsets; cuts[i] = (rise, fall): rise[j] holds
         # its offsets o with o_i >= j, fall[j] those with o_i <= -j (j = 0, 1)
         self.around = (1 << 3**k) - 1
-        self.cuts = [([_offsets([j if m == i else -1 for m in range(k)], [1] * k) for j in (0, 1)],
-                      [_offsets([-1] * k, [-j if m == i else 1 for m in range(k)]) for j in (0, 1)])
+        at = {o: 1 << sum((o_i + 1) * 3**i for i, o_i in enumerate(o)) for o in steps}
+        self.cuts = [([sum(b for o, b in at.items() if o[i] >= j) for j in (0, 1)],
+                      [sum(b for o, b in at.items() if o[i] <= -j) for j in (0, 1)])
                      for i in range(k)]
         self.cell = _Table(self._cell, _UNCAPPED)
         self.code = _Table(self._code, _UNCAPPED)
@@ -448,17 +449,6 @@ _UNCAPPED = float("inf")  # a cell and a code per bit the DFS places
 def _geometric(u: int, w: int) -> int:
     """Bits 0, u, 2u, ..., (w-1)u."""
     return ((1 << w * u) - 1) // ((1 << u) - 1)
-
-
-def _offsets(lows: list[int], highs: list[int]) -> int:
-    """The offsets o in {-1, 0, 1}^k with lows[i] <= o_i <= highs[i], as the bits
-    sum((o_i + 1) * 3^i): one geometric sum per coordinate, as box() builds boxes."""
-    mask = 1
-    for i, (lo, hi) in enumerate(zip(lows, highs)):
-        if lo > hi:
-            return 0
-        mask *= _geometric(3**i, hi - lo + 1) << (lo + 1) * 3**i
-    return mask
 
 
 def _bits(m: int, base: int = 0):

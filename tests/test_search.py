@@ -838,7 +838,7 @@ def test_shapes_give_the_box_of_a_window_around_its_pivot():
     """_Grid.shapes[window] is (boxes entry, offset) with the box of every cell x + o, o
     in the window, at bit bit(x) + offset, for every sub-box of {-1, 0, 1}^k around
     cells x on the grid, k 1-4 and side 2-6; an empty window gives (0, 0)."""
-    from strongdim.search import _grid, _offsets
+    from strongdim.search import _grid
 
     rng = random.Random(8)
     checked = 0
@@ -850,7 +850,10 @@ def test_shapes_give_the_box_of_a_window_around_its_pivot():
                 x = [rng.randrange(side) for _ in range(k)]
                 lows = [rng.randrange(max(-1, -a), min(1, side - 1 - a) + 1) for a in x]
                 highs = [rng.randrange(lo, min(1, side - 1 - a) + 1) for lo, a in zip(lows, x)]
-                mask, offset = grid.shapes[_offsets(lows, highs)]
+                window = sum(1 << sum((o_i + 1) * 3**i for i, o_i in enumerate(o))
+                             for o in itertools.product((-1, 0, 1), repeat=k)
+                             if all(map(int.__le__, lows, o)) and all(map(int.__le__, o, highs)))
+                mask, offset = grid.shapes[window]
                 want = grid.box([a + lo for a, lo in zip(x, lows)],
                                 [a + hi for a, hi in zip(x, highs)])
                 assert (mask, grid.bit(x) + offset) == want, (k, side, x, lows, highs)
