@@ -14,8 +14,10 @@ each placed anchor's cell equals its own coordinate for that anchor depends
 on the cell alone. The grid's cells are the bits of one integer, numbered
 in the DFS's candidate order (_Grid), so that test is one cached ring mask
 per anchor cell and slot, ANDed in as each anchor is placed (the "shell").
-A depth's candidates are then the free shell cells of its interval box,
-read off one mask. Past the anchors each depth has a pivot, v's BFS parent
+A depth's candidates are then the free shell cells of its box, read off
+one mask. An anchor depth's box is fixed per search but for its pinned
+coordinates, since the shell implies every cut a placed anchor would make
+there. Past the anchors each depth has a pivot, v's BFS parent
 toward anchor 0: it is placed, never shadowed, and bounds every coordinate
 to its own +-1, so the box is a set of the 3^k offsets around the pivot's
 cell, one small integer, the AND of the pivot's clip to [1, side-1]^k and
@@ -210,9 +212,7 @@ class _Grid:
     read as a base side+1 number. So:
     - bits descend in the DFS's candidate order (-sum(c), c);
     - the cells of a box are the products of one power of two per
-      coordinate, so box() is k multiplications of geometric sums; shifted
-      down to its low corner a box depends on its widths alone, so the DFS
-      reads it from boxes, a table keyed by the widths;
+      coordinate, so box() is k multiplications of geometric sums;
     - no cell has a base side+1 digit equal to side, so a unit step is a
       fixed bit offset that never carries into another cell: two cells are
       one step apart exactly when their bits are its offset apart, since no
@@ -236,7 +236,7 @@ class _Grid:
     around a cell x, the bits sum((o_i + 1) 3^i), so windows AND as masks:
     clips[code(x)] keeps x + o in [1, side-1]^k, windows[d * stride + half +
     code(u) - code(x)] keeps it within d of u's cell in every coordinate, and
-    shapes[window] is its box as (boxes entry, offset of its low corner from
+    shapes[window] is its box as (box() mask, offset of its low corner from
     x's bit). The tables keep their first _WINDOW_CAP keys.
     """
 
@@ -265,7 +265,6 @@ class _Grid:
                      for i in range(k)]
         self.cell = _Table(self._cell, _UNCAPPED)
         self.code = _Table(self._code, _UNCAPPED)
-        self.boxes = _Table(self._box, _BOX_CAP)
         self.clips = _Table(self._clip, _WINDOW_CAP)
         self.windows = _Table(self._window, _WINDOW_CAP)
         self.shapes = _Table(self._shape, _WINDOW_CAP)
@@ -371,14 +370,6 @@ class _Grid:
         """The code of the cell at bit b (code): sum(c_i * radix^i)."""
         return sum(c * self.radix**i for i, c in enumerate(self.cell[b]))
 
-    def _box(self, key: int) -> int:
-        """The box with its low corner at 0 whose widths less one, read as a
-        base-side number with coordinate 0 first, are key (boxes)."""
-        highs, rest = [0] * self.k, key
-        for i in range(self.k - 1, -1, -1):
-            rest, highs[i] = divmod(rest, self.side)
-        return self.box([0] * self.k, highs)[0]
-
     def _clip(self, code: int) -> int:
         """The window of a cell x that keeps a non-anchor in [1, side - 1]^k
         (clips, keyed by x's code): o_i >= 1 - c_i, and o_i <= 0 at c_i = side - 1."""
@@ -409,21 +400,19 @@ class _Grid:
         return win
 
     def _shape(self, win: int) -> tuple[int, int]:
-        """(boxes entry, bit offset of the low corner from x's bit) for a window
-        around x (shapes): its lowest and highest bits are its corners. Past the
-        anchors the DFS's windows are never empty: placed pairs meet their
+        """(box() mask with its low corner at 0, bit offset of that corner from
+        x's bit) for a window around x (shapes): its lowest and highest bits are
+        its corners. The DFS's windows are never empty: placed pairs meet their
         constraints, so the intervals that cut a coordinate meet pairwise, and
-        intervals that meet pairwise meet all at once; the empty one gives (0, 0)."""
-        if not win:
-            return 0, 0
-        key = offset = 0
+        intervals that meet pairwise meet all at once."""
         lo, hi = (win & -win).bit_length() - 1, win.bit_length() - 1
+        highs, offset = [], 0
         for u in self.units:
             lo, a = divmod(lo, 3)
             hi, z = divmod(hi, 3)
-            key = key * self.side + z - a
+            highs.append(z - a)
             offset += (a - 1) * u
-        return self.boxes[key], offset
+        return self.box([0] * self.k, highs)[0], offset
 
 
 class _Table(dict):
@@ -441,7 +430,6 @@ class _Table(dict):
         return value
 
 
-_BOX_CAP = 256  # box masks kept per grid
 _WINDOW_CAP = 4096  # entries kept per grid table of clips, windows or shapes
 _UNCAPPED = float("inf")  # a cell and a code per bit the DFS places
 
@@ -575,63 +563,45 @@ class _SearchContext:
 
     counted_out holds the counting rules' masks (_counted_out), orders each
     first anchor's vertex order with the shadows behind each vertex there
-    (_Orders), and shadows the W_xv masks that _shadowed reads, all kept
-    across the searches of one sweep.
+    (_order), and shadows the W_xv masks that _shadowed reads (_shadow), all
+    kept across the searches of one sweep.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.dm = g.distances()
         self.counted_out: dict[tuple[int, int], int] = {}
-        self.orders = _Orders(self.dm.dist, g.adj)
-        self.shadows = _Shadows(self.dm.dist)
-
-
-class _Orders(dict):
-    """orders[a]: the vertices by (d(a, v), v); prefix[v], the vertices before v
-    there as a bitmask; behind[v], None until _bounding_set fills it with
-    _shadowed(ctx, v, prefix[v]); and pivot[v], v's first neighbour there (its
-    BFS parent toward a; -1 for a vertex without one). Built on first lookup,
-    kept up to _ORDER_BITS mask bits, prefix and behind masks counted alike."""
-
-    def __init__(self, dist: tuple[tuple[int, ...], ...], adj: tuple[tuple[int, ...], ...]):
-        super().__init__()
-        self.dist, self.adj = dist, adj
-
-    def __missing__(self, a: int) -> tuple[list[int], list[int], list[int | None], list[int]]:
-        n = len(self.dist)
-        order = sorted(range(n), key=self.dist[a].__getitem__)  # stable: ties by v
-        prefix, m = [0] * n, 0
-        for v in order:
-            prefix[v], m = m, m | 1 << v
-        # prefix masks grow along the order, so the least is the first there
-        pivot = [min(nbrs, key=prefix.__getitem__, default=-1) for nbrs in self.adj]
-        entry = order, prefix, [None] * n, pivot
-        if (len(self) + 1) * 2 * n * n <= _ORDER_BITS:
-            self[a] = entry
-        return entry
+        # 2 n^2 bits of prefix and behind masks per first anchor
+        self.orders = _Table(partial(_order, self.dm.dist, g.adj), _ORDER_BITS // (2 * g.n * g.n))
+        self.shadows = _Table(partial(_shadow, self.dm.dist), _UNCAPPED)
 
 
 _ORDER_BITS = 1 << 27  # 16 MB of prefix and behind masks per graph at most
 
 
-class _Shadows(dict):
+def _order(dist: tuple[tuple[int, ...], ...], adj: tuple[tuple[int, ...], ...],
+           a: int) -> tuple[list[int], list[int], list[int | None], list[int]]:
+    """orders[a]: the vertices by (d(a, v), v); prefix[v], the vertices before v
+    there as a bitmask; behind[v], None until _bounding_set fills it with
+    _shadowed(ctx, v, prefix[v]); and pivot[v], v's first neighbour there (its
+    BFS parent toward a; -1 for a vertex without one)."""
+    n = len(dist)
+    order = sorted(range(n), key=dist[a].__getitem__)  # stable: ties by v
+    prefix, m = [0] * n, 0
+    for v in order:
+        prefix[v], m = m, m | 1 << v
+    # prefix masks grow along the order, so the least is the first there
+    pivot = [min(nbrs, key=prefix.__getitem__, default=-1) for nbrs in adj]
+    return order, prefix, [None] * n, pivot
+
+
+def _shadow(dist: tuple[tuple[int, ...], ...], key: tuple[int, int]) -> int:
     """shadows[v, x], for a G-edge (v, x): the Djokovic-Winkler set
-    W_xv = {u : d(x, u) < d(v, u)} less x itself, as a bitmask.
-
-    x lies on a v-u geodesic for every u in it. Built on first lookup, so
-    there is at most one mask per directed edge.
-    """
-
-    def __init__(self, dist: tuple[tuple[int, ...], ...]):
-        super().__init__()
-        self.dist = dist
-
-    def __missing__(self, key: tuple[int, int]) -> int:
-        v, x = key
-        bits = bytes(map(lt, self.dist[x], self.dist[v]))[::-1].translate(_BIT_DIGITS)
-        mask = self[key] = int(bits, 2) & ~(1 << x)  # bits holds vertex 0 last
-        return mask
+    W_xv = {u : d(x, u) < d(v, u)} less x itself, as a bitmask, one per
+    directed edge at most. x lies on a v-u geodesic for every u in it."""
+    v, x = key
+    bits = bytes(map(lt, dist[x], dist[v]))[::-1].translate(_BIT_DIGITS)
+    return int(bits, 2) & ~(1 << x)  # bits holds vertex 0 last
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -706,28 +676,29 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     """Place the vertices one at a time, anchors first, each in a cell that can still work.
 
     The anchors are distinct vertex indices. The counting rules run first, for
-    every k. The non-anchors follow in the context's order for anchor 0 (_Orders).
+    every k. The non-anchors follow in the context's order for anchor 0 (_order).
     A vertex's candidates are the free cells of its interval box (its graph
     distances to the placed vertices bound each coordinate) that pass the
-    anchor-gap test, nearest first to its graph-distance vector. The box is
-    cut only by the placed vertices that no placed neighbour of v shadows
-    (_shadowed; _bounding_set past the anchors), whose bounds imply the
-    others'; the order is fixed, so each depth computes its set once.
+    anchor-gap test, nearest first to its graph-distance vector. Past the
+    anchors the box is cut only by the placed vertices that no placed
+    neighbour of v shadows (_bounding_set), whose bounds imply the others';
+    the order is fixed, so each depth computes its set once.
     Cells are bits of the side^k grid (_grid, shared per process),
     numbered so that reading a mask from its highest bit gives that order:
-    the candidates are one mask, the shell AND the free cells AND the box,
-    the box being the grid's table entry for its widths (_Grid.boxes)
-    shifted up to its low corner. At an anchor depth the box is cut
-    coordinate by coordinate. Past the anchors v's pivot x, its first
-    neighbour in anchor 0's order (_Orders), is placed and never shadowed,
-    so the box lies in x's cell +-1: it is the AND of x's clip and one
-    window per other bounding vertex u, keyed by d(v, u) and the codes of
-    u's and x's cells (_Grid.clips, windows), and its shape gives the box
-    and the offset of its low corner from x's bit (_Grid.shapes); each
-    placed vertex keeps its cell's bit and code, and cell tuples are decoded
-    only for the anchors, the leaf and the embedding. Past the anchors the
-    shell AND the free cells is avail, set when anchor k - 1 is placed and
-    changed by one bit per placement and undo.
+    the candidates are one mask, the shell AND the free cells AND the box
+    mask shifted up to its low corner. An anchor depth's box is built once
+    per search (static), where the shell implies every cut a placed anchor
+    would make; only its pinned coordinates move its base. Past the anchors
+    v's pivot x, its first neighbour in anchor 0's order (_order), is placed
+    and never shadowed, so the box lies in x's cell +-1: it is the AND of
+    x's clip and one window per other bounding vertex u, keyed by d(v, u)
+    and the codes of u's and x's cells (_Grid.clips, windows), and its
+    shape gives the box and the offset of its low corner from x's bit
+    (_Grid.shapes); each placed vertex keeps its cell's bit and code, and
+    cell tuples are decoded only for the anchors, the leaf and the
+    embedding. Past the anchors the shell AND the free cells is avail, set
+    when anchor k - 1 is placed and changed by one bit per placement and
+    undo.
     shells[p] is the test against anchors 0..p-1: placing anchor p ANDs in
     its ring (_ring), the cells whose Chebyshev gap to its cell equals their
     coordinate p. An anchor's coordinate for a placed anchor is pinned to
@@ -781,7 +752,7 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     order = [*anchors, *rest]
 
     grid = _grid(side, k)
-    cell_of, code_of, boxes, units = grid.cell, grid.code, grid.boxes, grid.units
+    cell_of, code_of, units = grid.cell, grid.code, grid.units
     clips, windows, shapes = grid.clips, grid.windows, grid.shapes
     reach, lift = grid.reach, grid.lift
     codes: list[int | None] = [None] * n  # each placed vertex's cell code (_Grid.code)
@@ -791,33 +762,35 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     shells = [grid.cells] + [0] * k  # shells[p]: the gap test to anchors 0..p-1
     statics: list = [None] * n  # per depth, built on its first visit
     last = order[-1]
-    distances = range(D + 1)
-    spans = [d * grid.stride + grid.half for d in distances]  # one int per distance
+    spans = [d * grid.stride + grid.half for d in range(D + 1)]  # one int per distance
 
     def static(p: int):
         """Depth p's fixed data and deg(v). Past the anchors: v's pivot, and each
         other bounding vertex u with spans[d(v, u)], its window key less
-        code(u) - code(pivot). At an anchor depth: each coordinate's starting
-        bounds (None when pinned) and the bounding anchors with their
-        G-distances to v."""
+        code(u) - code(pivot). At anchor depth p: the box (mask, base) with
+        coordinate p at 0, each coordinate i > p in (1, min(d(v, w_i), side - 1))
+        and each i < p at 0, and the anchors w_i, i < p, with their units u_i:
+        coordinate i is pinned to w_i's coordinate p, as induced distances are
+        symmetric, so candidates adds c_w_i,p * u_i to the base. No placed
+        anchor w_j cuts this box further: every cell of shells[p] lies at
+        Chebyshev gap c_j, pinned to c_w_j,p, from w_j's cell, and w_j's own
+        box capped that coordinate at min(d(v, w_j), side - 1), so
+        |c_i - c_w_j,i| <= d(v, w_j) already holds on every coordinate i."""
         v = order[p]
-        row_v = dG[v]
         slot = in_anchor.get(v)
         if slot is None:
             head = pivots[v]
             m = _bounding_set(ctx, anchors[0], amask, v) & ~(1 << head)
-            stored = spans
+            row_v = dG[v]
+            bounding = []
+            while m:  # highest vertex first
+                u = m.bit_length() - 1
+                bounding.append((u, spans[row_v[u]]))
+                m ^= 1 << u
         else:
-            head = [None if i < slot else (0, 0) if i == slot else (1, min(row_v[w], side - 1))
-                    for i, w in enumerate(anchors)]  # None: pinned, that anchor is placed
-            above = sum(1 << w for w in anchors[:slot])
-            m = above & ~_shadowed(ctx, v, above)
-            stored = distances
-        bounding = []
-        while m:  # highest vertex first
-            u = m.bit_length() - 1
-            bounding.append((u, stored[row_v[u]]))
-            m ^= 1 << u
+            highs = [0] * (slot + 1) + [min(dG[v][w], side - 1) for w in anchors[slot + 1:]]
+            head = grid.box([0] * (slot + 1) + [1] * (k - 1 - slot), highs)
+            bounding = list(zip(anchors[:slot], units))
         statics[p] = data = (slot, head, bounding, len(g.adj[v]))
         return data
 
@@ -832,24 +805,10 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
             box, base = shapes[win]  # never empty: see _shape
             base += bits[head]
             free = avail
-        else:  # head holds the starting bounds
-            key = base = 0  # the box's widths less one (boxes' key) and its low corner
-            for i, lohi in enumerate(head):
-                if lohi is None:  # induced anchor distances are symmetric
-                    lo = hi = cell_of[bits[anchors[i]]][slot]
-                else:
-                    lo, hi = lohi
-                for u, b in bounding:
-                    ci = cell_of[bits[u]][i]
-                    if ci - b > lo:
-                        lo = ci - b
-                    if ci + b < hi:
-                        hi = ci + b
-                if lo > hi:
-                    return 0, 0
-                key = key * side + hi - lo
-                base += lo * units[i]
-            box = boxes[key]
+        else:  # head is the box, bounding the pinned anchors with their units
+            box, base = head
+            for w, u in bounding:
+                base += cell_of[bits[w]][slot] * u
             free = shells[p] ^ shells[p] & occupied
         if dim2 is not None:
             free &= dim2.cap[deg_v if deg_v < 9 else 9]

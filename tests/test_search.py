@@ -765,34 +765,12 @@ def test_grid_tables_stay_small_on_a_long_cycle():
         assert peak < 1.25 * parent_mb * 1e6, (search.__name__, peak)
 
 
-def test_box_table_matches_box_by_widths():
-    """_Grid.boxes[key], key being the widths less one read as a base-side number,
-    coordinate 0 first, is _Grid.box([0]*k, widths less one)'s mask for every key, k 1-4
-    and side 1-6, whether kept or not; the table keeps at most _BOX_CAP of them."""
-    from strongdim.search import _BOX_CAP, _grid
-
-    for k in range(1, 5):
-        for side in range(1, 7):
-            grid = _grid(side, k)
-            for highs in itertools.product(range(side), repeat=k):
-                key = 0
-                for h in highs:
-                    key = key * side + h
-                assert grid.boxes[key] == grid.box([0] * k, list(highs))[0], (k, side, highs)
-            assert len(grid.boxes) <= _BOX_CAP
-    assert len(_grid(6, 4).boxes) == _BOX_CAP  # 6^4 keys asked
-
-
-def test_box_table_stays_small_in_the_g2_sweep():
-    """The G_2 strong sweep at budget 128 up to k = 3, started from empty per-process
-    caches, keeps at most _BOX_CAP box masks on its (12, 3) grid."""
-    from strongdim.search import _BOX_CAP, _grid
-
-    _grid.cache_clear()
+def test_g2_strong_sweep_nodes_golden():
+    """The G_2 strong sweep at budget 128 up to k = 3 takes 280,316 search nodes: a
+    golden count that every change keeping the placement search node for node keeps."""
     res = threshold_dimension(gn_family(2), "strong", PlacementSearchConfig(node_budget=128),
                               max_k=3)
     assert res.stats["nodes"] == 280316
-    assert 0 < len(_grid(12, 3).boxes) <= _BOX_CAP
 
 
 def test_window_keys_are_injective_where_bit_differences_collide():
@@ -835,9 +813,9 @@ def test_window_keys_are_injective_where_bit_differences_collide():
 
 
 def test_shapes_give_the_box_of_a_window_around_its_pivot():
-    """_Grid.shapes[window] is (boxes entry, offset) with the box of every cell x + o, o
+    """_Grid.shapes[window] is (box mask, offset) with the box of every cell x + o, o
     in the window, at bit bit(x) + offset, for every sub-box of {-1, 0, 1}^k around
-    cells x on the grid, k 1-4 and side 2-6; an empty window gives (0, 0)."""
+    cells x on the grid, k 1-4 and side 2-6."""
     from strongdim.search import _grid
 
     rng = random.Random(8)
@@ -845,7 +823,6 @@ def test_shapes_give_the_box_of_a_window_around_its_pivot():
     for k in range(1, 5):
         for side in range(2, 7):
             grid = _grid(side, k)
-            assert grid.shapes[0] == (0, 0)
             for _ in range(60):
                 x = [rng.randrange(side) for _ in range(k)]
                 lows = [rng.randrange(max(-1, -a), min(1, side - 1 - a) + 1) for a in x]
@@ -864,9 +841,9 @@ def test_shapes_give_the_box_of_a_window_around_its_pivot():
 def test_grid_tables_stay_within_their_caps():
     """A _Table keeps at most cap keys and still answers past it. The C400 search,
     from empty caches, asks its 201^2 grid for 19,705 window keys, all different, and
-    keeps _WINDOW_CAP of them; its clips, shapes and boxes stay within their caps."""
+    keeps _WINDOW_CAP of them; its clips and shapes stay within their cap."""
     import strongdim.search
-    from strongdim.search import _BOX_CAP, _WINDOW_CAP, _grid, _Table
+    from strongdim.search import _WINDOW_CAP, _grid, _Table
 
     table = _Table(str, 2)
     assert [table[i] for i in range(4)] == ["0", "1", "2", "3"] and table == {0: "0", 1: "1"}
@@ -881,7 +858,7 @@ def test_grid_tables_stay_within_their_caps():
         _grid.cache_clear()
     assert (out.status, out.nodes) == ("yes", 400)
     assert len(asked) == 19705 and len(grid.windows) == _WINDOW_CAP
-    assert max(len(grid.clips), len(grid.shapes)) <= _WINDOW_CAP and len(grid.boxes) <= _BOX_CAP
+    assert max(len(grid.clips), len(grid.shapes)) <= _WINDOW_CAP
 
 
 def test_rings_of_placed_anchors_build_only_their_outer_cones():
@@ -1024,10 +1001,11 @@ def _interval_box(run: dict, p: int) -> tuple[list[int], list[int]]:
 
 def _checking_candidates(seen: dict):
     """A profile hook that checks every return of the DFS's candidates against its
-    definition: the box (read off the returning frame) is _interval_box's, and the
-    candidates are its free cells that pass the gap test and, with the dim2 prunes, the
-    degree cap; an empty box returns (0, 0), and only at an anchor depth. Counts go
-    to seen."""
+    definition, the free cells of _interval_box's box that pass the gap test and,
+    with the dim2 prunes, the degree cap. Past the anchors the box (read off the
+    returning frame) is _interval_box's and is never empty. An anchor depth reads a box
+    that no placed anchor cuts, so there its candidate cells must be those of the cut
+    box, and none when the cut box is empty. Counts go to seen."""
     from strongdim.search import _grid
 
     def hook(frame, event, arg):
@@ -1042,23 +1020,25 @@ def _checking_candidates(seen: dict):
         grid = _grid(side, k)
         lows, highs = _interval_box(run, p)
         v = run["order"][p]
-        if any(lo > hi for lo, hi in zip(lows, highs)):
-            assert arg == (0, 0) and v in run["anchors"], (run["anchors"], p)
-            return
         box, base = grid.box(lows, highs)
-        assert (at["box"], at["base"]) == (box, base), (run["anchors"], p, lows, highs)
         free = run["shells"][min(p, k)] & ~run["occupied"]
         if at["dim2"] is not None:
             free &= at["dim2"].cap[min(len(run["g"].adj[v]), 9)]
+        seen["last"] += p == n - 1
+        if v in run["anchors"]:
+            assert arg[0] << arg[1] == free & box << base, (run["anchors"], p, lows, highs)
+            empty = any(lo > hi for lo, hi in zip(lows, highs))
+            assert not (empty and arg[0]), (run["anchors"], p, lows, highs)
+            seen["anchor depths"] += 1
+            seen["empty cut boxes"] += empty
+            return
+        assert (at["box"], at["base"]) == (box, base), (run["anchors"], p, lows, highs)
         assert arg == (free >> base & box, base), (run["anchors"], p)
         seen["boxes"] += 1
-        seen["tighter"] += v not in run["anchors"] and any(
+        seen["tighter"] += any(
             hi < side - 1 for hi in (min(run["dG"][v][w], side - 1) for w in run["anchors"]))
-        if v not in run["anchors"]:
-            seen["windows"] += 1
-            seen["anchor pivots"] += at["head"] in run["anchors"]
-            seen[f"k{k}"] += 1
-        seen["last"] += p == n - 1
+        seen["anchor pivots"] += at["head"] in run["anchors"]
+        seen[f"k{k}"] += 1
 
     return hook
 
@@ -1077,9 +1057,9 @@ def _profiled(hook, fn, *args):
 def test_implied_anchor_bounds_give_the_old_box_at_every_depth():
     """Past the anchors a depth's box starts each coordinate at (1, side - 1), not at
     (1, min(d(v, w_i), side - 1)), and is cut only by windows around v's pivot: every
-    box the G_1 sweep reads, in both modes, is the box (read off the returning
-    candidates frame) that every placed vertex cuts from those per-anchor starts, and
-    an empty one returns (0, 0)."""
+    box the G_1 sweep reads there, in both modes, is the box (read off the returning
+    candidates frame) that every placed vertex cuts from those per-anchor starts. At
+    the anchor depths the uncut box gives the cut box's candidate cells."""
     import collections
 
     g = gn_family(1)
@@ -1088,7 +1068,7 @@ def test_implied_anchor_bounds_give_the_old_box_at_every_depth():
     for mode, nodes in (("metric", 34), ("strong", 164)):
         res = _profiled(hook, threshold_dimension, g, mode, PlacementSearchConfig(node_budget=1000))
         assert res.stats["nodes"] == nodes
-    assert seen["boxes"] > 100 and seen["tighter"] > 100, seen
+    assert seen["boxes"] > 100 and seen["tighter"] > 100 and seen["anchor depths"] > 40, seen
 
 
 def test_window_boxes_match_the_interval_box_at_every_call():
@@ -1120,6 +1100,7 @@ def test_window_boxes_match_the_interval_box_at_every_call():
                 _profiled(hook, _run_search, ctx, W, cfg, strong, dim2)
     assert min(seen[f"k{k}"] for k in range(1, 5)) > 100, seen
     assert seen["anchor pivots"] > 500 and seen["last"] > 100, seen
+    assert seen["anchor depths"] > 400 and seen["empty cut boxes"] > 0, seen
 
 
 def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
