@@ -33,10 +33,15 @@ from .embedding import (
 from .graph import (
     Graph,
     GraphError,
-    generate,
+    complete_graph,
+    complete_multipartite_graph,
+    cycle_graph,
     is_tree,
     parse_edge_list,
+    path_graph,
+    random_tree,
     require_connected,
+    star_graph,
     to_edge_list,
 )
 from .search import (
@@ -162,15 +167,19 @@ def _cmd_gen(args) -> int:
     params = _int_params(args.params) if args.params else []
     family = args.family
     embed = None  # builds the family's embedding, called only when one is asked for
-    if family in ("path", "complete", "star"):
-        g = generate(family, n=_one(params, family))
+    if family == "path":
+        g = path_graph(_one(params, family))
+    elif family == "complete":
+        g = complete_graph(_one(params, family))
+    elif family == "star":
+        g = star_graph(_one(params, family))
     elif family == "multipartite":
-        g = generate("complete_multipartite", sizes=params)
+        g = complete_multipartite_graph(params)
     elif family == "random_tree":
-        g = generate("random_tree", n=_one(params, family), seed=args.seed)
+        g = random_tree(_one(params, family), args.seed)
     elif family == "cycle":
         n = _one(params, family)
-        g = generate("cycle", n=n)
+        g = cycle_graph(n)
         if n >= 4:
             embed = lambda: cons.cycle_embedding(n)
     elif family == "type":

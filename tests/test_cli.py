@@ -249,14 +249,14 @@ def test_gen_families(capsys, tmp_path):
     ],
 )
 def test_gen_standard_families(capsys, family, params, n, m):
-    from strongdim import generate, parse_edge_list
+    from strongdim import parse_edge_list, random_tree
 
     code, out, _ = run(capsys, "gen", "--family", family, "--params", params, "--seed", "3")
     assert code == 0
     g = parse_edge_list(out)
     assert (g.n, g.m) == (n, m)
     if family == "random_tree":
-        assert out == to_edge_list(generate("random_tree", n=n, seed=3))
+        assert out == to_edge_list(random_tree(n, seed=3))
 
 
 @pytest.mark.parametrize(
@@ -369,17 +369,25 @@ def test_gen_star_with_one_leaf(capsys):
     ],
 )
 def test_gen_round_trips(capsys, family, params):
-    from strongdim import generate, parse_edge_list
+    from strongdim import (
+        complete_graph,
+        complete_multipartite_graph,
+        cycle_graph,
+        parse_edge_list,
+        path_graph,
+        random_tree,
+        star_graph,
+    )
     from strongdim import constructions as cons
 
     p = [int(x) for x in params.split(",")]
     built = {
-        "path": lambda: generate("path", n=p[0]),
-        "cycle": lambda: generate("cycle", n=p[0]),
-        "complete": lambda: generate("complete", n=p[0]),
-        "star": lambda: generate("star", n=p[0]),
-        "multipartite": lambda: generate("complete_multipartite", sizes=p),
-        "random_tree": lambda: generate("random_tree", n=p[0], seed=4),
+        "path": lambda: path_graph(p[0]),
+        "cycle": lambda: cycle_graph(p[0]),
+        "complete": lambda: complete_graph(p[0]),
+        "star": lambda: star_graph(p[0]),
+        "multipartite": lambda: complete_multipartite_graph(p),
+        "random_tree": lambda: random_tree(p[0], seed=4),
         "type": lambda: cons.type_graph(cons.StarPairSpec(p[1], p[2], p[0])),
         "tree4": lambda: cons.four_leaf_tree(cons.FourLeafTreeParams(*p)),
         "tree5": lambda: cons.five_leaf_tree(cons.FiveLeafTreeParams(*p)),
