@@ -148,7 +148,7 @@ def isometry_mismatch(
 
     is_isometric runs this to decide images too small for
     isometric_by_cones, and is_isometric_in_product to name the first pair
-    of an image that fails.
+    of an image that is_isometric fails.
     """
     n = len(cells)
     cols = [list(col) for col in zip(*cells)]
@@ -186,9 +186,8 @@ def isometric_by_cones(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> 
     """Whether adj's graph is isometric in the product, decided on vertex bitmasks without BFS.
 
     Precondition: every edge of adj joins cells at Chebyshev distance at most
-    1, as both builders of adj do: chebyshev_adjacency for certify, and the
-    placement search's _Grid.adjacency off its occupied mask. Then the
-    graph is isometric iff for every
+    1, as chebyshev_adjacency's do, the one builder of adj for certify and
+    the placement search alike. Then the graph is isometric iff for every
     vertex v and every other vertex u some neighbour w of v has
     cheb(u, w) = cheb(u, v) - 1. (Only if: take w one step along a
     shortest v-u path. If: by induction on cheb(u, v), since the
@@ -266,19 +265,14 @@ def isometric_by_cones(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> 
     return True
 
 
-def _by_cones(cells: Sequence[Coord]) -> bool:
-    """Whether isometric_by_cones, not isometry_mismatch, decides the image of cells."""
-    return len(cells) >= _CONE_CELLS_PER_COORDINATE * (len(cells[0]) if cells else 0)
-
-
 def is_isometric(cells: Sequence[Coord], adj: Sequence[Sequence[int]]) -> bool:
     """Whether adj's graph is isometric in the product: by cones on large images, by BFS on small.
 
-    The placement search's strong leaf decides by this, and certify's
-    is_isometric_in_product makes the same decision through the same cut
-    (_by_cones). adj keeps isometric_by_cones' precondition.
+    The one isometry decision: the placement search's strong leaf and
+    certify's is_isometric_in_product both decide by this, on
+    chebyshev_adjacency, which keeps isometric_by_cones' precondition.
     """
-    if _by_cones(cells):
+    if len(cells) >= _CONE_CELLS_PER_COORDINATE * (len(cells[0]) if cells else 0):
         return isometric_by_cones(cells, adj)
     return isometry_mismatch(cells, adj) is None
 
@@ -382,18 +376,14 @@ def is_w_resolved(e: Embedding, g: Graph, induced: _Induced | None = None) -> Ch
 def is_isometric_in_product(e: Embedding, induced: _Induced | None = None) -> CheckResult:
     """True iff induced-graph distances equal Chebyshev distances for all pairs.
 
-    Decided as is_isometric decides: by isometric_by_cones on large images,
-    and otherwise by isometry_mismatch, which also names the failing pair.
-    isometry_mismatch runs at most once: on a large image only when the
-    cones fail it. induced is as for is_w_resolved.
+    Decided by is_isometric; isometry_mismatch then names the failing pair,
+    so a small image that fails runs it twice. induced is as for
+    is_w_resolved.
     """
     labels, cells, adj = induced() if induced is not None else _induced_adjacency(e)
-    if _by_cones(cells) and isometric_by_cones(cells, adj):
+    if is_isometric(cells, adj):
         return CheckResult(True)
-    bad = isometry_mismatch(cells, adj)
-    if bad is None:
-        return CheckResult(True)
-    i, j, got, want = bad
+    i, j, got, want = isometry_mismatch(cells, adj)
     if got < 0:
         return CheckResult(
             False, "isometric", f"{labels[i]!r} and {labels[j]!r} are in different components"

@@ -31,11 +31,9 @@ shifts of the occupied mask per anchor (_Grid.supported). So the last
 depth's passing cells are one mask, read off its parent's occupied mask.
 The DFS keeps no adjacency. A strong search tests each passing last cell
 b by its own BFS row, balls grown from b on the occupied mask
-(_Grid.geodesic_from), and only for a cell whose row is right reads the
-parent's adjacency off the occupied mask, once per parent, one shift per
-pair of opposite unit steps (_Grid.adjacency), and adds the cell's own
-steps for embedding.is_isometric, the same isometry decision that certify
-makes.
+(_Grid.geodesic_from), and only a cell whose row is right gets the whole
+image's embedding.chebyshev_adjacency for embedding.is_isometric, the
+same adjacency and isometry decision that certify uses.
 
 Three counting rules refute an anchor set whose anchors meet their vertex
 mask for (k, side) (_counted_out) at 0 nodes before the fast path, for
@@ -60,6 +58,7 @@ from .dimension import is_resolving_set, is_strong_resolving_set, strong_dimensi
 from .embedding import (
     Embedding,
     certify,
+    chebyshev_adjacency,
     distance_vector_embedding,
     is_isometric,
 )
@@ -217,14 +216,15 @@ class _Grid:
       fixed bit offset that never carries into another cell: two cells are
       one step apart exactly when their bits are its offset apart, since no
       nonzero difference within +-side per coordinate sits at bit 0.
-    A set of cells is a mask with bits at cells only; supported() and below()
-    give masks that also cover bits holding no cell, read through such a set.
-    below(1 << b, i) is reach[i] << b >> lift: no unit step spans lift bits.
+    A set of cells is a mask with bits at cells only; supported() and reach
+    give masks that also cover bits holding no cell, read through such a set:
+    reach[i] << b >> lift holds the bits one unit step from the cell at bit b
+    and one lower in coordinate i, as no unit step spans lift = sum(u_j) bits.
     A grid keeps no mask per cell: every mask it builds is a union of boxes
     (box()), from one full column of side powers per coordinate.
     up holds one offset per opposite pair of unit steps, the positive one,
     (3^k - 1)/2 in all: by the lemma above, the cells of a set one step
-    apart are the bits b and b + o of set & set >> o, o in up (adjacency()).
+    apart are the bits b and b + o of set & set >> o, o in up (_region_cap).
     The cells of one sum(c) are among the bits T * (sum(c) - 1) + 1 ..
     T * sum(c), so a range of sums is a run of bits: geodesic_from() grows a
     BFS row's balls in the run of a set's sums, shifted down to its start.
@@ -246,12 +246,13 @@ class _Grid:
         self.units = [T - (side + 1) ** (k - 2 - j) for j in range(k - 1)] + [T]
         # full[j]: bits 0, u_j, ..., (side-1) u_j: every value of c_j from c_j = 0
         self.full = [_geometric(u, side) for u in self.units]
-        # down[i]: the bit offsets of the 3^(k-1) unit steps with dc_i = -1
         steps = list(product((-1, 0, 1), repeat=k))
-        self.down = [[self.bit(dc) for dc in steps if dc[i] == -1] for i in range(k)]
         self.up = [o for o in map(self.bit, steps) if o > 0]
-        self.lift = sum(self.units)
-        self.reach = [self.below(1 << self.lift, i) for i in range(k)]
+        self.lift = lift = sum(self.units)  # at least |bit(dc)| for every unit step dc
+        # reach[i]: the unit steps with dc_i = -1 as bits raised by lift, a set
+        # since two steps share a bit on side 1
+        self.reach = [sum({1 << lift + self.bit(dc) for dc in steps if dc[i] == -1})
+                      for i in range(k)]
         self.cells = self.box([0] * k, [side - 1] * k)[0]  # every cell
         self.radix = 2 * side  # code(c) = sum(c_i * radix^i)
         self.stride = self.radix**k  # a window key's step per unit of G-distance
@@ -281,19 +282,6 @@ class _Grid:
             mask *= full >> (self.side - 1 - hi + lo) * u
             base += lo * u
         return mask, base
-
-    def adjacency(self, cells: int, at: dict[int, int]) -> list[list[int]]:
-        """The strong-product adjacency of the cells in the mask cells, vertex
-        at[b] being the cell at bit b, one list per number up to the largest in
-        at: the pairs one step apart are the bits b and b + o of cells & cells
-        >> o, for o in up."""
-        adj: list[list[int]] = [[] for _ in range(max(at.values()) + 1)]
-        for o in self.up:
-            for b in _bits(cells & cells >> o):
-                x, y = at[b], at[b + o]
-                adj[x].append(y)
-                adj[y].append(x)
-        return adj
 
     def supported(self, cells: int, i: int) -> int:
         """Each cell with a cell of cells one unit step away and one lower in
@@ -347,14 +335,6 @@ class _Grid:
                 return False
         return True
 
-    def below(self, cells: int, i: int) -> int:
-        """Each bit one unit step from a cell of cells and one lower in coordinate
-        i, some holding no cell: supported()'s shifts the other way."""
-        out = 0
-        for o in self.down[i]:
-            out |= cells << o if o > 0 else cells >> -o
-        return out
-
     def _cell(self, b: int) -> tuple[int, ...]:
         """The cell at bit b (cell)."""
         total = -(-b // self.T)  # sum(c)
@@ -387,16 +367,18 @@ class _Grid:
         key is d * stride + half + code(u) - code(x), whose base-radix digits
         below stride are t_i + side - 1, t_i = c_u,i - c_x,i, each in 0..2 side - 2.
         Coordinate i cuts the window only when |t_i| >= d: to o_i >= t_i - d, or
-        to o_i <= t_i + d, none being left once that bound is past +-1."""
+        to o_i <= t_i + d. The DFS asks only keys with |t_i| <= d + 1, so the
+        window is never empty: u and the pivot x are placed and meet their
+        constraint, and x is v's neighbour, so |t_i| <= d(u, x) <= d + 1."""
         d, rest = divmod(key, self.stride)
         win, radix, top = self.around, self.radix, self.side - 1
         for rise, fall in self.cuts:
             rest, t = divmod(rest, radix)
             t -= top
             if t >= d:
-                win &= rise[t - d] if t - d < 2 else 0
+                win &= rise[t - d]
             if t <= -d:
-                win &= fall[-d - t] if -d - t < 2 else 0
+                win &= fall[-d - t]
         return win
 
     def _shape(self, win: int) -> tuple[int, int]:
@@ -453,23 +435,15 @@ def _grid(side: int, k: int) -> _Grid:
 
 
 @lru_cache(maxsize=256)  # 256 masks of one grid's bits at most
-def _cone(side: int, k: int, i: int, j: int, a: int, e: int) -> int:
-    """The cells c of the grid with |c_i - a| + e <= c_j, a union of boxes.
-
-    For i != j, one box per value x of c_i, with c_j from |x - a| + e. For
-    i == j, c_j - a + e <= c_j needs e <= a, and then a - c_j + e <= c_j is
-    c_j >= ceil((a + e) / 2).
-    """
+def _cone(side: int, k: int, i: int, j: int, a: int) -> int:
+    """The cells c of the grid with |c_i - a| <= c_j, for i != j, a union of
+    boxes: one per value x of c_i, with c_j from |x - a|."""
     grid = _grid(side, k)
     lows, highs = [0] * k, [side - 1] * k
-    if i == j:
-        lows[j] = (a + e + 1) // 2 if e <= a else side  # side: an empty range
-        mask, base = grid.box(lows, highs)
-        return mask << base
     out = 0
     for x in range(side):
         lows[i] = highs[i] = x
-        lows[j] = abs(x - a) + e  # from side on, the box is empty
+        lows[j] = abs(x - a)  # from side on, the box is empty
         mask, base = grid.box(lows, highs)
         out |= mask << base
     return out
@@ -479,19 +453,18 @@ def _ring(grid: _Grid, cell: tuple[int, ...], j: int) -> int:
     """The anchor-gap shell of one anchor: the cells c whose Chebyshev gap to
     the anchor's cell equals c_j, for the anchor in slot j.
 
-    That gap is at most c_j in every coordinate (one cone each) and not at
-    most c_j - 1 in all of them. An anchor the DFS places has coordinate 0
-    for itself, so its second set is empty.
+    Every caller passes cell[j] == 0: the DFS places anchor j at coordinate
+    j = 0, and _region_cap's anchors sit at (0, a) in slot 0 and (a, 0) in
+    slot 1. So the gap is never below c_j, its part in coordinate j being
+    c_j itself, and the ring is the cells where the gap in every other
+    coordinate i is at most c_j: one cone each.
     """
     side, k = grid.side, grid.k
-    outer = inner = grid.cells
+    out = grid.cells
     for i, a in enumerate(cell):
-        outer &= _cone(side, k, i, j, a, 0)
-    if cell[j] == 0:
-        return outer
-    for i, a in enumerate(cell):
-        inner &= _cone(side, k, i, j, a, 1)
-    return outer & ~inner
+        if i != j:
+            out &= _cone(side, k, i, j, a)
+    return out
 
 
 @lru_cache(maxsize=64)  # per process, so every search of a sweep reuses it
@@ -716,13 +689,12 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
     (settle), counting its cells as if tried one by one. If strong, each
     passing last cell b is first tested by its own BFS row on the occupied
     mask (_Grid.geodesic_from), which rejects most of them (3,276 of the
-    3,561 on the corridor sweep). Only for a cell that passes does the
-    placed cells' induced adjacency come off the occupied mask, at most
-    once per parent (_Grid.adjacency), numbered last placed first; the cell
-    adds its own steps as vertex 0 for is_isometric. That decides large
-    images by cones and small ones by BFS rows, where a placement that
-    fails does so most often at a deep vertex's row; the verdict does not
-    depend on the vertex order.
+    3,561 on the corridor sweep). Only a cell that passes gets the image's
+    chebyshev_adjacency for is_isometric, the cells numbered last placed
+    first with the cell as vertex 0, their list built at most once per
+    parent. That decides large images by cones and small ones by BFS rows,
+    where a placement that fails does so most often at a deep vertex's row;
+    the verdict does not depend on the vertex order.
     dim2_prunes adds the two-anchor prunes when k == 2.
     """
     g, dm = ctx.g, ctx.dm
@@ -823,12 +795,13 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
         DFS tries, highest bit first, up to the first that completes a placement
         (placed there, codes[last] then set) or all of them; more than room ends
         the search. A cell b passes anchor i when it lies in supported(occupied, i)
-        and one step below each other occupied cell that is not (_Grid.below),
+        and one step below each other occupied cell that is not (_Grid.reach),
         as placing b adds only b's own steps; the last vertex's own cell needs no
         support when it is anchor i (n == k). If strong, a passing cell completes
         the placement when its BFS row on the occupied mask is right
-        (_Grid.geodesic_from) and is_isometric then accepts the whole image; the
-        parent's adjacency is built for the first cell whose row is right."""
+        (_Grid.geodesic_from) and is_isometric then accepts the whole image on
+        its chebyshev_adjacency; the parent's cells are listed for the first
+        cell whose row is right."""
         m, base = candidates(n - 1, dim2)
         cand = ok = m << base
         if dim2 is not None:
@@ -842,10 +815,10 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
                 ok &= held
                 loose &= ~(1 << bits[w])
             for u in _bits(loose):
-                ok &= reach[i] << u >> lift  # grid.below(1 << u, i)
+                ok &= reach[i] << u >> lift
             if not ok:
                 break
-        adj = None
+        cells = None
         for b in _bits(ok):
             tried = (cand >> b).bit_count()
             if strong:
@@ -853,18 +826,10 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
                     break
                 if not grid.geodesic_from(occupied, b):
                     continue
-                if adj is None:  # the placed cells' adjacency, vertex 0 left for b
-                    at = {bits[v]: n - 1 - p for p, v in enumerate(order[:-1])}
-                    adj = grid.adjacency(occupied, at)
+                if cells is None:  # the placed cells, last placed first, vertex 0 left for b
                     cells = [None, *(cell_of[bits[v]] for v in reversed(order[:-1]))]
-                row = adj[0] = [at[x] for o in grid.up for x in (b - o, b + o) if x in at]
-                for y in row:
-                    adj[y].append(0)
                 cells[0] = cell_of[b]
-                isometric = is_isometric(cells, adj)
-                for y in row:
-                    adj[y].pop()
-                if not isometric:
+                if not is_isometric(cells, chebyshev_adjacency(cells)):
                     continue
             bits[last], codes[last] = b, code_of[b]
             return tried
@@ -933,9 +898,9 @@ def _run_search(ctx: _SearchContext, anchors: list[int] | tuple[int, ...],
 
     emb = Embedding(k, side, tuple(g.labels[w] for w in anchors),
                     {g.labels[v]: cell_of[bits[v]] for v in range(n)})
-    # certify shares is_isometric with the strong leaf (the mask row only turns
-    # cells away before it), so only its W-resolved clause checks the DFS
-    # independently
+    # certify shares chebyshev_adjacency and is_isometric with the strong leaf
+    # (the mask row only turns cells away before it), so only its W-resolved
+    # clause checks the DFS independently
     check = certify(emb, g, strong)
     if not check:
         raise AssertionError(f"search produced an invalid embedding: {check.clause}: "

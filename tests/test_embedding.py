@@ -236,7 +236,8 @@ def test_isometry_mismatch_reports_the_first_pair():
 
 
 def test_strong_certify_runs_the_bfs_check_only_on_small_or_failing_images(monkeypatch):
-    """Cones decide; isometry_mismatch runs only to name a failing pair."""
+    """Cones decide large images, where isometry_mismatch runs only to name a failing
+    pair; a small image that fails runs it twice, to decide and then to name the pair."""
     from strongdim import constructions as cons
 
     calls = []
@@ -255,7 +256,7 @@ def test_strong_certify_runs_the_bfs_check_only_on_small_or_failing_images(monke
     assert calls == []
     g1 = gn_family(1)
     res = certify(distance_vector_embedding(g1, ["w1_1", "w2_1"]), g1, True)
-    assert res.clause == "isometric" and calls == [1]
+    assert res.clause == "isometric" and calls == [1, 1]  # 23 cells on 2 coordinates
     # an image of fewer than 16 cells per coordinate is decided by the BFS alone
     small, large = cycle_embedding(31), cycle_embedding(32)
     calls.clear()
@@ -317,7 +318,7 @@ def test_passing_plane_embeddings_build_no_chebyshev_row(monkeypatch):
     assert is_isometric_in_product(cycle) and is_isometric_in_product(l3n)
     assert calls == []
     assert not is_isometric_in_product(Embedding(2, 3, (), {"a": (0, 0), "b": (2, 2)}))
-    assert calls == [(0, 0)]  # a failing source still names its pair from a row
+    assert calls == [(0, 0)] * 2  # a failing source decides, then names its pair from a row
 
 
 def test_isometry_mismatch_matches_the_row_scan_on_subgraphs():

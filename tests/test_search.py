@@ -508,7 +508,8 @@ def test_gap_experiment_row_and_budget():
 
 
 def test_shell_memo_matches_the_direct_gap_test():
-    """The ring masks, ANDed per placed anchor, answer each cell as the anchor-gap test does."""
+    """The ring masks, ANDed per placed anchor, answer each cell as the anchor-gap test does,
+    for anchors placed as the DFS places them (anchor j on coordinate j = 0)."""
     from strongdim import chebyshev
     from strongdim.search import _grid, _ring
 
@@ -517,10 +518,8 @@ def test_shell_memo_matches_the_direct_gap_test():
         for side in range(2, 8):
             grid = _grid(side, k)
             for t in range(4):
-                # as the DFS places them (anchor j on coordinate j = 0), then anywhere
                 anchor_cells = [
-                    tuple(0 if i == j and t < 2 else rng.randrange(side) for i in range(k))
-                    for j in range(k)
+                    tuple(0 if i == j else rng.randrange(side) for i in range(k)) for j in range(k)
                 ]
                 shell = grid.cells
                 for j, cw in enumerate(anchor_cells):
@@ -571,7 +570,7 @@ def _product_candidates(lows, highs, used, shell):
 
 def test_bit_candidates_match_the_product_box_and_sort():
     """Shell AND free cells AND box, read highest bit first, is the old candidate list, in
-    order, for k 1-4 and side 1-8, with anchors placed as the DFS places them or anywhere."""
+    order, for k 1-4 and side 1-8, with anchors placed as the DFS places them."""
     from strongdim.search import _bits, _grid, _ring
 
     rng = random.Random(16)
@@ -583,7 +582,7 @@ def test_bit_candidates_match_the_product_box_and_sort():
             for t in range(6):
                 placed = rng.randrange(k + 1)  # anchors placed so far
                 anchor_cells = [
-                    tuple(0 if i == j and t % 2 else rng.randrange(side) for i in range(k))
+                    tuple(0 if i == j else rng.randrange(side) for i in range(k))
                     for j in range(placed)
                 ]
                 shell = grid.cells
@@ -630,42 +629,32 @@ def test_supported_cells_match_a_pairwise_reference():
     assert 0 < hits < checked
 
 
-def test_below_is_supported_the_other_way():
-    """_Grid.below marks, among the cells, exactly those one unit step from the cell u
-    and one lower in coordinate i, for every cell u, each i, k 1-4 and side 1-6."""
-    from strongdim.search import _grid
-
-    for k in range(1, 5):
-        for side in range(1, 7):
-            grid = _grid(side, k)
-            steps = list(itertools.product((-1, 0, 1), repeat=k))
-            for u in itertools.product(range(side), repeat=k):
-                for i in range(k):
-                    got = grid.below(1 << grid.bit(u), i) & grid.cells
-                    below = {tuple(map(sum, zip(u, dc))) for dc in steps if dc[i] == -1}
-                    want = sum(1 << grid.bit(c) for c in below if 0 <= min(c) <= max(c) < side)
-                    assert got == want, (k, side, u, i)
-
-
 def test_reach_shifted_to_a_cell_is_below_that_cell():
-    """Settling reads below(1 << b, i) as the precomputed reach[i] << b >> lift, for
-    every cell's bit b, each i, k 1-4 and side 1-8."""
+    """Settling reads the cells one unit step from the cell at bit b and one lower in
+    coordinate i as reach[i] << b >> lift: among the cells, exactly those, for every
+    cell, each i, k 1-4 and side 1-8."""
     from strongdim.search import _grid
 
     for k in range(1, 5):
         for side in range(1, 9):
             grid = _grid(side, k)
-            for b in map(grid.bit, itertools.product(range(side), repeat=k)):
+            steps = list(itertools.product((-1, 0, 1), repeat=k))
+            for u in itertools.product(range(side), repeat=k):
+                b = grid.bit(u)
                 for i in range(k):
-                    assert grid.reach[i] << b >> grid.lift == grid.below(1 << b, i), (k, side, b, i)
+                    got = grid.reach[i] << b >> grid.lift & grid.cells
+                    below = {tuple(map(sum, zip(u, dc))) for dc in steps if dc[i] == -1}
+                    want = sum(1 << grid.bit(c) for c in below if 0 <= min(c) <= max(c) < side)
+                    assert got == want, (k, side, u, i)
 
 
 def test_up_offsets_give_the_chebyshev_adjacency():
-    """_Grid.adjacency, one positive offset per opposite pair of unit steps (up), equals
-    chebyshev_adjacency on random cell sets with a cell on every face of the grid, in
-    any vertex order, for k 1-4 and side 1-8."""
+    """The pairs one step apart read off a mask with one positive offset per opposite pair
+    of unit steps (up), the bits b and b + o of cells & cells >> o, as _region_cap reads
+    them, are chebyshev_adjacency's on random cell sets with a cell on every face of the
+    grid, in any vertex order, for k 1-4 and side 1-8."""
     from strongdim import chebyshev_adjacency
-    from strongdim.search import _grid
+    from strongdim.search import _bits, _grid
 
     rng = random.Random(29)
     edges = 0
@@ -681,7 +670,12 @@ def test_up_offsets_give_the_chebyshev_adjacency():
                 placed = sorted(placed)
                 rng.shuffle(placed)
                 at = {grid.bit(c): i for i, c in enumerate(placed)}
-                got = grid.adjacency(sum(1 << b for b in at), at)
+                mask = sum(1 << b for b in at)
+                got = [[] for _ in placed]
+                for o in grid.up:
+                    for b in _bits(mask & mask >> o):
+                        got[at[b]].append(at[b + o])
+                        got[at[b + o]].append(at[b])
                 assert [sorted(row) for row in got] == chebyshev_adjacency(placed), (k, side)
                 edges += sum(map(len, got))
     assert edges
@@ -727,9 +721,9 @@ def test_geodesic_from_matches_a_bfs_row_on_the_chebyshev_adjacency():
 
 
 def test_cones_match_their_inequality():
-    """_cone(side, k, i, j, a, e) holds exactly the cells with |c_i - a| + e <= c_j, for
-    every i, j and a, e in {0, 1}, k 1-4 and side 1-8, and sets no bit outside
-    grid.cells, which holds exactly the side^k cells."""
+    """_cone(side, k, i, j, a) holds exactly the cells with |c_i - a| <= c_j, for every
+    i != j and a, k 1-4 and side 1-8, and sets no bit outside grid.cells, which holds
+    exactly the side^k cells."""
     from strongdim.search import _cone, _grid
 
     for k in range(1, 5):
@@ -737,10 +731,11 @@ def test_cones_match_their_inequality():
             grid = _grid(side, k)
             cells = list(itertools.product(range(side), repeat=k))
             assert grid.cells == sum(1 << grid.bit(c) for c in cells)
-            for i, j, a, e in itertools.product(range(k), range(k), range(side), (0, 1)):
-                cone = _cone(side, k, i, j, a, e)
-                want = sum(1 << grid.bit(c) for c in cells if abs(c[i] - a) + e <= c[j])
-                assert cone == want, (k, side, i, j, a, e)
+            for i, j, a in itertools.product(range(k), range(k), range(side)):
+                if i != j:
+                    cone = _cone(side, k, i, j, a)
+                    want = sum(1 << grid.bit(c) for c in cells if abs(c[i] - a) <= c[j])
+                    assert cone == want, (k, side, i, j, a)
 
 
 def test_grid_tables_stay_small_on_a_long_cycle():
@@ -776,7 +771,8 @@ def test_g2_strong_sweep_nodes_golden():
 def test_window_keys_are_injective_where_bit_differences_collide():
     """A window key d * stride + half + code(u) - code(x) tells every (d, c_u - c_x) apart
     for k 1-4 and side 1-8: half + the code of a difference lies in [0, stride), one
-    value per difference. The window it reads holds the offsets o in {-1, 0, 1}^k with
+    value per difference. The window it reads, for the keys the DFS asks (every |c_u,i -
+    c_x,i| <= d + 1), holds the offsets o in {-1, 0, 1}^k with
     |o_i - (c_u,i - c_x,i)| <= d, and a clip the offsets that keep x's cell in
     [1, side - 1]^k. Grid-bit differences do collide: (-4, 1) and (2, -4) on side 5 with
     k = 2, and 5,040 of the 23^3 difference vectors on the 12^3 grid."""
@@ -803,7 +799,7 @@ def test_window_keys_are_injective_where_bit_differences_collide():
             keys = {grid.half + sum(map(int.__mul__, t, powers)) for t in diffs}
             assert len(keys) == len(diffs) and min(keys) >= 0 and max(keys) < grid.stride
             for t in diffs if k <= 2 else rng.sample(diffs, min(len(diffs), 200)):
-                for d in range(side + 1):
+                for d in range(max(max(map(abs, t)) - 1, 0), side + 1):
                     key = d * grid.stride + grid.half + sum(map(int.__mul__, t, powers))
                     assert grid.windows[key] == brute(
                         k, lambda o: all(abs(a - b) <= d for a, b in zip(o, t))), (k, side, t, d)
@@ -863,14 +859,15 @@ def test_grid_tables_stay_within_their_caps():
 
 def test_rings_of_placed_anchors_build_only_their_outer_cones():
     """An anchor the DFS places has coordinate 0 for itself, so its ring needs only the
-    k cones of its outer set: two anchors on C400 build 4 cones from empty caches."""
+    k - 1 cones of the other coordinates: two anchors on C400 build 2 cones from empty
+    caches."""
     import strongdim.search
 
     for cache in (strongdim.search._grid, strongdim.search._cone):
         cache.cache_clear()
     out = exists_supergraph_resolved_by(cycle_graph(400), ["0", "199"])
     assert (out.status, out.nodes) == ("yes", 400)
-    assert strongdim.search._cone.cache_info().misses == 4
+    assert strongdim.search._cone.cache_info().misses == 2
 
 
 def test_k3_orbit_reps_golden():
@@ -1005,11 +1002,20 @@ def _checking_candidates(seen: dict):
     with the dim2 prunes, the degree cap. Past the anchors the box (read off the
     returning frame) is _interval_box's and is never empty. An anchor depth reads a box
     that no placed anchor cuts, so there its candidate cells must be those of the cut
-    box, and none when the cut box is empty. Counts go to seen."""
+    box, and none when the cut box is empty. It also guards the two lemmas that let
+    the grid build less: every _ring call has cell[j] == 0 (no inner set, no i == j
+    cone), and every window key a pivot depth reads decodes to |t_i| <= d + 1 (no
+    empty window). Counts go to seen."""
     from strongdim.search import _grid
 
     def hook(frame, event, arg):
-        if event != "return" or frame.f_code.co_name != "candidates":
+        name = frame.f_code.co_name
+        if event == "call" and name == "_ring":
+            cell, j = frame.f_locals["cell"], frame.f_locals["j"]
+            assert cell[j] == 0, ("ring of an anchor off its own coordinate 0", cell, j)
+            seen["rings"] += 1
+            return
+        if event != "return" or name != "candidates":
             return
         at = frame.f_locals
         run = frame
@@ -1025,6 +1031,13 @@ def _checking_candidates(seen: dict):
         if at["dim2"] is not None:
             free &= at["dim2"].cap[min(len(run["g"].adj[v]), 9)]
         seen["last"] += p == n - 1
+        if v not in run["anchors"]:  # the window keys read, decoded to (d, t)
+            for u, key in at["bounding"]:
+                d, rest = divmod(key + run["codes"][u] - at["cx"], grid.stride)
+                for _ in range(k):
+                    rest, t = divmod(rest, grid.radix)
+                    assert abs(t - (side - 1)) <= d + 1, ("window key past d + 1", p, u, d)
+                seen["window keys"] += 1
         if v in run["anchors"]:
             assert arg[0] << arg[1] == free & box << base, (run["anchors"], p, lows, highs)
             empty = any(lo > hi for lo, hi in zip(lows, highs))
@@ -1069,6 +1082,7 @@ def test_implied_anchor_bounds_give_the_old_box_at_every_depth():
         res = _profiled(hook, threshold_dimension, g, mode, PlacementSearchConfig(node_budget=1000))
         assert res.stats["nodes"] == nodes
     assert seen["boxes"] > 100 and seen["tighter"] > 100 and seen["anchor depths"] > 40, seen
+    assert seen["rings"] > 40 and seen["window keys"] > 100, seen
 
 
 def test_window_boxes_match_the_interval_box_at_every_call():
@@ -1101,6 +1115,7 @@ def test_window_boxes_match_the_interval_box_at_every_call():
     assert min(seen[f"k{k}"] for k in range(1, 5)) > 100, seen
     assert seen["anchor pivots"] > 500 and seen["last"] > 100, seen
     assert seen["anchor depths"] > 400 and seen["empty cut boxes"] > 0, seen
+    assert seen["rings"] > 400 and seen["window keys"] > 1000, seen
 
 
 def test_bounding_set_rule_keeps_every_search_node_for_node(monkeypatch):
@@ -1200,18 +1215,21 @@ def _counting(calls, key, fn):
     return wrapper
 
 
-def test_strong_sweep_builds_chebyshev_adjacency_only_to_certify(monkeypatch):
-    """The placement search reads the isometry check's adjacency off the bit grid, so in
-    a strong sweep every chebyshev_adjacency call comes from certify. On G_1 two last
-    cells pass the anchor check; the mask row from b rejects one, and is_isometric
-    decides the other."""
+def test_strong_sweep_builds_chebyshev_adjacency_once_per_leaf_and_certify(monkeypatch):
+    """The strong leaf and certify build their images' adjacency with the one
+    chebyshev_adjacency, each through its own module's binding, counted apart. On G_1
+    two last cells pass the anchor check; the mask row from b rejects one, and the
+    other is the one leaf call, with one search-side build. certify builds one per
+    call."""
     import strongdim.embedding
     import strongdim.search
     from strongdim.search import _Grid
 
-    calls = {"adjacency": 0, "certify": 0, "row": 0, "leaf": 0}
-    monkeypatch.setattr(strongdim.embedding, "chebyshev_adjacency",
-                        _counting(calls, "adjacency", strongdim.embedding.chebyshev_adjacency))
+    calls = {"search": 0, "embedding": 0, "certify": 0, "row": 0, "leaf": 0}
+    for module in (strongdim.search, strongdim.embedding):
+        key = module.__name__.split(".")[-1]
+        monkeypatch.setattr(module, "chebyshev_adjacency",
+                            _counting(calls, key, module.chebyshev_adjacency))
     monkeypatch.setattr(strongdim.search, "certify",
                         _counting(calls, "certify", strongdim.search.certify))
     monkeypatch.setattr(_Grid, "geodesic_from", _counting(calls, "row", _Grid.geodesic_from))
@@ -1219,9 +1237,8 @@ def test_strong_sweep_builds_chebyshev_adjacency_only_to_certify(monkeypatch):
                         _counting(calls, "leaf", strongdim.search.is_isometric))
     res = threshold_dimension(gn_family(1), "strong", PlacementSearchConfig(node_budget=1000))
     assert (res.status, res.value, res.stats["nodes"]) == ("exact", 3, 164)
-    assert not hasattr(strongdim.search, "chebyshev_adjacency")
-    assert (calls["row"], calls["leaf"]) == (2, 1), calls
-    assert calls["adjacency"] == calls["certify"] >= 1, calls
+    assert (calls["row"], calls["leaf"], calls["search"]) == (2, 1, 1), calls
+    assert calls["embedding"] == calls["certify"] >= 1, calls
 
 
 def test_a_large_strong_leaf_takes_one_mask_row(monkeypatch):
@@ -1234,7 +1251,8 @@ def test_a_large_strong_leaf_takes_one_mask_row(monkeypatch):
 
     calls = {"row": 0, "leaf": 0, "adjacency": 0}
     monkeypatch.setattr(_Grid, "geodesic_from", _counting(calls, "row", _Grid.geodesic_from))
-    monkeypatch.setattr(_Grid, "adjacency", _counting(calls, "adjacency", _Grid.adjacency))
+    monkeypatch.setattr(strongdim.search, "chebyshev_adjacency",
+                        _counting(calls, "adjacency", strongdim.search.chebyshev_adjacency))
     monkeypatch.setattr(strongdim.search, "is_isometric",
                         _counting(calls, "leaf", strongdim.search.is_isometric))
     res = exists_supergraph_resolved_by(cycle_graph(400), ["0", "199"])
