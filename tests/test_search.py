@@ -517,7 +517,7 @@ def test_shell_memo_matches_the_direct_gap_test():
     for k in range(1, 5):
         for side in range(2, 8):
             grid = _grid(side, k)
-            for t in range(4):
+            for _ in range(4):
                 anchor_cells = [
                     tuple(0 if i == j else rng.randrange(side) for i in range(k)) for j in range(k)
                 ]
@@ -579,7 +579,7 @@ def test_bit_candidates_match_the_product_box_and_sort():
         for side in range(1, 9):
             grid = _grid(side, k)
             cells = list(itertools.product(range(side), repeat=k))
-            for t in range(6):
+            for _ in range(6):
                 placed = rng.randrange(k + 1)  # anchors placed so far
                 anchor_cells = [
                     tuple(0 if i == j else rng.randrange(side) for i in range(k))
@@ -1031,13 +1031,6 @@ def _checking_candidates(seen: dict):
         if at["dim2"] is not None:
             free &= at["dim2"].cap[min(len(run["g"].adj[v]), 9)]
         seen["last"] += p == n - 1
-        if v not in run["anchors"]:  # the window keys read, decoded to (d, t)
-            for u, key in at["bounding"]:
-                d, rest = divmod(key + run["codes"][u] - at["cx"], grid.stride)
-                for _ in range(k):
-                    rest, t = divmod(rest, grid.radix)
-                    assert abs(t - (side - 1)) <= d + 1, ("window key past d + 1", p, u, d)
-                seen["window keys"] += 1
         if v in run["anchors"]:
             assert arg[0] << arg[1] == free & box << base, (run["anchors"], p, lows, highs)
             empty = any(lo > hi for lo, hi in zip(lows, highs))
@@ -1045,6 +1038,12 @@ def _checking_candidates(seen: dict):
             seen["anchor depths"] += 1
             seen["empty cut boxes"] += empty
             return
+        for u, key in at["bounding"]:  # the window keys read, decoded to (d, t)
+            d, rest = divmod(key + run["codes"][u] - at["cx"], grid.stride)
+            for _ in range(k):
+                rest, t = divmod(rest, grid.radix)
+                assert abs(t - (side - 1)) <= d + 1, ("window key past d + 1", p, u, d)
+            seen["window keys"] += 1
         assert (at["box"], at["base"]) == (box, base), (run["anchors"], p, lows, highs)
         assert arg == (free >> base & box, base), (run["anchors"], p)
         seen["boxes"] += 1
