@@ -648,6 +648,24 @@ def test_reach_shifted_to_a_cell_is_below_that_cell():
                     assert got == want, (k, side, u, i)
 
 
+def test_below_is_supported_the_other_way():
+    """The cells below the cell u in coordinate i (reach[i] << bit(u) >> lift) are
+    exactly the cells c whose one-cell mask supports u (supported(1 << bit(c), i) has
+    u's bit), for every cell u, each i, k 1-4 and side 1-6."""
+    from strongdim.search import _grid
+
+    for k in range(1, 5):
+        for side in range(1, 7):
+            grid = _grid(side, k)
+            cells = list(map(grid.bit, itertools.product(range(side), repeat=k)))
+            for i in range(k):
+                up = {c: grid.supported(1 << c, i) for c in cells}
+                for u in cells:
+                    got = grid.reach[i] << u >> grid.lift & grid.cells
+                    want = sum(1 << c for c in cells if up[c] >> u & 1)
+                    assert got == want, (k, side, u, i)
+
+
 def test_up_offsets_give_the_chebyshev_adjacency():
     """The pairs one step apart read off a mask with one positive offset per opposite pair
     of unit steps (up), the bits b and b + o of cells & cells >> o, as _region_cap reads
